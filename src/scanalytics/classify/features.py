@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, ScanReport, normalize_url
+from ..feed import DetailedLabel, FeedFormatError, ScanReport, normalize_url
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -132,16 +132,8 @@ class HostingCache:
 
     @classmethod
     def from_csv(cls, path) -> "HostingCache":
-        records: dict[str, HostingRecord] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                records[normalize_url(row["url"])] = HostingRecord(
-                    ip_count=int(row["ip_count"]),
-                    asn_count=int(row["asn_count"]),
-                    asn=row["asn"],
-                    country=row["country"],
-                )
-        return cls(records)
+        fields = {"url": normalize_url, "ip_count": int, "asn_count": int, "asn": str, "country": str}
+        return cls({row.pop("url"): HostingRecord(**row) for row in _read_cache_csv(path, fields)})
 
     def lookup(self, url: str) -> HostingRecord | None:
         return self._records.get(normalize_url(url))
@@ -159,15 +151,8 @@ class WhoisCache:
 
     @classmethod
     def from_csv(cls, path) -> "WhoisCache":
-        records: dict[str, WhoisRecord] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                records[row["domain"].lower()] = WhoisRecord(
-                    created=_parse_date(row["created"]),
-                    expires=_parse_date(row["expires"]),
-                    registrar=row["registrar"],
-                )
-        return cls(records)
+        fields = {"domain": str.lower, "created": _parse_date, "expires": _parse_date, "registrar": str}
+        return cls({row.pop("domain"): WhoisRecord(**row) for row in _read_cache_csv(path, fields)})
 
     def lookup(self, host: str) -> WhoisRecord | None:
         labels = host.lower().split(".")
@@ -179,6 +164,23 @@ class WhoisCache:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def _read_cache_csv(path, fields: dict) -> list[dict]:
+    """Rows of a cache CSV, each field converted by `fields[name]`. A missing
+    column or field, or a value its converter rejects, raises FeedFormatError
+    naming the file and row."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row_no, row in enumerate(csv.DictReader(fh), start=2):
+            missing = [name for name in fields if row.get(name) is None]
+            if missing:
+                raise FeedFormatError(f"{path}: row {row_no}: missing {', '.join(missing)}")
+            try:
+                rows.append({name: convert(row[name]) for name, convert in fields.items()})
+            except ValueError as exc:
+                raise FeedFormatError(f"{path}: row {row_no}: {exc}") from None
+    return rows
 
 
 def _parse_date(value: str) -> datetime:

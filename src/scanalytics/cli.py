@@ -217,15 +217,17 @@ def _cmd_metrics(args) -> int:
 
     # F-1 must see ground-truth URLs even when no scanner ever detects them
     # (they are false negatives); the other metrics follow the detected cohort.
-    full_cohort = FeedCohort.build("all", {r.url for r in reports}, reports)
-    full_series = build_series(full_cohort)
+    full_series = build_series(FeedCohort.build("all", {r.url for r in reports}, reports))
     if not full_series:
         raise ValueError("empty feed; nothing to measure")
     positive, benign = _split_gt(truth)
     curves = f1_by_offset(full_series, positive, benign, max_offset=args.max_offset)
     write_f1_csv(curves, run.artifact("f1_curves.csv"))
 
-    series = build_series(filter_ever_detected(reports))
+    # The ever-detected cohort's series are the full series of its URLs: a
+    # URL's day 0 and daily labels depend on its own reports only.
+    detected = {r.url for r in reports if r.positives >= 1}
+    series = {key: ts for key, ts in full_series.items() if key[1] in detected}
     if not series:
         raise ValueError("no detected URLs in feed; nothing to measure")
     scores = certainty_scores(series, window=args.window)
@@ -583,6 +585,13 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scanalytics", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -592,7 +601,7 @@ def _build_parser() -> _Parser:
         if feed:
             p.add_argument("--feed", required=True, help="line-delimited scan-report feed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--seed", type=int, default=0)

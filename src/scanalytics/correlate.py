@@ -6,6 +6,10 @@ the "xxx" sentinel. Jaccard matrices are symmetric with a special-cased
 diagonal of 1 for scanners that detected at least one URL. DTW matrices are
 symmetric with zero diagonal. All reductions run in a fixed order, so results
 are identical regardless of parallelism.
+
+Co-detection comes from the series table (`series._SeriesTable`): Jaccard
+matrices are integer products of (scanner x URL) detection marks, and the
+DTW matrix takes its co-detected URLs from the same marks.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .feed import DetailedLabel
-from .series import LabelTimeSeries, SeriesMap
+from .series import SeriesMap, _SeriesTable
 
 __all__ = [
     "MatrixKind",
@@ -62,30 +66,40 @@ class SimilarityMatrix:
         return float(self.values[self.index(a), self.index(b)])
 
 
-def _scanner_order(series: SeriesMap, scanners: Sequence[str] | None) -> tuple[str, ...]:
-    if scanners is not None:
-        return tuple(scanners)
-    return tuple(sorted({scanner for scanner, _ in series}))
+def _scanner_order(table: _SeriesTable, scanners: Sequence[str] | None) -> tuple[str, ...]:
+    return tuple(scanners) if scanners is not None else table.scanners
 
 
-def _detected_urls(
-    series: SeriesMap, universe: set[str], window: int | None, offset: int | None
-) -> dict[str, set[str]]:
-    """URLs each scanner detected, pooled over the window or at one offset."""
-    detected: dict[str, set[str]] = {}
-    for (scanner, url), ts in series.items():
-        if url not in universe:
-            continue
-        if offset is not None:
-            point = ts.at(offset)
-            hit = point is not None and point.bl == 1
-        else:
-            hit = any(
-                p.bl == 1 and (window is None or p.day_offset < window) for p in ts.points
-            )
-        if hit:
-            detected.setdefault(scanner, set()).add(url)
-    return detected
+def _jaccard_values(
+    table: _SeriesTable, universe: set[str], days: tuple[int, int | None], order: tuple[str, ...], detailed: bool
+) -> np.ndarray:
+    """Counts of shared universe URLs over |universe|: co-detected URLs, or
+    with `detailed`, co-detected URLs with equal modal detecting labels.
+    The diagonal is 1 for scanners with at least one such URL."""
+    if not universe:
+        raise ValueError("universe must be non-empty")
+    summary = table.summary(*days)
+    if detailed:
+        # One-hot modal label. argmax breaks count ties toward the lower enum
+        # value, as `series._plurality_label`, and is Benign (no column here)
+        # where nothing was detected.
+        marks = summary.labels.argmax(axis=-1)[..., None] == np.arange(1, len(DetailedLabel))
+    else:
+        marks = summary.labels.any(axis=-1)
+    marks[:, [url not in universe for url in table.urls]] = False
+    marks = table.rows(marks, order).astype(np.int64)
+    values = (marks @ marks.T) / len(universe)
+    np.fill_diagonal(values, marks.any(axis=1))
+    return values
+
+
+def _jaccard_matrix(series, universe, window, offset, scanners, kind: MatrixKind) -> SimilarityMatrix:
+    """Pooled over [0, window), or over the single day `offset` when given."""
+    table = _SeriesTable(series.values())
+    order = _scanner_order(table, scanners)
+    days = (offset, offset + 1) if offset is not None else (0, window)
+    values = _jaccard_values(table, universe, days, order, detailed=kind == "jaccard_detailed")
+    return SimilarityMatrix(scanners=order, values=values, kind=kind)
 
 
 def jaccard_binary(
@@ -100,35 +114,7 @@ def jaccard_binary(
     Pooled over the window by default; pass `offset` for the single-day
     variant. The diagonal is 1 for scanners with at least one detection.
     """
-    if not universe:
-        raise ValueError("universe must be non-empty")
-    order = _scanner_order(series, scanners)
-    detected = _detected_urls(series, universe, window, offset)
-    n = len(order)
-    values = np.zeros((n, n))
-    total = len(universe)
-    for i, a in enumerate(order):
-        da = detected.get(a, set())
-        values[i, i] = 1.0 if da else 0.0
-        for j in range(i + 1, n):
-            db = detected.get(order[j], set())
-            v = len(da & db) / total
-            values[i, j] = v
-            values[j, i] = v
-    return SimilarityMatrix(scanners=order, values=values, kind="jaccard_binary")
-
-
-def _modal_detecting_label(ts, window: int | None) -> DetailedLabel | None:
-    """The scanner's most common detecting label for the URL in the window."""
-    counts: dict[DetailedLabel, int] = {}
-    for p in ts.points:
-        if window is not None and p.day_offset >= window:
-            continue
-        if p.bl == 1:
-            counts[p.dl] = counts.get(p.dl, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda lab: (-counts[lab], int(lab)))
+    return _jaccard_matrix(series, universe, window, offset, scanners, "jaccard_binary")
 
 
 def jaccard_detailed(
@@ -140,35 +126,7 @@ def jaccard_detailed(
 ) -> SimilarityMatrix:
     """Label-agreement similarity: co-detected URLs with equal modal labels
     over |universe|. The single-day variant compares that day's labels."""
-    if not universe:
-        raise ValueError("universe must be non-empty")
-    order = _scanner_order(series, scanners)
-
-    labels: dict[str, dict[str, DetailedLabel]] = {}
-    for (scanner, url), ts in series.items():
-        if url not in universe:
-            continue
-        if offset is not None:
-            point = ts.at(offset)
-            label = point.dl if point is not None and point.bl == 1 else None
-        else:
-            label = _modal_detecting_label(ts, window)
-        if label is not None:
-            labels.setdefault(scanner, {})[url] = label
-
-    n = len(order)
-    values = np.zeros((n, n))
-    total = len(universe)
-    for i, a in enumerate(order):
-        la = labels.get(a, {})
-        values[i, i] = 1.0 if la else 0.0
-        for j in range(i + 1, n):
-            lb = labels.get(order[j], {})
-            same = sum(1 for url, lab in la.items() if lb.get(url) is lab)
-            v = same / total
-            values[i, j] = v
-            values[j, i] = v
-    return SimilarityMatrix(scanners=order, values=values, kind="jaccard_detailed")
+    return _jaccard_matrix(series, universe, window, offset, scanners, "jaccard_detailed")
 
 
 def frobenius_norm(matrix: SimilarityMatrix) -> float:
@@ -187,11 +145,13 @@ def frobenius_trend(
     scanners: Sequence[str] | None = None,
 ) -> list[tuple[int, float]]:
     """Per-day matrix norm over a range of offsets; diagonal excluded."""
-    build = jaccard_detailed if detailed else jaccard_binary
+    table = _SeriesTable(series.values())
+    order = _scanner_order(table, scanners)
+    kind = "jaccard_detailed" if detailed else "jaccard_binary"
     out = []
     for offset in offsets:
-        matrix = build(series, universe, offset=offset, scanners=scanners)
-        out.append((offset, frobenius_norm(matrix)))
+        values = _jaccard_values(table, universe, (offset, offset + 1), order, detailed)
+        out.append((offset, frobenius_norm(SimilarityMatrix(scanners=order, values=values, kind=kind))))
     return out
 
 
@@ -263,13 +223,9 @@ def scanner_dtw_matrix(
     pairs with no co-detected URL get NaN. URLs where both aligned sequences
     are all-zero are skipped.
     """
-    order = _scanner_order(series, scanners)
-    by_scanner: dict[str, dict[str, LabelTimeSeries]] = {}
-    detects: dict[str, set[str]] = {}
-    for (scanner, url), ts in series.items():
-        by_scanner.setdefault(scanner, {})[url] = ts
-        if any(p.bl == 1 and (window is None or p.day_offset < window) for p in ts.points):
-            detects.setdefault(scanner, set()).add(url)
+    table = _SeriesTable(series.values())
+    order = _scanner_order(table, scanners)
+    detects = table.rows(table.summary(0, window).labels.any(axis=-1), order)
 
     n = len(order)
     values = np.full((n, n), np.nan)
@@ -277,11 +233,11 @@ def scanner_dtw_matrix(
     for i in range(n):
         for j in range(i + 1, n):
             a, b = order[i], order[j]
-            shared = detects.get(a, set()) & detects.get(b, set())
             total = 0.0
             count = 0
-            for url in sorted(shared):
-                seq_a, seq_b = _aligned_pair(by_scanner[a][url], by_scanner[b][url], window)
+            for u in np.flatnonzero(detects[i] & detects[j]).tolist():  # URL order
+                url = table.urls[u]
+                seq_a, seq_b = _aligned_pair(series[(a, url)], series[(b, url)], window)
                 if not seq_a or (not any(seq_a) and not any(seq_b)):
                     continue
                 total += dtw_distance(seq_a, seq_b)

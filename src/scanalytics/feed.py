@@ -300,7 +300,9 @@ def _parse_line(
     for scanner_name, entry in scans.items():
         if not isinstance(entry, dict) or "detected" not in entry:
             raise FeedFormatError(f"bad scans entry for {scanner_name!r}")
-        detected = bool(entry["detected"])
+        detected = entry["detected"]
+        if not isinstance(detected, bool):
+            raise FeedFormatError(f"detected for {scanner_name!r} must be true or false")
         result = parse_detailed_label(str(entry.get("result", "")))
         if detected and result is DetailedLabel.Benign:
             # A scanner that flags the URL but gives a clean/empty result
@@ -481,6 +483,7 @@ def stratified_sample(
 
 
 _GT_LABELS = {label.value: label for label in GroundTruthLabel}
+_GT_COLUMNS = ("url", "label", "source", "labeled_at")
 
 
 def load_ground_truth(path) -> list[GroundTruthRecord]:
@@ -488,14 +491,17 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
 
     Exact duplicate rows collapse; a URL with more than one distinct label
     across sources raises GroundTruthConflictError listing every conflict.
+    A row with a missing or empty field raises FeedFormatError.
     """
     records: dict[tuple[str, str], GroundTruthRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"url", "label", "source", "labeled_at"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise FeedFormatError(f"ground truth CSV must have columns {sorted(expected)}")
+        if reader.fieldnames is None or not set(_GT_COLUMNS).issubset(reader.fieldnames):
+            raise FeedFormatError(f"ground truth CSV must have columns {sorted(_GT_COLUMNS)}")
         for row_no, row in enumerate(reader, start=2):
+            empty = [name for name in _GT_COLUMNS if not (row[name] or "").strip()]
+            if empty:
+                raise FeedFormatError(f"row {row_no}: missing or empty {', '.join(empty)}")
             label_raw = row["label"].strip().lower()
             if label_raw not in _GT_LABELS:
                 raise FeedFormatError(f"row {row_no}: unknown ground-truth label {row['label']!r}")

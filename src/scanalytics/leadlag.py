@@ -1,7 +1,8 @@
 """Lead/lag analysis: who detects co-detected URLs first.
 
-First-detection times come from the daily series (day granularity), so
-same-day detections cannot be ordered and credit neither scanner.
+First-detection times come from the series table's first detecting day
+(day granularity), so same-day detections cannot be ordered and credit
+neither scanner.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlate import MISSING_MARK, SimilarityMatrix
-from .series import SeriesMap
+from .series import SeriesMap, _SeriesTable
 
 __all__ = [
     "first_detection_index",
@@ -30,15 +31,9 @@ def first_detection_index(
 
     Pairs with no detecting day inside the window are absent.
     """
-    index: dict[tuple[str, str], int] = {}
-    for key, ts in series.items():
-        for point in ts.points:
-            if window is not None and point.day_offset >= window:
-                break
-            if point.bl == 1:
-                index[key] = point.day_offset
-                break
-    return index
+    table = _SeriesTable(series.values())
+    first = table.summary(0, window).first[table.keys].tolist()
+    return {key: day for key, day in zip(series, first) if day >= 0}
 
 
 def early_detection_matrix(
@@ -53,21 +48,28 @@ def early_detection_matrix(
     for (scanner, url), day in index.items():
         by_scanner.setdefault(scanner, {})[url] = day
     order = tuple(scanners) if scanners is not None else tuple(sorted(by_scanner))
+    column = {url: k for k, url in enumerate(sorted({url for _, url in index}))}
 
     n = len(order)
+    first = np.full((n, len(column)), -1, dtype=np.int64)  # -1: not detected
+    for i, scanner in enumerate(order):
+        for url, day in by_scanner.get(scanner, {}).items():
+            first[i, column[url]] = day
+    detected = first >= 0
+
     values = np.full((n, n), np.nan)
     np.fill_diagonal(values, 0.0)
-    for i, a in enumerate(order):
-        fa = by_scanner.get(a, {})
-        for j in range(i + 1, n):
-            fb = by_scanner.get(order[j], {})
-            shared = fa.keys() & fb.keys()
-            if not shared:
-                continue
-            a_first = sum(1 for url in shared if fa[url] < fb[url])
-            b_first = sum(1 for url in shared if fb[url] < fa[url])
-            values[i, j] = a_first / len(shared)
-            values[j, i] = b_first / len(shared)
+    for i in range(n - 1):
+        # Row i against every later scanner at once.
+        later = first[i + 1:]
+        shared = detected[i] & detected[i + 1:]
+        n_shared = shared.sum(axis=1)
+        a_first = (shared & (first[i] < later)).sum(axis=1)
+        b_first = (shared & (later < first[i])).sum(axis=1)
+        has = n_shared > 0
+        cols = np.flatnonzero(has) + i + 1
+        values[i, cols] = a_first[has] / n_shared[has]
+        values[cols, i] = b_first[has] / n_shared[has]
     return SimilarityMatrix(scanners=order, values=values, kind="early_ratio")
 
 

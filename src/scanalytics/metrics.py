@@ -2,19 +2,23 @@
 
 All windows are day-offset windows: an observation is inside a window of W
 days when its day_offset is in [0, W). Denominators count observed days only;
-absent days are never imputed. Every metric here is a pure function of the
-series and therefore invariant to raw report order.
+absent days are never imputed. Every metric reads the per-(scanner, URL) day
+counts of the series table (`series._SeriesTable`), so it is a pure function
+of the series and invariant to raw report order. Means of per-URL fractions
+are summed left to right in series order.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
+import numpy as np
+
 from .feed import DetailedLabel
-from .series import LabelTimeSeries, SeriesMap
+from .series import LabelTimeSeries, SeriesMap, _SeriesTable
 
 __all__ = [
     "CertaintyScores",
@@ -33,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_DAYS = 30
+
+# Named attack types: every label but Benign and the OtherMalicious catch-all.
+_ATTACK_TYPES = [label for label in DetailedLabel if label.is_attack_type]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,35 +66,30 @@ class F1Curve:
         return None
 
 
-def _series_for_scanner(series: SeriesMap, scanner: str) -> list[LabelTimeSeries]:
-    return [ts for (name, _), ts in series.items() if name == scanner]
+def _url_certainties(table: _SeriesTable, window: int | None) -> list[tuple[int, float, float]]:
+    """(scanner index, bl, dl) certainty of every series observed in the window,
+    in series order: detecting days, and days of the most common detecting
+    label, each over observed days."""
+    summary = table.summary(0, window)
+    observed = summary.observed[table.keys].tolist()
+    detecting = summary.labels.sum(axis=-1)[table.keys].tolist()
+    top = summary.labels.max(axis=-1)[table.keys].tolist()
+    keyed = zip(table.key_scanner.tolist(), observed, detecting, top)
+    return [(s, d / n, t / n) for s, n, d, t in keyed if n]
 
 
-def _url_bl_certainty(ts: LabelTimeSeries, window: int) -> float | None:
-    seq = ts.binary_sequence(window)
-    if not seq:
-        return None
-    return sum(seq) / len(seq)
-
-
-def _url_dl_certainty(ts: LabelTimeSeries, window: int) -> float | None:
-    seq = ts.detailed_sequence(window)
-    if not seq:
-        return None
-    counts = Counter(dl for dl in seq if dl is not DetailedLabel.Benign)
-    if not counts:
-        return 0.0
-    return max(counts.values()) / len(seq)
+def _mean_certainty(scanner_series: Iterable[LabelTimeSeries], window: int, column: int) -> float:
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    values = _url_certainties(_SeriesTable(scanner_series), window)
+    if not values:
+        raise ValueError("scanner has no observed URLs in the window")
+    return sum(v[column] for v in values) / len(values)
 
 
 def bl_certainty(scanner_series: Iterable[LabelTimeSeries], window: int = DEFAULT_WINDOW_DAYS) -> float:
     """Mean over URLs of (detecting days / observed days) within the window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    values = [v for ts in scanner_series if (v := _url_bl_certainty(ts, window)) is not None]
-    if not values:
-        raise ValueError("scanner has no observed URLs in the window")
-    return sum(values) / len(values)
+    return _mean_certainty(scanner_series, window, 1)
 
 
 def dl_certainty(scanner_series: Iterable[LabelTimeSeries], window: int = DEFAULT_WINDOW_DAYS) -> float:
@@ -95,37 +97,25 @@ def dl_certainty(scanner_series: Iterable[LabelTimeSeries], window: int = DEFAUL
 
     A URL the scanner never detects inside the window contributes 0.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    values = [v for ts in scanner_series if (v := _url_dl_certainty(ts, window)) is not None]
-    if not values:
-        raise ValueError("scanner has no observed URLs in the window")
-    return sum(values) / len(values)
+    return _mean_certainty(scanner_series, window, 2)
 
 
 def certainty_scores(series: SeriesMap, window: int = DEFAULT_WINDOW_DAYS) -> dict[str, CertaintyScores]:
     """Both certainty scores for every scanner with observations in the window."""
-    per_scanner: dict[str, list[LabelTimeSeries]] = {}
-    for (scanner, _), ts in series.items():
-        per_scanner.setdefault(scanner, []).append(ts)
+    table = _SeriesTable(series.values())
+    per_scanner: dict[int, list[tuple[float, float]]] = {}
+    for s, bl, dl in _url_certainties(table, window):
+        per_scanner.setdefault(s, []).append((bl, dl))
 
     out: dict[str, CertaintyScores] = {}
-    for scanner in sorted(per_scanner):
-        bl_values = []
-        dl_values = []
-        for ts in per_scanner[scanner]:
-            bl_value = _url_bl_certainty(ts, window)
-            if bl_value is None:
-                continue
-            bl_values.append(bl_value)
-            dl_values.append(_url_dl_certainty(ts, window))
-        if not bl_values:
-            continue
+    for s in sorted(per_scanner):  # scanner indices follow name order
+        values = per_scanner[s]
+        scanner = table.scanners[s]
         out[scanner] = CertaintyScores(
             scanner=scanner,
-            bl_certainty=sum(bl_values) / len(bl_values),
-            dl_certainty=sum(dl_values) / len(dl_values),
-            n_urls=len(bl_values),
+            bl_certainty=sum(bl for bl, _ in values) / len(values),
+            dl_certainty=sum(dl for _, dl in values) / len(values),
+            n_urls=len(values),
         )
     return out
 
@@ -152,34 +142,25 @@ def f1_by_offset(
     if overlap:
         raise ValueError(f"URLs in both ground-truth classes: {sorted(overlap)[:3]}")
 
-    # scanner -> offset -> [tp, fp, fn, n_pos_observed, n_neg_observed]
-    tallies: dict[str, dict[int, list[int]]] = {}
-    for (scanner, url), ts in series.items():
-        is_positive = url in positive_urls
-        if not is_positive and url not in benign_urls:
-            continue
-        per_offset = tallies.setdefault(scanner, {})
-        for point in ts.points:
-            if point.day_offset > max_offset:
-                break
-            cell = per_offset.setdefault(point.day_offset, [0, 0, 0, 0, 0])
-            if is_positive:
-                cell[3] += 1
-                if point.bl:
-                    cell[0] += 1
-                else:
-                    cell[2] += 1
-            else:
-                cell[4] += 1
-                if point.bl:
-                    cell[1] += 1
+    table = _SeriesTable(series.values())
+    positive = np.array([url in positive_urls for url in table.urls], dtype=bool)
+    labelled = positive | np.array([url in benign_urls for url in table.urls], dtype=bool)
+    with_curve = np.unique(table.key_scanner[labelled[table.key_url]]).tolist()
+
+    # tally[scanner, offset, is positive, bl] counts observed labelled URLs.
+    rows = (table.day <= max_offset) & labelled[table.url]
+    days = table.day[rows]
+    tally = np.zeros((len(table.scanners), days.max() + 1 if days.size else 0, 2, 2), dtype=np.int64)
+    np.add.at(tally, (table.scanner[rows], days, positive[table.url[rows]].astype(np.intp), table.bl[rows]), 1)
 
     curves: dict[str, F1Curve] = {}
-    for scanner in sorted(tallies):
+    for s in with_curve:  # scanner indices follow name order
         points = []
         support = []
-        for offset in sorted(tallies[scanner]):
-            tp, fp, fn, n_pos, n_neg = tallies[scanner][offset]
+        for offset, ((tn, fp), (fn, tp)) in enumerate(tally[s].tolist()):
+            n_pos, n_neg = fn + tp, tn + fp
+            if not n_pos + n_neg:
+                continue
             support.append((offset, n_pos, n_neg))
             if n_pos == 0:
                 continue
@@ -187,6 +168,7 @@ def f1_by_offset(
             recall = tp / (tp + fn) if (tp + fn) else 0.0
             f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
             points.append((offset, precision, recall, f1))
+        scanner = table.scanners[s]
         curves[scanner] = F1Curve(scanner=scanner, points=tuple(points), support=tuple(support))
     return curves
 
@@ -205,18 +187,16 @@ def label_count_distribution(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    counts: dict[str, Counter] = {}
-    for (scanner, _), ts in series.items():
-        distinct = {dl for dl in ts.detailed_sequence(window) if dl.is_attack_type}
-        if not distinct:
-            continue
-        bucket = min(len(distinct), _HIST_BINS[-1])
-        counts.setdefault(scanner, Counter())[bucket] += 1
+    table = _SeriesTable(series.values())
+    distinct = (table.summary(0, window).labels[..., _ATTACK_TYPES] > 0).sum(axis=-1)
+    buckets = np.minimum(distinct, _HIST_BINS[-1])  # 0: no attack-type label, excluded
 
     out: dict[str, dict[int, float]] = {}
-    for scanner in sorted(counts):
-        total = sum(counts[scanner].values())
-        out[scanner] = {b: counts[scanner].get(b, 0) / total for b in _HIST_BINS}
+    for s, scanner in enumerate(table.scanners):
+        counts = np.bincount(buckets[s], minlength=_HIST_BINS[-1] + 1).tolist()
+        total = sum(counts[b] for b in _HIST_BINS)
+        if total:
+            out[scanner] = {b: counts[b] / total for b in _HIST_BINS}
     return out
 
 
@@ -247,34 +227,17 @@ def url_label_stats(series: SeriesMap, window: int | None = None) -> UrlLabelSta
     """Distinct-label CDF over URLs plus top-4 label ratios over detections."""
     if not series:
         raise ValueError("empty series")
-    distinct_by_url: dict[str, set[DetailedLabel]] = {}
-    detecting_counts: Counter = Counter()
-    for (_, url), ts in series.items():
-        labels = distinct_by_url.setdefault(url, set())
-        for dl in ts.detailed_sequence(window):
-            if dl is DetailedLabel.Benign:
-                continue
-            detecting_counts[dl] += 1
-            if dl.is_attack_type:
-                labels.add(dl)
+    table = _SeriesTable(series.values())
+    per_url = table.summary(0, window).labels.sum(axis=0)  # [url, label] over all scanners
+    n_urls = len(table.urls)
+    hist = np.bincount((per_url[:, _ATTACK_TYPES] > 0).sum(axis=1)).tolist()
+    counts = [count for count, n in enumerate(hist) if n]
+    cdf = tuple(zip(counts, accumulate(hist[count] / n_urls for count in counts)))
 
-    n_urls = len(distinct_by_url)
-    count_hist = Counter(len(labels) for labels in distinct_by_url.values())
-    cdf = []
-    cumulative = 0.0
-    for count in sorted(count_hist):
-        cumulative += count_hist[count] / n_urls
-        cdf.append((count, cumulative))
-
-    total_detections = sum(detecting_counts.values())
-    ratios: dict[DetailedLabel, float] = {}
-    if total_detections:
-        attack_only = [
-            (label, n) for label, n in detecting_counts.items() if label.is_attack_type
-        ]
-        attack_only.sort(key=lambda item: (-item[1], int(item[0])))
-        ratios = {label: n / total_detections for label, n in attack_only[:4]}
-    return UrlLabelStats(label_count_cdf=tuple(cdf), top_ratios=ratios, n_urls=n_urls)
+    detections = per_url.sum(axis=0).tolist()
+    top = sorted((label for label in _ATTACK_TYPES if detections[label]), key=lambda label: (-detections[label], label))
+    ratios = {label: detections[label] / sum(detections) for label in top[:4]}
+    return UrlLabelStats(label_count_cdf=cdf, top_ratios=ratios, n_urls=n_urls)
 
 
 def write_f1_csv(curves: dict[str, F1Curve], path) -> None:

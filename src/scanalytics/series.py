@@ -10,11 +10,14 @@ a report for the scanner are absent, never imputed.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .feed import DetailedLabel, FeedCohort
 
@@ -48,13 +51,6 @@ class LabelTimeSeries:
     def at(self, offset: int) -> SeriesPoint | None:
         return self._by_offset.get(offset)
 
-    def binary_sequence(self, window: int | None = None) -> list[int]:
-        """Observed-day binary labels, in offset order, optionally windowed."""
-        return [p.bl for p in self.points if window is None or p.day_offset < window]
-
-    def detailed_sequence(self, window: int | None = None) -> list[DetailedLabel]:
-        return [p.dl for p in self.points if window is None or p.day_offset < window]
-
 
 SeriesMap = Mapping[tuple[str, str], LabelTimeSeries]
 
@@ -63,6 +59,71 @@ def _plurality_label(labels: Iterable[DetailedLabel]) -> DetailedLabel:
     counts = Counter(labels)
     # Most frequent wins; equal counts fall back to enumeration order.
     return min(counts, key=lambda lab: (-counts[lab], int(lab)))
+
+
+_N_LABELS = len(DetailedLabel)
+_NO_DAY = np.iinfo(np.int32).max
+
+
+class _Summary(NamedTuple):
+    """Per-(scanner, URL) facts over one day range, indexed [scanner, url]."""
+
+    observed: np.ndarray  # observed days
+    labels: np.ndarray  # [..., label]: detecting days by their detailed label
+    first: np.ndarray  # first detecting day, -1 if none
+
+
+class _SeriesTable:
+    """Series flattened into one row per daily point.
+
+    Columns: `scanner` and `url` (indices into the sorted `scanners` and
+    `urls`), `day`, `bl` and `dl`. `key_scanner`/`key_url` hold each
+    series' indices in input order, for reductions that follow series order.
+    Detailed labels are Benign exactly on days with bl=0, as `build_series`
+    makes them.
+    """
+
+    def __init__(self, series: Iterable[LabelTimeSeries]):
+        series = list(series)
+        self.scanners = tuple(sorted({ts.scanner for ts in series}))
+        self.urls = tuple(sorted({ts.url for ts in series}))
+        self.scanner_index = {name: i for i, name in enumerate(self.scanners)}
+        url_index = {url: i for i, url in enumerate(self.urls)}
+        self.key_scanner = np.array([self.scanner_index[ts.scanner] for ts in series], dtype=np.int32)
+        self.key_url = np.array([url_index[ts.url] for ts in series], dtype=np.int32)
+        self.keys = (self.key_scanner, self.key_url)  # indexes a summary array in series order
+
+        lengths = [len(ts.points) for ts in series]
+        points = [p for ts in series for p in ts.points]
+        self.scanner = np.repeat(self.key_scanner, lengths)
+        self.url = np.repeat(self.key_url, lengths)
+        self.day = np.fromiter((p.day_offset for p in points), np.int32, len(points))
+        self.bl = np.fromiter((p.bl for p in points), np.int8, len(points))
+        self.dl = np.fromiter((p.dl for p in points), np.int8, len(points))
+
+    def summary(self, lo: int = 0, hi: int | None = None) -> _Summary:
+        """Observed days, detecting-label counts and first detecting day of
+        every (scanner, URL) over the days in [lo, hi); `hi=None` is open."""
+        n_cells = len(self.scanners) * len(self.urls)
+        mask = self.day >= lo
+        if hi is not None:
+            mask &= self.day < hi
+        cell = self.scanner[mask].astype(np.int64) * len(self.urls) + self.url[mask]
+        hit = self.bl[mask] == 1
+        observed = np.bincount(cell, minlength=n_cells)
+        labels = np.bincount(cell[hit] * _N_LABELS + self.dl[mask][hit], minlength=n_cells * _N_LABELS)
+        first = np.full(n_cells, _NO_DAY, dtype=np.int32)
+        np.minimum.at(first, cell[hit], self.day[mask][hit])
+        first[first == _NO_DAY] = -1
+        shape = (len(self.scanners), len(self.urls))
+        return _Summary(observed.reshape(shape), labels.reshape(shape + (_N_LABELS,)), first.reshape(shape))
+
+    def rows(self, values: np.ndarray, scanners: Sequence[str]) -> np.ndarray:
+        """Per-scanner rows of `values` (trailing axes flattened) in the order
+        of `scanners`; a name the table lacks gets a zero row."""
+        zero_row = np.zeros((1,) + values.shape[1:], values.dtype)
+        index = [self.scanner_index.get(name, len(self.scanners)) for name in scanners]
+        return np.concatenate([values, zero_row])[index].reshape(len(scanners), math.prod(values.shape[1:]))
 
 
 def build_series(cohort: FeedCohort) -> dict[tuple[str, str], LabelTimeSeries]:

@@ -123,6 +123,21 @@ class TestMetrics:
         assert isinstance(payload, list) and payload
 
 
+    def test_short_ground_truth_row_is_input_error(self, synth_dir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("url,label,source,labeled_at\nhttp://a.test/,phishing\n")
+        code = run_cli(
+            "metrics", "--feed", synth_dir / "feed.jsonl",
+            "--ground-truth", truth, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            'ERROR code=2 kind=input msg="row 2: missing or empty source, labeled_at"'
+        ]
+
+
 class TestCorrelateAndLeadlag:
     def test_correlate_recovers_planted_groups(self, tmp_path):
         synth_out = tmp_path / "groups"
@@ -222,6 +237,20 @@ class TestClassify:
         assert "warning: no whois cache" in capsys.readouterr().out
         assert (out / "model.json").exists()
 
+    def test_bad_hosting_cache_is_input_error(self, corpus_dir, tmp_path, capsys):
+        cache = tmp_path / "hosting.csv"
+        cache.write_text("url,ip_count,asn_count,asn,country\nhttp://a.test/,many,1,AS1,us\n")
+        code = run_cli(
+            "classify", "train",
+            "--feed", corpus_dir / "feed.jsonl",
+            "--ground-truth", corpus_dir / "truth.csv",
+            "--hosting-cache", cache,
+            "--clusters", 8, "--trees", 4, "--seed", SEED, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR code=2 kind=input") and "hosting.csv: row 2" in err
+
     def test_bad_model_file_is_input_error(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -296,3 +325,19 @@ class TestConfigValidation:
 
     def test_bad_flag_is_config_error(self, tmp_path):
         assert run_cli("ingest", "--no-such-flag") == 4
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["leadlag", "--feed", "feed.jsonl"],
+            ["correlate", "--feed", "feed.jsonl"],
+            ["classify", "ablate", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"],
+            ["synth", "--preset", "decay"],
+        ],
+    )
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, command, threads):
+        assert run_cli(*command, "--threads", threads, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR code=4 kind=config") and "--threads" in err
+        assert not (tmp_path / "o").exists()

@@ -368,3 +368,51 @@ class TestAdjustedRandIndex:
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError):
             adjusted_rand_index({"a": 0}, {"b": 0})
+
+
+def _random_cohort_series(rng):
+    labels = [None, P, M, DetailedLabel.SpamSite]
+    rs = []
+    for i in range(rng.randint(1, 8)):
+        for d in range(rng.randint(1, 7)):
+            for k in range(rng.choice([1, 2])):
+                vs = [verdict(s, rng.choice(labels)) for s in "ABCD" if rng.random() < 0.8]
+                if vs:
+                    rs.append(report(f"http://u{i}.test/", d, f"{i}-{d}-{k}", vs))
+    return build_series(cohort(rs))
+
+
+def _jaccard_loop(series, universe, window, offset, order, detailed):
+    """Set-based reference: each scanner's detected URLs (with their modal
+    or that day's label), compared pair by pair."""
+    labels = {}
+    for (scanner, url), ts in series.items():
+        days = [p for p in ts.points if (p.day_offset == offset if offset is not None
+                                         else window is None or p.day_offset < window)]
+        hits = [p.dl for p in days if p.bl == 1]
+        if url in universe and hits:
+            counts = {lab: hits.count(lab) for lab in hits}
+            label = min(counts, key=lambda lab: (-counts[lab], int(lab))) if detailed else None
+            labels.setdefault(scanner, {})[url] = label
+    values = np.zeros((len(order), len(order)))
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            la, lb = labels.get(a, {}), labels.get(b, {})
+            same = sum(1 for url in la if url in lb and la[url] == lb[url])
+            values[i, j] = (1.0 if la else 0.0) if i == j else same / len(universe)
+    return values
+
+
+class TestJaccardMatchesLoop:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pooled_and_single_day(self, seed):
+        rng = random.Random(seed)
+        series = _random_cohort_series(rng)
+        urls = sorted({url for _, url in series})
+        universe = set(rng.sample(urls, rng.randint(1, len(urls)))) | {"http://outside.test/"}
+        order = ("D", "A", "Z", "C")
+        for window, offset in ((None, None), (3, None), (None, 0), (None, 2)):
+            for build, detailed in ((jaccard_binary, False), (jaccard_detailed, True)):
+                got = build(series, universe, window=window, offset=offset, scanners=order)
+                expected = _jaccard_loop(series, universe, window, offset, order, detailed)
+                assert got.values.tobytes() == expected.tobytes()

@@ -22,7 +22,7 @@ from scanalytics.classify.features import (
     lexical_features,
     vt_cluster_features,
 )
-from scanalytics.feed import DetailedLabel
+from scanalytics.feed import DetailedLabel, FeedFormatError
 
 from conftest import report, ts, verdict
 
@@ -190,6 +190,23 @@ class TestEnrichment:
         cache = WhoisCache.from_csv(path)
         assert cache.lookup("deep.sub.example.test") is not None
         assert cache.lookup("other.test") is None
+
+    @pytest.mark.parametrize(
+        "cls,text,message",
+        [
+            (HostingCache, "url,ip_count,asn_count,asn\nhttp://a.test/,3,2,AS1\n", "row 2: missing country"),
+            (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,three,2,AS1,us\n", "row 2: invalid literal"),
+            (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2\n", "row 2: missing asn, country"),
+            (WhoisCache, "domain,created,registrar\nexample.test,2020-01-01,RegOne\n", "row 2: missing expires"),
+            (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01,soon,RegOne\n", "row 2: Invalid isoformat"),
+            (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01\n", "row 2: missing expires, registrar"),
+        ],
+    )
+    def test_bad_cache_csv_is_format_error(self, tmp_path, cls, text, message):
+        path = tmp_path / "cache.csv"
+        path.write_text(text)
+        with pytest.raises(FeedFormatError, match=f"cache.csv: {message}"):
+            cls.from_csv(path)
 
     def test_whois_age_400_days(self):
         scan = ts(0)

@@ -101,6 +101,16 @@ class TestParseFeed:
         assert reports[0].positives == 1
         assert any("catch-all" in w.message for w in warnings)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_non_boolean_detected_rejected(self, value):
+        scans = {"Fortinet": {"detected": value, "result": ""}}
+        line = make_line(scans=scans, positives=0)
+        reports, warnings = parse_feed(io.StringIO(line))
+        assert not reports
+        assert any("Fortinet" in w.message and "skipped" in w.message for w in warnings)
+        with pytest.raises(FeedFormatError, match="line 1: detected for 'Fortinet'"):
+            parse_feed(io.StringIO(line), strict=True)
+
     def test_unknown_scanner_warned_once(self):
         scans = {"MysteryAV": {"detected": True, "result": "malware site"}}
         lines = [make_line(scans=scans, scan_id=f"s{i}") for i in range(5)]
@@ -342,6 +352,21 @@ class TestGroundTruth:
     def test_unknown_label_rejected(self, tmp_path):
         path = self._write(tmp_path, ["http://a.test/,weird,manual,2021-03-01T00:00:00Z"])
         with pytest.raises(FeedFormatError, match="unknown ground-truth label"):
+            load_ground_truth(path)
+
+
+    @pytest.mark.parametrize(
+        "row,missing",
+        [
+            ("http://a.test/,phishing", "source, labeled_at"),
+            ("http://a.test/,phishing,manual,", "labeled_at"),
+            (",phishing,manual,2021-03-01T00:00:00Z", "url"),
+            ("http://a.test/, ,manual,2021-03-01T00:00:00Z", "label"),
+        ],
+    )
+    def test_missing_or_empty_field_names_row(self, tmp_path, row, missing):
+        path = self._write(tmp_path, ["http://b.test/,benign,manual,2021-03-01T00:00:00Z", row])
+        with pytest.raises(FeedFormatError, match=f"row 3: missing or empty {missing}$"):
             load_ground_truth(path)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -140,3 +141,29 @@ class TestRowSumEquality:
         )
         matrix = early_detection_matrix(index)
         assert matrix.value("a", "b") + matrix.value("b", "a") < 1.0
+
+
+class TestEarlyMatrixMatchesLoop:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_index(self, seed):
+        rng = random.Random(seed)
+        index = {
+            (scanner, f"http://u{u}.test/"): rng.randint(0, 4)
+            for scanner in "ABCDE"
+            for u in range(rng.randint(0, 12))
+            if rng.random() < 0.6
+        }
+        order = ("E", "A", "Z", "C", "B", "D")
+        got = early_detection_matrix(index, scanners=order)
+        for i, a in enumerate(order):
+            for j, b in enumerate(order):
+                fa = {url: day for (s, url), day in index.items() if s == a}
+                fb = {url: day for (s, url), day in index.items() if s == b}
+                shared = fa.keys() & fb.keys()
+                if i == j:
+                    expected = 0.0
+                elif not shared:
+                    expected = math.nan
+                else:
+                    expected = sum(1 for url in shared if fa[url] < fb[url]) / len(shared)
+                assert got.values[i, j] == expected or (math.isnan(expected) and math.isnan(got.values[i, j]))

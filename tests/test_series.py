@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanalytics.feed import DetailedLabel
-from scanalytics.series import align_by_offset, build_series
+from scanalytics.series import _plurality_label, _SeriesTable, align_by_offset, build_series
 
 from conftest import cohort, report, verdict
 
@@ -129,6 +129,48 @@ class TestRebucketOracle:
         assert set(series) == set(oracle)
         for key, ts in series.items():
             assert {p.day_offset: p.bl for p in ts.points} == oracle[key]
+
+
+class TestSeriesTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_summary_matches_recount_from_points(self, data):
+        seed = data.draw(st.integers(min_value=0, max_value=10_000))
+        lo = data.draw(st.integers(min_value=-2, max_value=8))
+        hi = data.draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=10)))
+        rng = random.Random(seed)
+        labels = [None, DetailedLabel.PhishingSite, DetailedLabel.MalwareSite, DetailedLabel.OtherMalicious]
+        rs = []
+        for i in range(rng.randint(1, 6)):
+            for d in range(rng.randint(0, 2), rng.randint(3, 9)):
+                for k in range(rng.choice([1, 2, 3])):  # same-day rescans vote on the day label
+                    vs = [verdict(s, rng.choice(labels)) for s in "ABC" if rng.random() < 0.8]
+                    if vs:
+                        rs.append(report(f"http://u{i}.test/", d, f"{i}-{d}-{k}", vs))
+        if not rs:
+            return
+        series = build_series(cohort(rs))
+        table = _SeriesTable(series.values())
+        summary = table.summary(lo, hi)
+        detecting = summary.labels.sum(axis=-1)
+        modal = summary.labels.argmax(axis=-1)
+
+        seen = set()
+        for ts in series.values():
+            s, u = table.scanner_index[ts.scanner], table.urls.index(ts.url)
+            seen.add((s, u))
+            inside = [p for p in ts.points if p.day_offset >= lo and (hi is None or p.day_offset < hi)]
+            hits = [p for p in inside if p.bl == 1]
+            assert summary.observed[s, u] == len(inside)
+            assert detecting[s, u] == len(hits)
+            assert summary.first[s, u] == (hits[0].day_offset if hits else -1)
+            expected = _plurality_label(p.dl for p in hits) if hits else DetailedLabel.Benign
+            assert modal[s, u] == expected
+        for s in range(len(table.scanners)):
+            for u in range(len(table.urls)):
+                if (s, u) not in seen:
+                    assert summary.observed[s, u] == detecting[s, u] == 0
+                    assert summary.first[s, u] == -1
 
 
 class TestAlignByOffset:
