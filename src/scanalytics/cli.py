@@ -111,7 +111,11 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects artifacts and writes the run manifest."""
+    """Collects artifacts and writes the run manifest.
+
+    Only files named through `artifact` are converted, hashed and listed,
+    so files an earlier run left in `--out` stay out of the manifest.
+    """
 
     def __init__(self, command: str, out_dir: Path, seed: int | None, params: dict, fmt: str = "csv"):
         self.command = command
@@ -121,6 +125,7 @@ class _Run:
         self.fmt = fmt
         self.inputs: dict[str, str] = {}
         self.artifacts: dict[str, str] = {}
+        self.written: set[str] = set()
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def add_input(self, path) -> Path:
@@ -131,21 +136,25 @@ class _Run:
         return path
 
     def artifact(self, name: str) -> Path:
+        self.written.add(name)
         return self.out_dir / name
 
     def _convert_csv_to_json(self) -> None:
-        for path in sorted(self.out_dir.glob("*.csv")):
+        for name in sorted(n for n in self.written if n.endswith(".csv")):
+            path = self.out_dir / name
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            _write_json(rows, path.with_suffix(".json"))
+            _write_json(rows, self.artifact(path.with_suffix(".json").name))
             path.unlink()
+            self.written.discard(name)
 
     def seal(self) -> Path:
         if self.fmt == "json":
             self._convert_csv_to_json()
-        for path in sorted(self.out_dir.iterdir()):
-            if path.is_file() and path.name != "run_manifest.json":
-                self.artifacts[path.name] = _sha256(path)
+        for name in sorted(self.written):
+            path = self.out_dir / name
+            if path.is_file():
+                self.artifacts[name] = _sha256(path)
         manifest = {
             "command": self.command,
             "version": __version__,
@@ -601,7 +610,10 @@ def _build_parser() -> _Parser:
         if feed:
             p.add_argument("--feed", required=True, help="line-delimited scan-report feed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=_thread_count, default=1)
+        p.add_argument(
+            "--threads", type=_thread_count, default=1,
+            help="worker threads for classify train/ablate; other subcommands run single-threaded",
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,10 @@ are identical regardless of parallelism.
 Co-detection comes from the series table (`series._SeriesTable`): Jaccard
 matrices are integer products of (scanner x URL) detection marks, and the
 DTW matrix takes its co-detected URLs from the same marks.
+
+The DTW matrix is batched and exact: each distinct pair of label sequences
+is computed once, one full-grid row at a time across many pairs
+(`_dtw_batch`). The scalar `dtw_distance` is the oracle it must equal.
 """
 
 from __future__ import annotations
@@ -212,6 +216,33 @@ def _aligned_pair(ts_a, ts_b, window: int | None) -> tuple[list[int], list[int]]
     return fill(obs_a), fill(obs_b)
 
 
+_DTW_BLOCK = 256  # alignments per pass of `_dtw_batch`; bounds its (L, block) work arrays
+
+
+def _dtw_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`dtw_distance` of each row pair of the 0/1 arrays a (B, n) and b (B, m).
+
+    Exact: the full grid, one grid row at a time for a block of pairs. With
+    t[j] = min(prev[j-1], prev[j]) and C the running sum of the row's costs,
+    the row is cur[j] = C[j] + min over k <= j of (t[k] - C[k-1]), a prefix
+    minimum in place of the scalar loop's cell-by-cell left move. Costs are
+    integers, and so is every distance.
+    """
+    out = np.empty(len(a), dtype=np.int64)
+    for lo in range(0, len(a), _DTW_BLOCK):
+        rows_a = a[lo:lo + _DTW_BLOCK].T.astype(np.int32)  # (n, block)
+        rows_b = b[lo:lo + _DTW_BLOCK].T.astype(np.int32)  # (m, block)
+        cur = np.cumsum(np.abs(rows_a[0] - rows_b), axis=0)  # the first row moves only right
+        for row in rows_a[1:]:
+            cost = np.abs(row - rows_b)
+            run = np.cumsum(cost, axis=0)
+            best = cur.copy()  # column 0 has no diagonal neighbour
+            np.minimum(cur[:-1], cur[1:], out=best[1:])
+            cur = run + np.minimum.accumulate(best - (run - cost), axis=0)
+        out[lo:lo + cur.shape[1]] = cur[-1]
+    return out
+
+
 def scanner_dtw_matrix(
     series: SeriesMap,
     window: int | None = None,
@@ -220,30 +251,68 @@ def scanner_dtw_matrix(
     """Mean DTW distance between two scanners' label trends on co-detected URLs.
 
     A URL counts for a pair when both scanners detect it inside the window;
-    pairs with no co-detected URL get NaN. URLs where both aligned sequences
-    are all-zero are skipped.
+    pairs with no co-detected URL get NaN.
+
+    Batched and exact: the result equals averaging `dtw_distance` over each
+    pair's `_aligned_pair` sequences. Where both scanners observed the same
+    days, those are their raw windowed label sequences, and each distinct
+    pair of sequences is computed once by `_dtw_batch`. Other alignments run
+    `_aligned_pair` and `dtw_distance`. Distances are integers, so sums and
+    means do not depend on summation order.
     """
     table = _SeriesTable(series.values())
     order = _scanner_order(table, scanners)
     detects = table.rows(table.summary(0, window).labels.any(axis=-1), order)
 
+    # Each series' windowed labels and observed days, interned as ids [scanner, url].
+    sequences: dict[tuple[int, ...], int] = {}
+    day_sets: dict[tuple[int, ...], int] = {}
+    label_id = np.zeros((len(table.scanners), len(table.urls)), dtype=np.int64)
+    day_id = np.zeros_like(label_id)
+    for s, u, ts in zip(table.key_scanner.tolist(), table.key_url.tolist(), series.values()):
+        points = [p for p in ts.points if window is None or p.day_offset < window]
+        label_id[s, u] = sequences.setdefault(tuple(p.bl for p in points), len(sequences))
+        day_id[s, u] = day_sets.setdefault(tuple(p.day_offset for p in points), len(day_sets))
+
+    # Alignments: (pair, co-detected URL) in pair order, then URL order.
     n = len(order)
+    first, second = np.triu_indices(n, 1)
+    pair, url = np.nonzero(detects[first] & detects[second])
+    # A name the table lacks detects nothing, so its -1 never reaches an alignment.
+    rows = np.array([table.scanner_index.get(name, -1) for name in order], dtype=np.int64)
+    row_a, row_b = rows[first[pair]], rows[second[pair]]
+    raw = day_id[row_a, url] == day_id[row_b, url]
+
+    # DTW is symmetric, so an unordered pair of sequence ids is one code.
+    id_a, id_b = label_id[row_a[raw], url[raw]], label_id[row_b[raw], url[raw]]
+    codes, inverse = np.unique(
+        np.minimum(id_a, id_b) * len(sequences) + np.maximum(id_a, id_b), return_inverse=True
+    )
+    seq_a, seq_b = np.divmod(codes, len(sequences))
+    by_id = list(sequences)
+    lengths = np.array([len(by_id[k]) for k in seq_a.tolist()], dtype=np.int64)
+    distinct = np.empty(len(codes), dtype=np.int64)
+    for length in np.unique(lengths).tolist():
+        sel = np.flatnonzero(lengths == length)
+        distinct[sel] = _dtw_batch(
+            np.array([by_id[k] for k in seq_a[sel].tolist()], dtype=np.int32),
+            np.array([by_id[k] for k in seq_b[sel].tolist()], dtype=np.int32),
+        )
+
+    distance = np.empty(len(pair))
+    distance[raw] = distinct[inverse]
+    for k in np.flatnonzero(~raw).tolist():
+        key_url = table.urls[url[k]]
+        ts_a = series[(order[first[pair[k]]], key_url)]
+        ts_b = series[(order[second[pair[k]]], key_url)]
+        distance[k] = dtw_distance(*_aligned_pair(ts_a, ts_b, window))
+
+    counts = np.bincount(pair, minlength=len(first))
+    totals = np.bincount(pair, weights=distance, minlength=len(first))
     values = np.full((n, n), np.nan)
+    hit = counts > 0
+    values[first[hit], second[hit]] = values[second[hit], first[hit]] = totals[hit] / counts[hit]
     np.fill_diagonal(values, 0.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = order[i], order[j]
-            total = 0.0
-            count = 0
-            for u in np.flatnonzero(detects[i] & detects[j]).tolist():  # URL order
-                url = table.urls[u]
-                seq_a, seq_b = _aligned_pair(series[(a, url)], series[(b, url)], window)
-                if not seq_a or (not any(seq_a) and not any(seq_b)):
-                    continue
-                total += dtw_distance(seq_a, seq_b)
-                count += 1
-            if count:
-                values[i, j] = values[j, i] = total / count
     return SimilarityMatrix(scanners=order, values=values, kind="dtw_distance")
 
 

@@ -491,7 +491,8 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
 
     Exact duplicate rows collapse; a URL with more than one distinct label
     across sources raises GroundTruthConflictError listing every conflict.
-    A row with a missing or empty field raises FeedFormatError.
+    A row with a missing or empty field or a bad timestamp raises
+    FeedFormatError naming the row.
     """
     records: dict[tuple[str, str], GroundTruthRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -505,11 +506,15 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
             label_raw = row["label"].strip().lower()
             if label_raw not in _GT_LABELS:
                 raise FeedFormatError(f"row {row_no}: unknown ground-truth label {row['label']!r}")
+            try:
+                labeled_at = _parse_ts(row["labeled_at"].strip(), "labeled_at")
+            except FeedFormatError as exc:
+                raise FeedFormatError(f"row {row_no}: {exc}") from None
             record = GroundTruthRecord(
                 url=normalize_url(row["url"].strip()),
                 label=_GT_LABELS[label_raw],
                 source=row["source"].strip(),
-                labeled_at=_parse_ts(row["labeled_at"].strip(), "labeled_at"),
+                labeled_at=labeled_at,
             )
             key = (record.url, record.source)
             if key in records and records[key].label is not record.label:

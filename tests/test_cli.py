@@ -96,6 +96,20 @@ class TestIngest:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["duplicates_dropped"] == summary["reports_after_dedup"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stale_files_left_out(self, synth_dir, tmp_path, fmt):
+        out = tmp_path / "ingest"
+        out.mkdir()
+        (out / "stale.csv").write_text("a,b\n1,2\n")
+        fresh = tmp_path / "fresh"
+        for target in (out, fresh):
+            assert run_cli("ingest", "--feed", synth_dir / "feed.jsonl", "--out", target, "--format", fmt) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "stale.csv" not in manifest["artifacts"] and "stale.json" not in manifest["artifacts"]
+        assert (out / "stale.csv").read_text() == "a,b\n1,2\n"
+        assert not (out / "stale.json").exists()
+        assert (out / "run_manifest.json").read_bytes() == (fresh / "run_manifest.json").read_bytes()
+
 
 class TestMetrics:
     def test_artifacts(self, synth_dir, tmp_path):

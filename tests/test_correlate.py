@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from scanalytics.correlate import (
+    _DTW_BLOCK,
     SimilarityMatrix,
+    _aligned_pair,
+    _dtw_batch,
     adjusted_rand_index,
     dtw_distance,
     frobenius_norm,
@@ -416,3 +419,61 @@ class TestJaccardMatchesLoop:
                 got = build(series, universe, window=window, offset=offset, scanners=order)
                 expected = _jaccard_loop(series, universe, window, offset, order, detailed)
                 assert got.values.tobytes() == expected.tobytes()
+
+
+class TestDtwBatch:
+    @pytest.mark.parametrize(
+        "batch,n,m",
+        [(1, 1, 1), (7, 1, 5), (9, 5, 1), (_DTW_BLOCK + 3, 1, 1), (2 * _DTW_BLOCK + 5, 6, 6), (40, 9, 4)],
+    )
+    def test_matches_scalar(self, batch, n, m):
+        rng = np.random.default_rng(batch * 100 + n * 10 + m)
+        a = rng.integers(0, 2, size=(batch, n))
+        b = rng.integers(0, 2, size=(batch, m))
+        expected = [dtw_distance(x.tolist(), y.tolist()) for x, y in zip(a, b)]
+        assert _dtw_batch(a, b).tolist() == expected
+
+
+def _dtw_matrix_loop(series, window, order):
+    """Reference: the scalar loop over (pair, co-detected URL) alignments."""
+    detected = {}
+    for (scanner, url), ts in series.items():
+        if any(p.bl == 1 for p in ts.points if window is None or p.day_offset < window):
+            detected.setdefault(scanner, set()).add(url)
+    values = np.full((len(order), len(order)), np.nan)
+    np.fill_diagonal(values, 0.0)
+    for i, a in enumerate(order):
+        for j in range(i + 1, len(order)):
+            b = order[j]
+            total = 0.0
+            count = 0
+            for url in sorted(detected.get(a, set()) & detected.get(b, set())):
+                seq_a, seq_b = _aligned_pair(series[(a, url)], series[(b, url)], window)
+                if not seq_a or (not any(seq_a) and not any(seq_b)):
+                    continue
+                total += dtw_distance(seq_a, seq_b)
+                count += 1
+            if count:
+                values[i, j] = values[j, i] = total / count
+    return values
+
+
+class TestScannerDtwMatrixMatchesLoop:
+    def test_ragged_series(self):
+        ragged = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            series = _random_cohort_series(rng)
+            for window in (None, 1, 3):
+                for order in (None, ("D", "A", "Z", "C", "B")):
+                    got = scanner_dtw_matrix(series, window=window, scanners=order)
+                    names = order or tuple(sorted({scanner for scanner, _ in series}))
+                    assert got.scanners == names
+                    assert got.values.tobytes() == _dtw_matrix_loop(series, window, names).tobytes()
+            ragged += sum(
+                1
+                for (scanner, url), ts in series.items()
+                for (other, url2), ts2 in series.items()
+                if scanner < other and url == url2 and ts.observed_days != ts2.observed_days
+            )
+        assert ragged  # the `_aligned_pair` fallback ran

@@ -369,6 +369,14 @@ class TestGroundTruth:
         with pytest.raises(FeedFormatError, match=f"row 3: missing or empty {missing}$"):
             load_ground_truth(path)
 
+    def test_bad_timestamp_names_row(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            ["http://b.test/,benign,manual,2021-03-01T00:00:00Z", "http://a.test/,phishing,manual,yesterday"],
+        )
+        with pytest.raises(FeedFormatError, match="^row 3: bad labeled_at timestamp: 'yesterday'$"):
+            load_ground_truth(path)
+
 
 class TestNormalizeUrl:
     @pytest.mark.parametrize(
