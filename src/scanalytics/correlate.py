@@ -11,9 +11,9 @@ Co-detection comes from the series table (`series._SeriesTable`): Jaccard
 matrices are integer products of (scanner x URL) detection marks, and the
 DTW matrix takes its co-detected URLs from the same marks.
 
-The DTW matrix is batched and exact: each distinct pair of label sequences
-is computed once, one full-grid row at a time across many pairs
-(`_dtw_batch`). The scalar `dtw_distance` is the oracle it must equal.
+The DTW matrix is batched and exact: all alignments of one length run
+through the full grid together, one grid row per numpy step (`_dtw_batch`).
+The scalar `dtw_distance` is the oracle it must equal.
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ def _aligned_pair(ts_a, ts_b, window: int | None) -> tuple[list[int], list[int]]
 _DTW_BLOCK = 256  # alignments per pass of `_dtw_batch`; bounds its (L, block) work arrays
 
 
-def _dtw_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`dtw_distance` of each row pair of the 0/1 arrays a (B, n) and b (B, m).
+def _dtw_batch(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
+    """`dtw_distance` of each row pair of the 0/1 rows a (B x n) and b (B x m).
 
     Exact: the full grid, one grid row at a time for a block of pairs. With
     t[j] = min(prev[j-1], prev[j]) and C the running sum of the row's costs,
@@ -230,8 +230,8 @@ def _dtw_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(a), dtype=np.int64)
     for lo in range(0, len(a), _DTW_BLOCK):
-        rows_a = a[lo:lo + _DTW_BLOCK].T.astype(np.int32)  # (n, block)
-        rows_b = b[lo:lo + _DTW_BLOCK].T.astype(np.int32)  # (m, block)
+        rows_a = np.array(a[lo:lo + _DTW_BLOCK], dtype=np.int32).T  # (n, block)
+        rows_b = np.array(b[lo:lo + _DTW_BLOCK], dtype=np.int32).T  # (m, block)
         cur = np.cumsum(np.abs(rows_a[0] - rows_b), axis=0)  # the first row moves only right
         for row in rows_a[1:]:
             cost = np.abs(row - rows_b)
@@ -255,10 +255,10 @@ def scanner_dtw_matrix(
 
     Batched and exact: the result equals averaging `dtw_distance` over each
     pair's `_aligned_pair` sequences. Where both scanners observed the same
-    days, those are their raw windowed label sequences, and each distinct
-    pair of sequences is computed once by `_dtw_batch`. Other alignments run
-    `_aligned_pair` and `dtw_distance`. Distances are integers, so sums and
-    means do not depend on summation order.
+    days, those are their raw windowed label sequences; elsewhere
+    `_aligned_pair` builds them. All alignments of one length run together
+    through `_dtw_batch`. Distances are integers, so sums and means do not
+    depend on summation order.
     """
     table = _SeriesTable(series.values())
     order = _scanner_order(table, scanners)
@@ -281,31 +281,24 @@ def scanner_dtw_matrix(
     # A name the table lacks detects nothing, so its -1 never reaches an alignment.
     rows = np.array([table.scanner_index.get(name, -1) for name in order], dtype=np.int64)
     row_a, row_b = rows[first[pair]], rows[second[pair]]
-    raw = day_id[row_a, url] == day_id[row_b, url]
+    id_a, id_b = label_id[row_a, url], label_id[row_b, url]
+    # Where the day sets differ, intern the `_aligned_pair` sequences instead.
+    for k in np.flatnonzero(day_id[row_a, url] != day_id[row_b, url]).tolist():
+        key_url = table.urls[url[k]]
+        seq_a, seq_b = _aligned_pair(
+            series[(order[first[pair[k]]], key_url)], series[(order[second[pair[k]]], key_url)], window
+        )
+        id_a[k] = sequences.setdefault(tuple(seq_a), len(sequences))
+        id_b[k] = sequences.setdefault(tuple(seq_b), len(sequences))
 
-    # DTW is symmetric, so an unordered pair of sequence ids is one code.
-    id_a, id_b = label_id[row_a[raw], url[raw]], label_id[row_b[raw], url[raw]]
-    codes, inverse = np.unique(
-        np.minimum(id_a, id_b) * len(sequences) + np.maximum(id_a, id_b), return_inverse=True
-    )
-    seq_a, seq_b = np.divmod(codes, len(sequences))
     by_id = list(sequences)
-    lengths = np.array([len(by_id[k]) for k in seq_a.tolist()], dtype=np.int64)
-    distinct = np.empty(len(codes), dtype=np.int64)
+    lengths = np.array([len(by_id[k]) for k in id_a.tolist()], dtype=np.int64)
+    distance = np.empty(len(id_a), dtype=np.int64)
     for length in np.unique(lengths).tolist():
         sel = np.flatnonzero(lengths == length)
-        distinct[sel] = _dtw_batch(
-            np.array([by_id[k] for k in seq_a[sel].tolist()], dtype=np.int32),
-            np.array([by_id[k] for k in seq_b[sel].tolist()], dtype=np.int32),
+        distance[sel] = _dtw_batch(
+            [by_id[k] for k in id_a[sel].tolist()], [by_id[k] for k in id_b[sel].tolist()]
         )
-
-    distance = np.empty(len(pair))
-    distance[raw] = distinct[inverse]
-    for k in np.flatnonzero(~raw).tolist():
-        key_url = table.urls[url[k]]
-        ts_a = series[(order[first[pair[k]]], key_url)]
-        ts_b = series[(order[second[pair[k]]], key_url)]
-        distance[k] = dtw_distance(*_aligned_pair(ts_a, ts_b, window))
 
     counts = np.bincount(pair, minlength=len(first))
     totals = np.bincount(pair, weights=distance, minlength=len(first))

@@ -458,22 +458,36 @@ def _dtw_matrix_loop(series, window, order):
     return values
 
 
+def _ragged_alignments(series, window):
+    """Co-detected (pair, URL) alignments whose windowed observed days differ,
+    the ones `scanner_dtw_matrix` must build with `_aligned_pair`."""
+    def days(ts):
+        return tuple(p.day_offset for p in ts.points if window is None or p.day_offset < window)
+
+    def detects(ts):
+        return any(p.bl == 1 for p in ts.points if window is None or p.day_offset < window)
+
+    return sum(
+        1
+        for (scanner, url), ts in series.items()
+        for (other, url2), ts2 in series.items()
+        if scanner < other and url == url2 and detects(ts) and detects(ts2) and days(ts) != days(ts2)
+    )
+
+
 class TestScannerDtwMatrixMatchesLoop:
     def test_ragged_series(self):
-        ragged = 0
+        ragged = {None: 0, 1: 0, 3: 0}
         for seed in range(40):
             rng = random.Random(seed)
             series = _random_cohort_series(rng)
-            for window in (None, 1, 3):
+            for window in ragged:
                 for order in (None, ("D", "A", "Z", "C", "B")):
                     got = scanner_dtw_matrix(series, window=window, scanners=order)
                     names = order or tuple(sorted({scanner for scanner, _ in series}))
                     assert got.scanners == names
                     assert got.values.tobytes() == _dtw_matrix_loop(series, window, names).tobytes()
-            ragged += sum(
-                1
-                for (scanner, url), ts in series.items()
-                for (other, url2), ts2 in series.items()
-                if scanner < other and url == url2 and ts.observed_days != ts2.observed_days
-            )
-        assert ragged  # the `_aligned_pair` fallback ran
+                ragged[window] += _ragged_alignments(series, window)
+        # Inside a one-day window every co-detection observed day 0 alone.
+        assert ragged[1] == 0
+        assert ragged[None] > 0 and ragged[3] > 0
