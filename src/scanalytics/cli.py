@@ -235,8 +235,7 @@ def _cmd_metrics(args) -> int:
 
     # The ever-detected cohort's series are the full series of its URLs: a
     # URL's day 0 and daily labels depend on its own reports only.
-    detected = {r.url for r in reports if r.positives >= 1}
-    series = {key: ts for key, ts in full_series.items() if key[1] in detected}
+    series = full_series.restrict({r.url for r in reports if r.positives >= 1})
     if not series:
         raise ValueError("no detected URLs in feed; nothing to measure")
     scores = certainty_scores(series, window=args.window)
@@ -558,7 +557,9 @@ def _cmd_synth(args) -> int:
     else:
         config = _scenario_from_file(Path(args.scenario), args.seed)
         params = {"scenario": Path(args.scenario).name}
-    run = _Run("synth", Path(args.out), args.seed, params, args.format)
+    # Synth writes inputs for other subcommands, which read CSV only, so
+    # `--format json` does not convert them.
+    run = _Run("synth", Path(args.out), args.seed, params)
     if args.scenario:
         run.add_input(args.scenario)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .feed import DetailedLabel
-from .series import SeriesMap, _SeriesTable
+from .series import _NO_DAY, SeriesMap, _SeriesTable
 
 __all__ = [
     "MatrixKind",
@@ -99,7 +99,7 @@ def _jaccard_values(
 
 def _jaccard_matrix(series, universe, window, offset, scanners, kind: MatrixKind) -> SimilarityMatrix:
     """Pooled over [0, window), or over the single day `offset` when given."""
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     order = _scanner_order(table, scanners)
     days = (offset, offset + 1) if offset is not None else (0, window)
     values = _jaccard_values(table, universe, days, order, detailed=kind == "jaccard_detailed")
@@ -149,7 +149,7 @@ def frobenius_trend(
     scanners: Sequence[str] | None = None,
 ) -> list[tuple[int, float]]:
     """Per-day matrix norm over a range of offsets; diagonal excluded."""
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     order = _scanner_order(table, scanners)
     kind = "jaccard_detailed" if detailed else "jaccard_binary"
     out = []
@@ -260,19 +260,29 @@ def scanner_dtw_matrix(
     through `_dtw_batch`. Distances are integers, so sums and means do not
     depend on summation order.
     """
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     order = _scanner_order(table, scanners)
-    detects = table.rows(table.summary(0, window).labels.any(axis=-1), order)
+    detected = table.summary(0, window).labels.any(axis=-1)
+    detects = table.rows(detected, order)
 
-    # Each series' windowed labels and observed days, interned as ids [scanner, url].
-    sequences: dict[tuple[int, ...], int] = {}
-    day_sets: dict[tuple[int, ...], int] = {}
+    # Each detecting series' windowed labels and observed days, interned as
+    # ids [scanner, url]. They are a prefix of its rows (rows run in day
+    # order), padded here to one width with values no label or day takes.
+    keyed = detected[table.keys]
+    key_s, key_u, start = table.key_scanner[keyed], table.key_url[keyed], table.key_start[keyed]
+    inside = np.ones(len(table.day), dtype=bool) if window is None else table.day < window
+    before = np.concatenate(([0], np.cumsum(inside)))
+    n_inside = before[table.key_stop[keyed]] - before[start]
+    at = start[:, None] + np.arange(int(np.max(n_inside, initial=0)))
+    pad = at >= (start + n_inside)[:, None]
+    at[pad] = 0
+    unique_rows, labels = np.unique(np.where(pad, -1, table.bl[at]), axis=0, return_inverse=True)
+    days = np.unique(np.where(pad, _NO_DAY, table.day[at]), axis=0, return_inverse=True)[1]
+    sequences = {tuple(row[row >= 0].tolist()): k for k, row in enumerate(unique_rows)}
     label_id = np.zeros((len(table.scanners), len(table.urls)), dtype=np.int64)
     day_id = np.zeros_like(label_id)
-    for s, u, ts in zip(table.key_scanner.tolist(), table.key_url.tolist(), series.values()):
-        points = [p for p in ts.points if window is None or p.day_offset < window]
-        label_id[s, u] = sequences.setdefault(tuple(p.bl for p in points), len(sequences))
-        day_id[s, u] = day_sets.setdefault(tuple(p.day_offset for p in points), len(day_sets))
+    label_id[key_s, key_u] = labels.reshape(-1)
+    day_id[key_s, key_u] = days.reshape(-1)
 
     # Alignments: (pair, co-detected URL) in pair order, then URL order.
     n = len(order)

@@ -265,7 +265,8 @@ def _parse_line(
     line: str,
     line_no: int,
     warnings: list[ParseWarning],
-    unknown_seen: set[str],
+    names_seen: set[str],
+    verdict_cache: dict[tuple[str, bool, str], tuple[ScannerVerdict, bool]],
 ) -> ScanReport:
     try:
         raw = json.loads(line)
@@ -297,29 +298,38 @@ def _parse_line(
         raise FeedFormatError("scans must be an object")
 
     verdicts: list[ScannerVerdict] = []
+    n_detected = 0
     for scanner_name, entry in scans.items():
         if not isinstance(entry, dict) or "detected" not in entry:
             raise FeedFormatError(f"bad scans entry for {scanner_name!r}")
         detected = entry["detected"]
         if not isinstance(detected, bool):
             raise FeedFormatError(f"detected for {scanner_name!r} must be true or false")
-        result = parse_detailed_label(str(entry.get("result", "")))
-        if detected and result is DetailedLabel.Benign:
+        key = (scanner_name, detected, str(entry.get("result", "")))
+        shared = verdict_cache.get(key)
+        if shared is None:
+            result = parse_detailed_label(key[2])
             # A scanner that flags the URL but gives a clean/empty result
             # string still counts as a detection, just without a type vote.
+            catch_all = detected and result is DetailedLabel.Benign
+            if catch_all:
+                result = DetailedLabel.OtherMalicious
+            elif not detected:
+                result = DetailedLabel.Benign
+            shared = verdict_cache[key] = (ScannerVerdict(scanner_name, detected, result), catch_all)
+        verdict, catch_all = shared
+        if catch_all:
             warnings.append(
                 ParseWarning(line_no, f"{scanner_name}: detected with benign result, kept as catch-all")
             )
-            result = DetailedLabel.OtherMalicious
-        elif not detected:
-            result = DetailedLabel.Benign
-        verdicts.append(ScannerVerdict(scanner_name, detected, result))
-        if scanner_name not in unknown_seen and not is_known_scanner(scanner_name):
+        verdicts.append(verdict)
+        n_detected += detected
+        if scanner_name not in names_seen:
             # Unknown names are accepted but tagged; warn once per name.
-            unknown_seen.add(scanner_name)
-            warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
+            names_seen.add(scanner_name)
+            if not is_known_scanner(scanner_name):
+                warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
 
-    n_detected = sum(1 for v in verdicts if v.detected)
     raw_positives = raw["positives"]
     if not isinstance(raw_positives, int) or isinstance(raw_positives, bool) or raw_positives < 0:
         raise FeedFormatError("positives must be a non-negative integer")
@@ -350,10 +360,14 @@ def parse_feed(
     In strict mode the first malformed line raises FeedFormatError; otherwise
     malformed lines are skipped and recorded as warnings. Blank lines are
     ignored. URLs are normalized (lowercased scheme and host).
+
+    Reports of one call share one ScannerVerdict per distinct (scanner name,
+    detected, raw result string); checks and warnings run for every line.
     """
     reports: list[ScanReport] = []
     warnings: list[ParseWarning] = []
-    unknown_seen: set[str] = set()
+    names_seen: set[str] = set()
+    verdict_cache: dict[tuple[str, bool, str], tuple[ScannerVerdict, bool]] = {}
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
             try:
@@ -367,7 +381,7 @@ def parse_feed(
         if not line:
             continue
         try:
-            reports.append(_parse_line(line, line_no, warnings, unknown_seen))
+            reports.append(_parse_line(line, line_no, warnings, names_seen, verdict_cache))
         except FeedFormatError as exc:
             if strict:
                 raise FeedFormatError(f"line {line_no}: {exc}") from None

@@ -31,7 +31,7 @@ def first_detection_index(
 
     Pairs with no detecting day inside the window are absent.
     """
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     first = table.summary(0, window).first[table.keys].tolist()
     return {key: day for key, day in zip(series, first) if day >= 0}
 

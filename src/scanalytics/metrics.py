@@ -102,7 +102,7 @@ def dl_certainty(scanner_series: Iterable[LabelTimeSeries], window: int = DEFAUL
 
 def certainty_scores(series: SeriesMap, window: int = DEFAULT_WINDOW_DAYS) -> dict[str, CertaintyScores]:
     """Both certainty scores for every scanner with observations in the window."""
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     per_scanner: dict[int, list[tuple[float, float]]] = {}
     for s, bl, dl in _url_certainties(table, window):
         per_scanner.setdefault(s, []).append((bl, dl))
@@ -133,7 +133,8 @@ def f1_by_offset(
     URLs with bl=0. Offsets where a scanner observed no positive URLs are
     omitted from its curve.
     """
-    series_urls = {url for (_, url) in series}
+    table = _SeriesTable.of(series)
+    series_urls = set(table.urls)
     if not (positive_urls & series_urls):
         raise ValueError("ground truth has no positive-class URLs in the series")
     if not (benign_urls & series_urls):
@@ -142,7 +143,6 @@ def f1_by_offset(
     if overlap:
         raise ValueError(f"URLs in both ground-truth classes: {sorted(overlap)[:3]}")
 
-    table = _SeriesTable(series.values())
     positive = np.array([url in positive_urls for url in table.urls], dtype=bool)
     labelled = positive | np.array([url in benign_urls for url in table.urls], dtype=bool)
     with_curve = np.unique(table.key_scanner[labelled[table.key_url]]).tolist()
@@ -187,7 +187,7 @@ def label_count_distribution(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     distinct = (table.summary(0, window).labels[..., _ATTACK_TYPES] > 0).sum(axis=-1)
     buckets = np.minimum(distinct, _HIST_BINS[-1])  # 0: no attack-type label, excluded
 
@@ -227,7 +227,7 @@ def url_label_stats(series: SeriesMap, window: int | None = None) -> UrlLabelSta
     """Distinct-label CDF over URLs plus top-4 label ratios over detections."""
     if not series:
         raise ValueError("empty series")
-    table = _SeriesTable(series.values())
+    table = _SeriesTable.of(series)
     per_url = table.summary(0, window).labels.sum(axis=0)  # [url, label] over all scanners
     n_urls = len(table.urls)
     hist = np.bincount((per_url[:, _ATTACK_TYPES] > 0).sum(axis=1)).tolist()

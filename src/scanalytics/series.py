@@ -5,6 +5,10 @@ day (day 0). A day's binary label is the maximum detected flag the scanner
 gave that day; its detailed label is the plurality label among the scanner's
 detecting reports that day (ties broken by DetailedLabel order). Days without
 a report for the scanner are absent, never imputed.
+
+`build_series` keeps the points in int columns (`_SeriesTable`) and returns a
+read-only `SeriesView` over them; the analytics read the columns, and a
+`LabelTimeSeries` is built only when a key is indexed.
 """
 
 from __future__ import annotations
@@ -12,16 +16,18 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .feed import DetailedLabel, FeedCohort
 
-__all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "build_series", "align_by_offset", "write_series_csv"]
+__all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "SeriesView", "build_series", "align_by_offset", "write_series_csv"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,28 +84,77 @@ class _SeriesTable:
 
     Columns: `scanner` and `url` (indices into the sorted `scanners` and
     `urls`), `day`, `bl` and `dl`. `key_scanner`/`key_url` hold each
-    series' indices in input order, for reductions that follow series order.
+    series' indices in input order, for reductions that follow series order;
+    `key_start`/`key_stop` bound its rows, which run in day order.
     Detailed labels are Benign exactly on days with bl=0, as `build_series`
     makes them.
     """
 
     def __init__(self, series: Iterable[LabelTimeSeries]):
         series = list(series)
-        self.scanners = tuple(sorted({ts.scanner for ts in series}))
-        self.urls = tuple(sorted({ts.url for ts in series}))
-        self.scanner_index = {name: i for i, name in enumerate(self.scanners)}
-        url_index = {url: i for i, url in enumerate(self.urls)}
-        self.key_scanner = np.array([self.scanner_index[ts.scanner] for ts in series], dtype=np.int32)
-        self.key_url = np.array([url_index[ts.url] for ts in series], dtype=np.int32)
-        self.keys = (self.key_scanner, self.key_url)  # indexes a summary array in series order
-
-        lengths = [len(ts.points) for ts in series]
+        scanners = tuple(sorted({ts.scanner for ts in series}))
+        urls = tuple(sorted({ts.url for ts in series}))
+        scanner_index = {name: i for i, name in enumerate(scanners)}
+        url_index = {url: i for i, url in enumerate(urls)}
+        key_scanner = np.array([scanner_index[ts.scanner] for ts in series], dtype=np.int32)
+        key_url = np.array([url_index[ts.url] for ts in series], dtype=np.int32)
+        lengths = np.array([len(ts.points) for ts in series], dtype=np.int64)
+        key_stop = np.cumsum(lengths)
         points = [p for ts in series for p in ts.points]
-        self.scanner = np.repeat(self.key_scanner, lengths)
-        self.url = np.repeat(self.key_url, lengths)
-        self.day = np.fromiter((p.day_offset for p in points), np.int32, len(points))
-        self.bl = np.fromiter((p.bl for p in points), np.int8, len(points))
-        self.dl = np.fromiter((p.dl for p in points), np.int8, len(points))
+        self._fill(
+            scanners, urls,
+            keys=(key_scanner, key_url, key_stop - lengths, key_stop),
+            rows=(
+                np.repeat(key_scanner, lengths), np.repeat(key_url, lengths),
+                np.fromiter((p.day_offset for p in points), np.int32, len(points)),
+                np.fromiter((p.bl for p in points), np.int8, len(points)),
+                np.fromiter((p.dl for p in points), np.int8, len(points)),
+            ),
+        )
+
+    @classmethod
+    def of(cls, series: SeriesMap) -> "_SeriesTable":
+        """The table a `build_series` view carries; any other map is flattened."""
+        return series.table if isinstance(series, SeriesView) else cls(series.values())
+
+    @classmethod
+    def _columns(cls, scanners: tuple[str, ...], urls: tuple[str, ...], keys: tuple, rows: tuple) -> "_SeriesTable":
+        """A table from its columns: `keys` is (key_scanner, key_url,
+        key_start, key_stop), `rows` is (scanner, url, day, bl, dl)."""
+        table = cls.__new__(cls)
+        table._fill(scanners, urls, keys, rows)
+        return table
+
+    def _fill(self, scanners: tuple[str, ...], urls: tuple[str, ...], keys: tuple, rows: tuple) -> None:
+        self.scanners = scanners
+        self.urls = urls
+        self.scanner_index = {name: i for i, name in enumerate(scanners)}
+        self.key_scanner, self.key_url, self.key_start, self.key_stop = keys
+        self.keys = (self.key_scanner, self.key_url)  # indexes a summary array in series order
+        self.scanner, self.url, self.day, self.bl, self.dl = rows
+
+    def restrict(self, keep_url: np.ndarray) -> "_SeriesTable":
+        """The series of the URLs where `keep_url` (one flag per `urls`) is
+        set, in the same order; scanners left without a series drop out."""
+        kept = keep_url[self.key_url]
+        kept_rows = keep_url[self.url]
+        scanner_used = np.zeros(len(self.scanners), dtype=bool)
+        scanner_used[self.key_scanner[kept]] = True
+        new_scanner = np.cumsum(scanner_used, dtype=np.int32) - 1
+        new_url = np.cumsum(keep_url, dtype=np.int32) - 1
+        new_row = np.concatenate(([0], np.cumsum(kept_rows)))
+        return self._columns(
+            tuple(name for name, used in zip(self.scanners, scanner_used.tolist()) if used),
+            tuple(url for url, keep in zip(self.urls, keep_url.tolist()) if keep),
+            keys=(
+                new_scanner[self.key_scanner[kept]], new_url[self.key_url[kept]],
+                new_row[self.key_start[kept]], new_row[self.key_stop[kept]],
+            ),
+            rows=(
+                new_scanner[self.scanner[kept_rows]], new_url[self.url[kept_rows]],
+                self.day[kept_rows], self.bl[kept_rows], self.dl[kept_rows],
+            ),
+        )
 
     def summary(self, lo: int = 0, hi: int | None = None) -> _Summary:
         """Observed days, detecting-label counts and first detecting day of
@@ -126,43 +181,136 @@ class _SeriesTable:
         return np.concatenate([values, zero_row])[index].reshape(len(scanners), math.prod(values.shape[1:]))
 
 
-def build_series(cohort: FeedCohort) -> dict[tuple[str, str], LabelTimeSeries]:
+_LABELS = tuple(DetailedLabel)
+
+
+class SeriesView(Mapping):
+    """Read-only map (scanner, url) -> LabelTimeSeries over a `_SeriesTable`.
+
+    Keys iterate in the table's series order. A value is built from the
+    table's rows each time its key is indexed and is not kept.
+    """
+
+    def __init__(self, table: _SeriesTable, day0: Sequence[date]):
+        self.table = table
+        self._day0 = day0  # per table URL
+        self._url_index = {url: i for i, url in enumerate(table.urls)}
+        cells = table.key_scanner.astype(np.int64) * len(table.urls) + table.key_url
+        order = np.argsort(cells)
+        self._cells = cells[order]  # sorted, for lookup by key
+        self._bounds = (table.key_start[order], table.key_stop[order])
+
+    def _position(self, key) -> int:
+        """Index of `key` in the sorted cells, or -1 when it is not a key."""
+        if not isinstance(key, tuple) or len(key) != 2:
+            return -1
+        s = self.table.scanner_index.get(key[0])
+        u = self._url_index.get(key[1])
+        if s is None or u is None:
+            return -1
+        cell = s * len(self.table.urls) + u
+        i = int(np.searchsorted(self._cells, cell))
+        return i if i < len(self._cells) and self._cells[i] == cell else -1
+
+    def __getitem__(self, key) -> LabelTimeSeries:
+        i = self._position(key)
+        if i < 0:
+            raise KeyError(key)
+        table = self.table
+        rows = slice(self._bounds[0][i], self._bounds[1][i])
+        points = tuple(
+            SeriesPoint(day, bl, _LABELS[dl])
+            for day, bl, dl in zip(table.day[rows].tolist(), table.bl[rows].tolist(), table.dl[rows].tolist())
+        )
+        scanner, url = key
+        return LabelTimeSeries(scanner=scanner, url=url, day0=self._day0[self._url_index[url]], points=points)
+
+    def __contains__(self, key) -> bool:
+        return self._position(key) >= 0
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        table = self.table
+        return zip(
+            map(table.scanners.__getitem__, table.key_scanner.tolist()),
+            map(table.urls.__getitem__, table.key_url.tolist()),
+        )
+
+    def __len__(self) -> int:
+        return len(self.table.key_scanner)
+
+    def restrict(self, urls: Collection[str]) -> "SeriesView":
+        """The series of `urls` only, in the same order."""
+        keep = np.array([url in urls for url in self.table.urls], dtype=bool)
+        day0 = [day for day, kept in zip(self._day0, keep.tolist()) if kept]
+        return SeriesView(self.table.restrict(keep), day0)
+
+
+def build_series(cohort: FeedCohort) -> SeriesView:
     """Build per-(scanner, URL) daily series from a deduplicated cohort.
 
-    Day 0 is the URL's earliest first_seen day across its reports. The result
-    is independent of input report order.
+    Day 0 is the URL's earliest first_seen day across its reports. The
+    series depend only on the set of reports; keys follow their first
+    occurrence in cohort report order, then verdict order. The result is a
+    read-only `SeriesView`: the points live in int columns, and a
+    LabelTimeSeries is built when its key is indexed.
     """
+    reports = cohort.reports
     day0_by_url: dict[str, date] = {}
-    for report in cohort.reports:
+    for report in reports:
         day = report.first_seen_day
         prev = day0_by_url.get(report.url)
         if prev is None or day < prev:
             day0_by_url[report.url] = day
+    with_verdicts = [r for r in reports if r.verdicts]
+    urls = tuple(sorted({r.url for r in with_verdicts}))
+    url_index = {url: i for i, url in enumerate(urls)}
 
-    # (scanner, url) -> offset -> (max bl, detecting labels seen that day)
-    buckets: dict[tuple[str, str], dict[int, tuple[int, list[DetailedLabel]]]] = {}
-    for report in cohort.reports:
-        offset = (report.scan_day - day0_by_url[report.url]).days
-        for verdict in report.verdicts:
-            key = (verdict.scanner_name, report.url)
-            days = buckets.setdefault(key, {})
-            bl, detecting = days.get(offset, (0, []))
-            if verdict.detected:
-                bl = 1
-                detecting.append(verdict.result)
-            days[offset] = (bl, detecting)
+    # One row per verdict, coded (scanner, label) once per distinct verdict
+    # object: reports that share verdict objects, as `parse_feed` makes
+    # them, cost one lookup per verdict.
+    verdicts = list(chain.from_iterable(r.verdicts for r in with_verdicts))
+    ids = np.fromiter(map(id, verdicts), np.intp, len(verdicts))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [verdicts[i] for i in first.tolist()]
+    scanners = tuple(sorted({v.scanner_name for v in distinct}))
+    scanner_index = {name: i for i, name in enumerate(scanners)}
+    code = np.array([scanner_index[v.scanner_name] * _N_LABELS + v.result for v in distinct], dtype=np.int64)[inverse]
+    label = code % _N_LABELS
+    per_report = [len(r.verdicts) for r in with_verdicts]
+    offsets = [(r.scan_day - day0_by_url[r.url]).days for r in with_verdicts]
+    day = np.repeat(np.array(offsets, dtype=np.int64), per_report)
+    url = np.repeat(np.array([url_index[r.url] for r in with_verdicts], dtype=np.int64), per_report)
+    cell = code // _N_LABELS * len(urls) + url
 
-    out: dict[tuple[str, str], LabelTimeSeries] = {}
-    for (scanner, url), days in buckets.items():
-        points = []
-        for offset in sorted(days):
-            bl, detecting = days[offset]
-            dl = _plurality_label(detecting) if bl else DetailedLabel.Benign
-            points.append(SeriesPoint(offset, bl, dl))
-        out[(scanner, url)] = LabelTimeSeries(
-            scanner=scanner, url=url, day0=day0_by_url[url], points=tuple(points)
-        )
-    return out
+    # Points: distinct (cell, day), sorted. A day's label is its most common
+    # detecting label, ties to the lower enum value as `_plurality_label`.
+    lo, hi = (int(day.min()), int(day.max())) if day.size else (0, 0)
+    span = hi - lo + 1
+    point, first_row, row_point = np.unique(cell * span + (day - lo), return_index=True, return_inverse=True)
+    votes = np.bincount(row_point * _N_LABELS + label, minlength=len(point) * _N_LABELS)
+    detecting = votes.reshape(len(point), _N_LABELS)[:, 1:]
+    bl = detecting.any(axis=1)
+    dl = np.where(bl, detecting.argmax(axis=1) + 1, 0)
+
+    # Series: runs of one cell among the sorted points, keyed in order of
+    # their first verdict row.
+    point_cell = point // span
+    key_start = np.flatnonzero(np.diff(point_cell, prepend=-1))
+    key_stop = np.append(key_start[1:], len(point))
+    order = np.argsort(np.minimum.reduceat(first_row, key_start)) if len(point) else key_start
+    key_cell = point_cell[key_start][order]
+    table = _SeriesTable._columns(
+        scanners, urls,
+        keys=(
+            (key_cell // len(urls)).astype(np.int32), (key_cell % len(urls)).astype(np.int32),
+            key_start[order], key_stop[order],
+        ),
+        rows=(
+            (point_cell // len(urls)).astype(np.int32), (point_cell % len(urls)).astype(np.int32),
+            (point % span + lo).astype(np.int32), bl.astype(np.int8), dl.astype(np.int8),
+        ),
+    )
+    return SeriesView(table, [day0_by_url[url] for url in urls])
 
 
 def align_by_offset(
@@ -180,9 +328,15 @@ def align_by_offset(
 
 
 def write_series_csv(series: SeriesMap, path) -> None:
+    """One row per point, sorted by (scanner, url, day_offset)."""
+    table = _SeriesTable.of(series)
+    order = np.lexsort((table.day, table.url, table.scanner))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scanner", "url", "day_offset", "bl", "dl"])
-        for scanner, url in sorted(series):
-            for point in series[(scanner, url)].points:
-                writer.writerow([scanner, url, point.day_offset, point.bl, point.dl.name])
+        writer.writerows(
+            (table.scanners[s], table.urls[u], day, bl, _LABELS[dl].name)
+            for s, u, day, bl, dl in zip(
+                *(column[order].tolist() for column in (table.scanner, table.url, table.day, table.bl, table.dl))
+            )
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -355,3 +356,69 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("ERROR code=4 kind=config") and "--threads" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestSynthJsonFormat:
+    def test_inputs_stay_csv_and_metrics_reads_them(self, tmp_path):
+        out = tmp_path / "synth_json"
+        assert run_cli("synth", "--preset", "specialists", "--seed", 3, "--format", "json", "--out", out) == 0
+        assert (out / "truth.csv").exists() and not (out / "truth.json").exists()
+        code = run_cli(
+            "metrics", "--feed", out / "feed.jsonl", "--ground-truth", out / "truth.csv",
+            "--format", "json", "--out", tmp_path / "metrics",
+        )
+        assert code == 0
+
+    def test_classifier_caches_stay_csv(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"kind": "classifier", "n_phishing": 20, "n_malware": 20, "seed": 1}))
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--scenario", scenario, "--format", "json", "--out", out) == 0
+        for name in ("truth.csv", "hosting_cache.csv", "whois_cache.csv"):
+            assert (out / name).exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert {"truth.csv", "hosting_cache.csv", "whois_cache.csv"} <= set(manifest["artifacts"])
+
+
+def _counting(fn, counts, name):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestSeriesStayColumnar:
+    """A structural guard for the columnar series path: the subcommands read
+    the table `build_series` carries and never fall back to series objects."""
+
+    def test_no_series_objects_on_cli_path(self, synth_dir, tmp_path, monkeypatch):
+        import scanalytics.cli as cli
+        from scanalytics import series
+        from scanalytics.feed import parse_feed_file
+
+        # Every report carries every scanner, so all DTW alignments share day sets.
+        reports, _ = parse_feed_file(synth_dir / "feed.jsonl")
+        assert len({frozenset(v.scanner_name for v in r.verdicts) for r in reports}) == 1
+
+        counts = Counter()
+        for cls in (series.SeriesPoint, series.LabelTimeSeries, series._SeriesTable):
+            monkeypatch.setattr(cls, "__init__", _counting(cls.__init__, counts, cls.__name__))
+        columns = series._SeriesTable.__dict__["_columns"].__func__
+        monkeypatch.setattr(series._SeriesTable, "_columns", classmethod(_counting(columns, counts, "tables")))
+        tables_per_build = []
+
+        def build_series(cohort):
+            before = counts["tables"]
+            view = series.build_series(cohort)
+            tables_per_build.append(counts["tables"] - before)
+            return view
+
+        monkeypatch.setattr(cli, "build_series", build_series)
+        feed = synth_dir / "feed.jsonl"
+        assert run_cli("metrics", "--feed", feed, "--ground-truth", synth_dir / "truth.csv",
+                       "--export-series", "--out", tmp_path / "m") == 0
+        assert run_cli("leadlag", "--feed", feed, "--out", tmp_path / "l") == 0
+        assert run_cli("correlate", "--feed", feed, "--k", 3, "--out", tmp_path / "c") == 0
+        assert tables_per_build == [1, 1, 1]
+        assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == counts["_SeriesTable"] == 0

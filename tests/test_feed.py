@@ -410,3 +410,116 @@ class TestByteStreams:
         reports, warnings = parse_feed(iter(lines))
         assert len(reports) == 1
         assert any("UTF-8" in w.message for w in warnings)
+
+
+def _reference_parse(lines):
+    """The per-verdict parser that verdict sharing replaced: one new
+    ScannerVerdict per entry, one warning check per entry."""
+    from scanalytics.feed import ParseWarning, ScanReport, _parse_ts
+    from scanalytics.scanners import is_known_scanner
+
+    def parse_line(line, line_no, warnings, unknown_seen):
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FeedFormatError(f"invalid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise FeedFormatError("record is not a JSON object")
+        for key in ("url", "scan_date", "first_seen", "scan_id", "positives", "scans"):
+            if key not in raw:
+                raise FeedFormatError(f"missing field {key!r}")
+        url = raw["url"]
+        if not isinstance(url, str) or not url:
+            raise FeedFormatError("url must be a non-empty string")
+        scan_date = _parse_ts(raw["scan_date"], "scan_date")
+        first_seen = _parse_ts(raw["first_seen"], "first_seen")
+        if first_seen > scan_date:
+            raise FeedFormatError("first_seen is after scan_date")
+        scan_id = raw["scan_id"]
+        if not isinstance(scan_id, str) or not scan_id:
+            raise FeedFormatError("scan_id must be a non-empty string")
+        scans = raw["scans"]
+        if not isinstance(scans, dict):
+            raise FeedFormatError("scans must be an object")
+        verdicts = []
+        for scanner_name, entry in scans.items():
+            if not isinstance(entry, dict) or "detected" not in entry:
+                raise FeedFormatError(f"bad scans entry for {scanner_name!r}")
+            detected = entry["detected"]
+            if not isinstance(detected, bool):
+                raise FeedFormatError(f"detected for {scanner_name!r} must be true or false")
+            result = parse_detailed_label(str(entry.get("result", "")))
+            if detected and result is DetailedLabel.Benign:
+                warnings.append(
+                    ParseWarning(line_no, f"{scanner_name}: detected with benign result, kept as catch-all")
+                )
+                result = DetailedLabel.OtherMalicious
+            elif not detected:
+                result = DetailedLabel.Benign
+            verdicts.append(ScannerVerdict(scanner_name, detected, result))
+            if scanner_name not in unknown_seen and not is_known_scanner(scanner_name):
+                unknown_seen.add(scanner_name)
+                warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
+        n_detected = sum(1 for v in verdicts if v.detected)
+        raw_positives = raw["positives"]
+        if not isinstance(raw_positives, int) or isinstance(raw_positives, bool) or raw_positives < 0:
+            raise FeedFormatError("positives must be a non-negative integer")
+        if raw_positives != n_detected:
+            warnings.append(
+                ParseWarning(line_no, f"positives field says {raw_positives} but {n_detected} verdicts detect; recomputed")
+            )
+        return ScanReport(url=normalize_url(url), scan_date=scan_date, first_seen=first_seen,
+                          scan_id=scan_id, positives=n_detected, verdicts=tuple(verdicts))
+
+    reports, warnings, unknown_seen = [], [], set()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            reports.append(parse_line(line, line_no, warnings, unknown_seen))
+        except FeedFormatError as exc:
+            warnings.append(ParseWarning(line_no, f"{exc}; line skipped"))
+    return reports, warnings
+
+
+class TestSharedVerdicts:
+    def _lines(self):
+        clean_hit = {"detected": True, "result": "clean site"}  # kept as catch-all, warned per line
+        lines = []
+        for i in range(6):
+            scans = {
+                "Fortinet": clean_hit if i % 2 == 0 else {"detected": True, "result": "Phishing Site"},
+                "Sophos": {"detected": i % 3 == 0, "result": "malware site" if i % 3 == 0 else ""},
+                "MysteryAV": {"detected": True, "result": ["odd", i % 2]},  # unknown name, non-string result
+                "ESET": {"detected": bool(i % 2), "result": 7 if i % 2 else None},
+                "Kaspersky": {"detected": True, "result": "PHISHING SITE" if i else "phishing sites"},
+            }
+            lines.append(make_line(scan_id=f"s{i}", scans=scans, positives=i))
+        lines[2] = "{not json"
+        lines.insert(4, make_line(scan_id="bad", scans={"Fortinet": clean_hit, "ESET": {"detected": "false"}}))
+        lines.insert(5, make_line(scan_id="neg", scans={"MysteryAV": clean_hit}, positives=-1))
+        return lines
+
+    def test_same_reports_and_warnings_as_per_verdict_parse(self):
+        lines = self._lines()
+        reports, warnings = parse_feed(iter(lines))
+        assert (reports, warnings) == _reference_parse(lines)
+        # One catch-all warning on each line that has one, skipped line 5 included.
+        assert [w.line for w in warnings if w.message.startswith("Fortinet: detected with benign")] == [1, 5, 7]
+        assert [w.line for w in warnings if "unknown scanner" in w.message] == [1]
+        assert [w.line for w in warnings if "skipped" in w.message] == [3, 5, 6]
+
+    def test_verdicts_shared_within_one_parse_only(self):
+        lines = self._lines()
+        first, _ = parse_feed(iter(lines))
+        second, _ = parse_feed(iter(lines))
+        by_key = {}
+        for r in first:
+            for v in r.verdicts:
+                by_key.setdefault((v.scanner_name, v.detected, v.result), set()).add(id(v))
+        # Different raw strings for one label (case, or a non-string result's
+        # text) stay separate objects.
+        assert len(by_key[("Kaspersky", True, DetailedLabel.PhishingSite)]) == 2
+        assert len(by_key[("MysteryAV", True, DetailedLabel.OtherMalicious)]) == 2
+        assert all(len(ids) == 1 for key, ids in by_key.items() if key[0] not in ("Kaspersky", "MysteryAV"))
+        assert first[0].verdicts[0] is first[3].verdicts[0]  # lines 1 and 7
+        assert first[0].verdicts[0] == second[0].verdicts[0]
+        assert first[0].verdicts[0] is not second[0].verdicts[0]

@@ -7,8 +7,28 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanalytics.feed import DetailedLabel
-from scanalytics.series import _plurality_label, _SeriesTable, align_by_offset, build_series
+import pytest
+
+from scanalytics.correlate import (
+    SimilarityMatrix,
+    frobenius_trend,
+    jaccard_binary,
+    jaccard_detailed,
+    scanner_dtw_matrix,
+)
+from scanalytics.feed import DetailedLabel, FeedCohort
+from scanalytics.leadlag import first_detection_index
+from scanalytics.metrics import certainty_scores, f1_by_offset, label_count_distribution, url_label_stats
+from scanalytics.series import (
+    LabelTimeSeries,
+    SeriesPoint,
+    SeriesView,
+    _plurality_label,
+    _SeriesTable,
+    align_by_offset,
+    build_series,
+    write_series_csv,
+)
 
 from conftest import cohort, report, verdict
 
@@ -228,3 +248,143 @@ class TestDayZeroPositivesIdentity:
 
         with pytest.raises(ValueError):
             align_by_offset({}, -1)
+
+
+def _reference_build_series(cohort):
+    """The bucket-dict `build_series` the columnar build replaced."""
+    from collections import Counter
+
+    day0_by_url = {}
+    for r in cohort.reports:
+        day = r.first_seen_day
+        if r.url not in day0_by_url or day < day0_by_url[r.url]:
+            day0_by_url[r.url] = day
+    buckets = {}
+    for r in cohort.reports:
+        offset = (r.scan_day - day0_by_url[r.url]).days
+        for v in r.verdicts:
+            days = buckets.setdefault((v.scanner_name, r.url), {})
+            bl, detecting = days.get(offset, (0, []))
+            if v.detected:
+                bl = 1
+                detecting.append(v.result)
+            days[offset] = (bl, detecting)
+    out = {}
+    for (scanner, url), days in buckets.items():
+        points = []
+        for offset in sorted(days):
+            bl, detecting = days[offset]
+            if bl:
+                counts = Counter(detecting)
+                dl = min(counts, key=lambda lab: (-counts[lab], int(lab)))
+            else:
+                dl = DetailedLabel.Benign
+            points.append(SeriesPoint(offset, bl, dl))
+        out[(scanner, url)] = LabelTimeSeries(scanner=scanner, url=url, day0=day0_by_url[url], points=tuple(points))
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    """A comparable result of `fn`, or its error."""
+    try:
+        result = fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("error", str(exc))
+    if isinstance(result, SimilarityMatrix):
+        return (result.kind, result.scanners, result.values.tobytes())
+    return result
+
+
+def _analytics(series, positive, benign, universe):
+    """Every analytic that reads a series map, on one input."""
+    return [
+        _outcome(certainty_scores, series, window=4),
+        _outcome(f1_by_offset, series, positive, benign, max_offset=6),
+        _outcome(label_count_distribution, series, window=5),
+        _outcome(url_label_stats, series),
+        _outcome(url_label_stats, series, window=2),
+        _outcome(jaccard_binary, series, universe, window=5),
+        _outcome(jaccard_detailed, series, universe, offset=1, scanners=("B", "A", "Z")),
+        _outcome(frobenius_trend, series, universe, range(4), detailed=True),
+        _outcome(scanner_dtw_matrix, series),
+        _outcome(scanner_dtw_matrix, series, window=3, scanners=("C", "A", "Z", "B")),
+        _outcome(first_detection_index, series, window=4),
+    ]
+
+
+class TestColumnarBuildMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_view_equals_bucket_dicts(self, data, tmp_path_factory):
+        seed = data.draw(st.integers(min_value=0, max_value=10_000))
+        sort_reports = data.draw(st.booleans())
+        rng = random.Random(seed)
+        labels = [None, None, DetailedLabel.PhishingSite, DetailedLabel.MalwareSite, DetailedLabel.SpamSite]
+        names = ["A", "B", "C", "Not A Registered Scanner"]
+        rs = []
+        for i in range(rng.randint(1, 6)):
+            url = f"http://u{i}.test/"
+            first_seen = [rng.randint(0, 3) for _ in range(2)]
+            for d in range(rng.randint(0, 4), rng.randint(4, 9)):
+                if rng.random() < 0.25:
+                    continue  # a day with no report
+                for k in range(rng.choice([1, 1, 2, 3])):  # same-day reports vote on the label
+                    vs = [verdict(s, rng.choice(labels)) for s in names if rng.random() < 0.75]
+                    rng.shuffle(vs)
+                    seen = min(rng.choice(first_seen), d)  # URLs differ in day 0
+                    rs.append(report(url, d, f"{i}-{d}-{k}", vs, first_seen_day=seen, hour=rng.randint(0, 23)))
+        rng.shuffle(rs)
+        if sort_reports:
+            co = cohort(rs)
+        else:  # keys follow report order, so keep the shuffled one
+            co = FeedCohort(name="shuffled", urls=frozenset(r.url for r in rs), reports=tuple(rs))
+
+        view = build_series(co)
+        reference = _reference_build_series(co)
+        assert isinstance(view, SeriesView)
+        assert list(view) == list(reference)
+        assert len(view) == len(reference)
+        for key, ts in reference.items():
+            assert key in view
+            assert view[key] == ts
+        assert view == dict(view) == reference
+        urls = sorted({url for _, url in reference})
+        # Absent pairs of a known scanner and a known URL, then unknown names.
+        absent = [(s, u) for s in sorted({s for s, _ in reference}) for u in urls if (s, u) not in reference]
+        for missing in absent + [("A", "http://nowhere.test/"), ("Z", "http://u0.test/"), ("A",), "A", None]:
+            assert missing not in view
+            with pytest.raises(KeyError):
+                view[missing]
+
+        positive, benign = set(urls[::2]), set(urls[1::2])
+        universe = set(urls[: max(1, len(urls) - 1)])
+        assert _analytics(view, positive, benign, universe) == _analytics(dict(view), positive, benign, universe)
+
+        kept = set(urls[1::2]) | {"http://nowhere.test/"}
+        subset = view.restrict(kept)
+        expected = {key: ts for key, ts in reference.items() if key[1] in kept}
+        assert list(subset) == list(expected) and subset == expected
+        assert _analytics(subset, positive, benign, universe) == _analytics(expected, positive, benign, universe)
+
+        out = tmp_path_factory.mktemp("series")
+        write_series_csv(view, out / "view.csv")
+        write_series_csv(reference, out / "dict.csv")
+        assert (out / "view.csv").read_bytes() == (out / "dict.csv").read_bytes()
+
+    def test_empty_cohort(self):
+        view = build_series(cohort([]))
+        assert len(view) == 0 and list(view) == [] and view == {}
+        assert ("A", "http://u.test/") not in view
+
+    def test_reports_without_verdicts_only_set_day0(self):
+        rs = [
+            report("http://u.test/", 2, "a", [], first_seen_day=0),
+            report("http://u.test/", 3, "b", [verdict("S", DetailedLabel.MalwareSite)], first_seen_day=1),
+            report("http://v.test/", 1, "c", []),
+            report("http://w.test/", 0, "d", [verdict("T", None)]),
+        ]
+        view = build_series(cohort(rs))
+        assert view == _reference_build_series(cohort(rs))
+        assert ("S", "http://w.test/") not in view and ("T", "http://u.test/") not in view
+        assert view[("S", "http://u.test/")].points[0].day_offset == 3
+        assert _SeriesTable.of(view).urls == ("http://u.test/", "http://w.test/")
