@@ -9,13 +9,13 @@ forest's vote fractions.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..artifacts import write_table
 from ..feed import DetailedLabel, GroundTruthLabel, ScanReport
 from .factors import ScannerClusterModel
 from .features import ALL_GROUPS, FeatureVector, feature_manifest, feature_matrix
@@ -179,24 +179,9 @@ def train_forest(
 ) -> tuple[ForestModel, EvalReport]:
     """Stratified 80-20 split, train on the large side, evaluate on the rest."""
     y = encode_labels(labels)
-    X = feature_matrix(vectors, groups)
-    train_idx, test_idx = split_train_test(y, split, seed)
-    model = train_forest_model(
-        X[train_idx],
-        y[train_idx],
-        feature_names=feature_manifest(groups),
-        seed=seed,
-        n_estimators=n_estimators,
-        max_depth=max_depth,
-        max_features=max_features,
-        classes=CLASS_NAMES,
-        cluster_model=cluster_model,
-        threads=threads,
-    )
-    scores = model.predict_proba(X[test_idx])
-    y_pred = (scores > 0.5).astype(np.int8)
-    report = evaluate_predictions(y[test_idx], y_pred, scores)
-    return model, report
+    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators,
+                    max_depth=max_depth, max_features=max_features)
+    return _fit_and_evaluate(vectors, y, split_train_test(y, split, seed), groups, fit_args)
 
 
 ABLATION_ROWS: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -223,26 +208,29 @@ def ablation(
 ) -> dict[str, EvalReport]:
     """One forest per feature-group combination over an identical split."""
     y = encode_labels(labels)
-    train_idx, test_idx = split_train_test(y, split, seed)
-    out: dict[str, EvalReport] = {}
-    for name, groups in rows:
-        X = feature_matrix(vectors, groups)
-        model = train_forest_model(
-            X[train_idx],
-            y[train_idx],
-            feature_names=feature_manifest(groups),
-            seed=seed,
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            max_features=max_features,
-            classes=CLASS_NAMES,
-            cluster_model=cluster_model,
-            threads=threads,
-        )
-        scores = model.predict_proba(X[test_idx])
-        y_pred = (scores > 0.5).astype(np.int8)
-        out[name] = evaluate_predictions(y[test_idx], y_pred, scores)
-    return out
+    split_idx = split_train_test(y, split, seed)
+    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators,
+                    max_depth=max_depth, max_features=max_features)
+    return {name: _fit_and_evaluate(vectors, y, split_idx, groups, fit_args)[1] for name, groups in rows}
+
+
+def _fit_and_evaluate(
+    vectors: Sequence[FeatureVector],
+    y: np.ndarray,
+    split_idx: tuple[np.ndarray, np.ndarray],
+    groups: Sequence[str],
+    fit_args: dict,
+) -> tuple[ForestModel, EvalReport]:
+    """Train a forest on the `groups` columns of the train rows, with `fit_args`
+    passed on to `train_forest_model`; evaluate it on the test rows."""
+    train_idx, test_idx = split_idx
+    X = feature_matrix(vectors, groups)
+    model = train_forest_model(
+        X[train_idx], y[train_idx], feature_names=feature_manifest(groups), classes=CLASS_NAMES, **fit_args
+    )
+    scores = model.predict_proba(X[test_idx])
+    y_pred = (scores > 0.5).astype(np.int8)
+    return model, evaluate_predictions(y[test_idx], y_pred, scores)
 
 
 def groups_from_manifest(feature_names: Sequence[str]) -> tuple[str, ...]:
@@ -280,27 +268,13 @@ def weekly_trend(
 
 def write_eval_csv(rows: dict[str, EvalReport], path) -> None:
     """Table layout: one line per (model row, class) with Acc/Prec/Rec/FPR."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "class", "accuracy", "precision", "recall", "fpr"])
-        for name, report in rows.items():
-            for class_name in CLASS_NAMES:
-                metrics = report.per_class[class_name]
-                writer.writerow(
-                    [
-                        name,
-                        class_name,
-                        f"{report.accuracy:.10g}",
-                        f"{metrics.precision:.10g}",
-                        f"{metrics.recall:.10g}",
-                        f"{metrics.fpr:.10g}",
-                    ]
-                )
+    lines = (
+        (name, class_name, report.accuracy, metrics.precision, metrics.recall, metrics.fpr)
+        for name, report in rows.items()
+        for class_name, metrics in ((c, report.per_class[c]) for c in CLASS_NAMES)
+    )
+    write_table(path, ["model", "class", "accuracy", "precision", "recall", "fpr"], lines)
 
 
 def write_trend_csv(trend: list[tuple[str, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["week", "phishing_fraction", "malware_fraction"])
-        for week, phishing, malware in trend:
-            writer.writerow([week, f"{phishing:.10g}", f"{malware:.10g}"])
+    write_table(path, ["week", "phishing_fraction", "malware_fraction"], trend)

@@ -269,36 +269,62 @@ def save_forest(model: ForestModel, path) -> None:
 
 
 def load_forest(path, expect_features: Sequence[str] | None = None) -> ForestModel:
-    """Load a saved model; a feature-manifest mismatch is fatal."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT or payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unrecognized model file format in {path}")
-    feature_names = tuple(payload["feature_names"])
+    """Load a saved model. A file that is not a model of this format, a
+    missing or malformed field, or a feature-manifest mismatch raises
+    ModelFormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != MODEL_FORMAT or payload.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unrecognized model file format in {path}")
+        feature_names = tuple(payload["feature_names"])
+        if not all(isinstance(name, str) for name in feature_names):
+            raise ValueError("feature names must be strings")
+        trees = tuple(_tree_from_dict(raw, len(feature_names)) for raw in payload["trees"])
+        if not trees:
+            raise ValueError("no trees")
+        hp = payload["hyperparameters"]
+        cluster_raw = payload.get("cluster_model")
+        model = ForestModel(
+            trees=trees,
+            n_estimators=int(hp["n_estimators"]),
+            max_depth=int(hp["max_depth"]),
+            max_features=int(hp["max_features"]),
+            seed=int(payload["seed"]),
+            feature_names=feature_names,
+            classes=tuple(payload["classes"]),
+            cluster_model=ScannerClusterModel.from_dict(cluster_raw) if cluster_raw else None,
+        )
+    except ModelFormatError:
+        raise
+    except KeyError as exc:
+        raise ModelFormatError(f"model file {path} lacks field {exc}") from None
+    except (AttributeError, ArithmeticError, TypeError, ValueError) as exc:  # also not JSON or not UTF-8
+        raise ModelFormatError(f"malformed model file {path}: {exc}") from None
     if expect_features is not None and tuple(expect_features) != feature_names:
         raise ModelFormatError(
             "feature manifest mismatch: model was trained with "
             f"{len(feature_names)} features, expected {len(tuple(expect_features))}"
         )
-    trees = tuple(
-        DecisionTree(
-            feature=np.asarray(raw["feature"], dtype=np.int32),
-            threshold=np.asarray(raw["threshold"], dtype=np.float64),
-            left=np.asarray(raw["left"], dtype=np.int32),
-            right=np.asarray(raw["right"], dtype=np.int32),
-            value=np.asarray(raw["value"], dtype=np.int8),
-        )
-        for raw in payload["trees"]
+    return model
+
+
+def _tree_from_dict(raw: dict, n_features: int) -> DecisionTree:
+    """A tree `DecisionTree.predict` can walk: equal-length arrays, known
+    split features, and children numbered after their node (as `_build_tree`
+    numbers them), so every walk ends at a leaf."""
+    tree = DecisionTree(
+        feature=np.asarray(raw["feature"], dtype=np.int32),
+        threshold=np.asarray(raw["threshold"], dtype=np.float64),
+        left=np.asarray(raw["left"], dtype=np.int32),
+        right=np.asarray(raw["right"], dtype=np.int32),
+        value=np.asarray(raw["value"], dtype=np.int8),
     )
-    hp = payload["hyperparameters"]
-    cluster_raw = payload.get("cluster_model")
-    return ForestModel(
-        trees=trees,
-        n_estimators=int(hp["n_estimators"]),
-        max_depth=int(hp["max_depth"]),
-        max_features=int(hp["max_features"]),
-        seed=int(payload["seed"]),
-        feature_names=feature_names,
-        classes=tuple(payload["classes"]),
-        cluster_model=ScannerClusterModel.from_dict(cluster_raw) if cluster_raw else None,
-    )
+    n = len(tree.feature)
+    if n == 0 or {array.shape for array in vars(tree).values()} != {(n,)}:
+        raise ValueError("tree arrays must be non-empty and of equal length")
+    split = np.flatnonzero(tree.feature >= 0)
+    children = np.stack([tree.left[split], tree.right[split]])
+    if np.any(tree.feature >= n_features) or np.any(children <= split) or np.any(children >= n):
+        raise ValueError("tree splits on an unlisted feature or numbers a child out of order")
+    return tree

@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 input error, 3 computation error, 4 config error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import random
@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .artifacts import write_json as _write_json
+from .artifacts import write_table
 from .classify import (
     ABLATION_ROWS,
     HostingCache,
@@ -39,7 +41,7 @@ from .classify import (
 )
 from .classify.evaluate import CLASS_NAMES, encode_labels, groups_from_manifest, split_train_test
 from .classify.evaluate import write_trend_csv as write_weekly_trend_csv
-from .classify.features import ALL_GROUPS
+from .classify.features import ALL_GROUPS, feature_manifest
 from .correlate import (
     adjusted_rand_index,
     frobenius_trend,
@@ -113,8 +115,8 @@ def _sha256(path: Path) -> str:
 class _Run:
     """Collects artifacts and writes the run manifest.
 
-    Only files named through `artifact` are converted, hashed and listed,
-    so files an earlier run left in `--out` stay out of the manifest.
+    Only files named through `artifact` are hashed and listed, so files an
+    earlier run left in `--out` stay out of the manifest.
     """
 
     def __init__(self, command: str, out_dir: Path, seed: int | None, params: dict, fmt: str = "csv"):
@@ -136,21 +138,14 @@ class _Run:
         return path
 
     def artifact(self, name: str) -> Path:
+        """The path to write artifact `name` to; a `.csv` table becomes
+        `.json` when the run's format is json (`write_table` reads the suffix)."""
+        if self.fmt == "json" and name.endswith(".csv"):
+            name = name[: -len(".csv")] + ".json"
         self.written.add(name)
         return self.out_dir / name
 
-    def _convert_csv_to_json(self) -> None:
-        for name in sorted(n for n in self.written if n.endswith(".csv")):
-            path = self.out_dir / name
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            _write_json(rows, self.artifact(path.with_suffix(".json").name))
-            path.unlink()
-            self.written.discard(name)
-
     def seal(self) -> Path:
-        if self.fmt == "json":
-            self._convert_csv_to_json()
         for name in sorted(self.written):
             path = self.out_dir / name
             if path.is_file():
@@ -164,16 +159,8 @@ class _Run:
             "artifacts": self.artifacts,
         }
         target = self.out_dir / "run_manifest.json"
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(manifest, target)
         return target
-
-
-def _write_json(payload, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _load_feed(run: _Run, path, strict: bool = False):
@@ -186,6 +173,19 @@ def _split_gt(records) -> tuple[set[str], set[str]]:
     positive = {r.url for r in records if r.label is not GroundTruthLabel.Benign}
     benign = {r.url for r in records if r.label is GroundTruthLabel.Benign}
     return positive, benign
+
+
+def _json_object(path: Path, error: type[Exception]) -> dict:
+    """The JSON object in `path`; a file that holds anything else raises
+    `error` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise error(f"{path} must hold a JSON object")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +286,10 @@ def _cmd_correlate(args) -> int:
 
     planted_groups: dict[str, str] = {}
     if args.planted:
-        with open(run.add_input(args.planted), "r", encoding="utf-8") as fh:
-            planted_groups = json.load(fh).get("groups", {})
+        planted_path = run.add_input(args.planted)
+        planted_groups = _json_object(planted_path, FeedFormatError).get("groups", {})
+        if not isinstance(planted_groups, dict) or not all(isinstance(g, str) for g in planted_groups.values()):
+            raise FeedFormatError(f"{planted_path}: groups must map scanner names to group names")
 
     k = args.k
     if k is None and planted_groups:
@@ -433,34 +435,39 @@ def _cmd_classify_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify_predict(args) -> int:
-    run = _Run("classify-predict", Path(args.out), None, {}, args.format)
+def _load_model_and_features(run: _Run, args):
+    """Shared predict/trend setup: the model and its feature groups, then
+    each detecting report of the feed with its feature vector."""
     model = load_forest(run.add_input(args.model))
     if model.cluster_model is None:
-        raise ModelFormatError("model file lacks a scanner cluster model")
+        raise ModelFormatError(f"model file {args.model} lacks a scanner cluster model")
+    groups = groups_from_manifest(model.feature_names)
+    if set(groups) - set(ALL_GROUPS) or feature_manifest(groups) != model.feature_names:
+        raise ModelFormatError(f"model file {args.model} has feature names that are not a feature manifest")
     reports, _, _ = _load_feed(run, args.feed)
     hosting = HostingCache.from_csv(run.add_input(args.hosting_cache)) if args.hosting_cache else None
     whois = WhoisCache.from_csv(run.add_input(args.whois_cache)) if args.whois_cache else None
-
-    groups = groups_from_manifest(model.feature_names)
-    rows = []
-    vectors = []
-    for report in reports:
-        if report.positives == 0:
-            continue
-        vectors.append(extract_features(report, model.cluster_model, hosting=hosting, whois=whois))
-        rows.append(report)
-    if not vectors:
+    items = [
+        (report, extract_features(report, model.cluster_model, hosting=hosting, whois=whois))
+        for report in reports
+        if report.positives
+    ]
+    if not items:
         raise ValueError("no reports with detections to classify")
-    scores = model.predict_proba(feature_matrix(vectors, groups))
-    with open(run.artifact("predictions.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url", "scan_id", "predicted", "phishing_score"])
-        for report, score in zip(rows, scores):
-            predicted = CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0]
-            writer.writerow([report.url, report.scan_id, predicted, f"{score:.10g}"])
+    return model, groups, items
+
+
+def _cmd_classify_predict(args) -> int:
+    run = _Run("classify-predict", Path(args.out), None, {}, args.format)
+    model, groups, items = _load_model_and_features(run, args)
+    scores = model.predict_proba(feature_matrix([vector for _, vector in items], groups))
+    rows = (
+        (report.url, report.scan_id, CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0], score)
+        for (report, _), score in zip(items, scores.tolist())
+    )
+    write_table(run.artifact("predictions.csv"), ["url", "scan_id", "predicted", "phishing_score"], rows)
     run.seal()
-    print(f"{len(rows)} predictions written to {run.out_dir}")
+    print(f"{len(items)} predictions written to {run.out_dir}")
     return EXIT_OK
 
 
@@ -486,21 +493,7 @@ def _cmd_classify_ablate(args) -> int:
 
 def _cmd_classify_trend(args) -> int:
     run = _Run("classify-trend", Path(args.out), None, {}, args.format)
-    model = load_forest(run.add_input(args.model))
-    if model.cluster_model is None:
-        raise ModelFormatError("model file lacks a scanner cluster model")
-    reports, _, _ = _load_feed(run, args.feed)
-    hosting = HostingCache.from_csv(run.add_input(args.hosting_cache)) if args.hosting_cache else None
-    whois = WhoisCache.from_csv(run.add_input(args.whois_cache)) if args.whois_cache else None
-    items = []
-    for report in reports:
-        if report.positives == 0:
-            continue
-        items.append(
-            (report, extract_features(report, model.cluster_model, hosting=hosting, whois=whois))
-        )
-    if not items:
-        raise ValueError("no reports with detections")
+    model, _, items = _load_model_and_features(run, args)
     trend = weekly_trend(model, items)
     write_weekly_trend_csv(trend, run.artifact("weekly_trend.csv"))
     run.seal()
@@ -509,12 +502,7 @@ def _cmd_classify_trend(args) -> int:
 
 
 def _archetype_from_dict(raw: dict) -> ScannerArchetype:
-    known = {
-        "name", "kind", "group", "label", "labels", "period_days", "copies",
-        "lag_days", "attack", "recall", "precision", "onset_min", "onset_max",
-        "duration_days", "dropout_hazard",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {field.name for field in dataclasses.fields(ScannerArchetype)}
     if unknown:
         raise _ConfigError(f"unknown archetype fields: {sorted(unknown)}")
     if "labels" in raw:
@@ -523,15 +511,14 @@ def _archetype_from_dict(raw: dict) -> ScannerArchetype:
 
 
 def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig | ClassifierCorpusConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _json_object(path, _ConfigError)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if "preset" in raw:
-        return preset_config(raw["preset"], seed)
-    if raw.get("kind") == "classifier":
-        fields = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
-        return ClassifierCorpusConfig(seed=seed, **fields)
     try:
+        if "preset" in raw:
+            return preset_config(raw["preset"], seed)
+        if raw.get("kind") == "classifier":
+            fields = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
+            return ClassifierCorpusConfig(seed=seed, **fields)
         return ScenarioConfig(
             name=raw["name"],
             n_urls={str(k): int(v) for k, v in raw["n_urls"].items()},
@@ -541,7 +528,7 @@ def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig
             noise=float(raw.get("noise", 0.0)),
             stale_fraction=float(raw.get("stale_fraction", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(f"bad scenario file {path}: {exc}") from None
 
 
@@ -567,14 +554,11 @@ def _cmd_synth(args) -> int:
         corpus = generate_classifier_corpus(config)
         write_feed(corpus.reports, run.artifact("feed.jsonl"))
         write_ground_truth(corpus.truth, run.artifact("truth.csv"))
-        with open(run.artifact("hosting_cache.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["url", "ip_count", "asn_count", "asn", "country"])
-            writer.writeheader()
-            writer.writerows(corpus.hosting_rows)
-        with open(run.artifact("whois_cache.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["domain", "created", "expires", "registrar"])
-            writer.writeheader()
-            writer.writerows(corpus.whois_rows)
+        for name, header, rows in (
+            ("hosting_cache.csv", ("url", "ip_count", "asn_count", "asn", "country"), corpus.hosting_rows),
+            ("whois_cache.csv", ("domain", "created", "expires", "registrar"), corpus.whois_rows),
+        ):
+            write_table(run.artifact(name), header, ([row[column] for column in header] for row in rows))
         manifest = corpus.manifest
         n_reports = len(corpus.reports)
     else:

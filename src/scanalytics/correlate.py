@@ -1,11 +1,11 @@
 """Pairwise scanner correlation: Jaccard matrices, DTW distance, clustering.
 
 Matrix conventions: values are dense numpy arrays indexed by the scanner
-order stored on the matrix; undefined pairs hold NaN and are written out with
-the "xxx" sentinel. Jaccard matrices are symmetric with a special-cased
-diagonal of 1 for scanners that detected at least one URL. DTW matrices are
-symmetric with zero diagonal. All reductions run in a fixed order, so results
-are identical regardless of parallelism.
+order stored on the matrix; undefined pairs hold NaN, which the table writer
+(`artifacts.write_table`) writes as its missing mark. Jaccard matrices are
+symmetric with a special-cased diagonal of 1 for scanners that detected at
+least one URL. DTW matrices are symmetric with zero diagonal. All reductions
+run in a fixed order, so results are identical regardless of parallelism.
 
 Co-detection comes from the series table (`series._SeriesTable`): Jaccard
 matrices are integer products of (scanner x URL) detection marks, and the
@@ -18,13 +18,13 @@ The scalar `dtw_distance` is the oracle it must equal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .feed import DetailedLabel
 from .series import _NO_DAY, SeriesMap, _SeriesTable
 
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 MatrixKind = Literal["jaccard_binary", "jaccard_detailed", "dtw_distance", "early_ratio"]
-
-MISSING_MARK = "xxx"
 
 
 @dataclass(frozen=True)
@@ -467,23 +465,14 @@ def adjusted_rand_index(a: dict[str, int], b: dict[str, int]) -> float:
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
-    """Long-format emitter: scanner_a,scanner_b,value,kind with xxx for NaN."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scanner_a", "scanner_b", "value", "kind"])
-        for i, a in enumerate(matrix.scanners):
-            for j, b in enumerate(matrix.scanners):
-                v = matrix.values[i, j]
-                text = MISSING_MARK if math.isnan(v) else f"{v:.10g}"
-                writer.writerow([a, b, text, matrix.kind])
+    """Long-format table: scanner_a,scanner_b,value,kind, one row per cell."""
+    names, kind = matrix.scanners, matrix.kind
+    rows = ((a, b, value, kind) for a, row in zip(names, matrix.values.tolist()) for b, value in zip(names, row))
+    write_table(path, ["scanner_a", "scanner_b", "value", "kind"], rows)
 
 
 def write_trend_csv(trend: list[tuple[int, float]], path, kind: str = "jaccard_binary") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset", "norm", "kind"])
-        for offset, norm in trend:
-            writer.writerow([offset, f"{norm:.10g}", kind])
+    write_table(path, ["offset", "norm", "kind"], ((offset, norm, kind) for offset, norm in trend))
 
 
 def write_heatmap_svg(matrix: SimilarityMatrix, path, cell: int = 14) -> None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable, Union
 
+from .artifacts import write_table
 from .scanners import is_known_scanner
 
 __all__ = [
@@ -549,10 +550,5 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
 
 
 def write_ground_truth(records: Iterable[GroundTruthRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url", "label", "source", "labeled_at"])
-        for record in records:
-            writer.writerow(
-                [record.url, record.label.value, record.source, _ts_to_string(record.labeled_at)]
-            )
+    rows = ((r.url, r.label.value, r.source, _ts_to_string(r.labeled_at)) for r in records)
+    write_table(path, _GT_COLUMNS, rows)

@@ -7,13 +7,13 @@ neither scanner.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .correlate import MISSING_MARK, SimilarityMatrix
+from .artifacts import write_table
+from .correlate import SimilarityMatrix
 from .series import SeriesMap, _SeriesTable
 
 __all__ = [
@@ -91,9 +91,5 @@ def leader_ranking(matrix: SimilarityMatrix) -> list[tuple[str, float]]:
 
 
 def write_ranking_csv(ranking: list[tuple[str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "scanner", "mean_early_ratio"])
-        for rank, (scanner, mean) in enumerate(ranking, start=1):
-            text = MISSING_MARK if math.isnan(mean) else f"{mean:.10g}"
-            writer.writerow([rank, scanner, text])
+    rows = ((rank, scanner, mean) for rank, (scanner, mean) in enumerate(ranking, start=1))
+    write_table(path, ["rank", "scanner", "mean_early_ratio"], rows)

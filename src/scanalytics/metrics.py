@@ -10,13 +10,13 @@ are summed left to right in series order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
 
+from .artifacts import write_table
 from .feed import DetailedLabel
 from .series import LabelTimeSeries, SeriesMap, _SeriesTable
 
@@ -241,35 +241,19 @@ def url_label_stats(series: SeriesMap, window: int | None = None) -> UrlLabelSta
 
 
 def write_f1_csv(curves: dict[str, F1Curve], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scanner", "offset", "precision", "recall", "f1"])
-        for scanner in sorted(curves):
-            for offset, precision, recall, f1 in curves[scanner].points:
-                writer.writerow([scanner, offset, f"{precision:.10g}", f"{recall:.10g}", f"{f1:.10g}"])
+    rows = ((scanner, *point) for scanner in sorted(curves) for point in curves[scanner].points)
+    write_table(path, ["scanner", "offset", "precision", "recall", "f1"], rows)
 
 
 def write_certainty_csv(scores: dict[str, CertaintyScores], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scanner", "bl", "dl", "n_urls"])
-        for scanner in sorted(scores):
-            s = scores[scanner]
-            writer.writerow([scanner, f"{s.bl_certainty:.10g}", f"{s.dl_certainty:.10g}", s.n_urls])
+    rows = ((scanner, s.bl_certainty, s.dl_certainty, s.n_urls) for scanner, s in sorted(scores.items()))
+    write_table(path, ["scanner", "bl", "dl", "n_urls"], rows)
 
 
 def write_label_hist_csv(hist: dict[str, dict[int, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scanner", "bin", "ratio"])
-        for scanner in sorted(hist):
-            for bucket in _HIST_BINS:
-                writer.writerow([scanner, bucket, f"{hist[scanner][bucket]:.10g}"])
+    rows = ((scanner, bucket, hist[scanner][bucket]) for scanner in sorted(hist) for bucket in _HIST_BINS)
+    write_table(path, ["scanner", "bin", "ratio"], rows)
 
 
 def write_url_label_cdf_csv(stats: UrlLabelStats, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label_count", "cumulative_fraction"])
-        for count, cumulative in stats.label_count_cdf:
-            writer.writerow([count, f"{cumulative:.10g}"])
+    write_table(path, ["label_count", "cumulative_fraction"], stats.label_count_cdf)

@@ -13,7 +13,6 @@ read-only `SeriesView` over them; the analytics read the columns, and a
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from collections.abc import Collection, Iterator, Mapping
@@ -25,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .feed import DetailedLabel, FeedCohort
 
 __all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "SeriesView", "build_series", "align_by_offset", "write_series_csv"]
@@ -331,12 +331,6 @@ def write_series_csv(series: SeriesMap, path) -> None:
     """One row per point, sorted by (scanner, url, day_offset)."""
     table = _SeriesTable.of(series)
     order = np.lexsort((table.day, table.url, table.scanner))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scanner", "url", "day_offset", "bl", "dl"])
-        writer.writerows(
-            (table.scanners[s], table.urls[u], day, bl, _LABELS[dl].name)
-            for s, u, day, bl, dl in zip(
-                *(column[order].tolist() for column in (table.scanner, table.url, table.day, table.bl, table.dl))
-            )
-        )
+    columns = (column[order].tolist() for column in (table.scanner, table.url, table.day, table.bl, table.dl))
+    rows = ((table.scanners[s], table.urls[u], day, bl, _LABELS[dl].name) for s, u, day, bl, dl in zip(*columns))
+    write_table(path, ["scanner", "url", "day_offset", "bl", "dl"], rows)

@@ -422,3 +422,148 @@ class TestSeriesStayColumnar:
         assert run_cli("correlate", "--feed", feed, "--k", 3, "--out", tmp_path / "c") == 0
         assert tables_per_build == [1, 1, 1]
         assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == counts["_SeriesTable"] == 0
+
+
+@pytest.fixture(scope="module")
+def model_path(corpus_dir, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("model")
+    code = run_cli(
+        "classify", "train",
+        "--feed", corpus_dir / "feed.jsonl",
+        "--ground-truth", corpus_dir / "truth.csv",
+        "--hosting-cache", corpus_dir / "hosting_cache.csv",
+        "--whois-cache", corpus_dir / "whois_cache.csv",
+        "--clusters", 8, "--trees", 4, "--seed", SEED, "--out", out,
+    )
+    assert code == 0
+    return out / "model.json"
+
+
+def _one_error_line(capsys, code: int, kind: str, path: Path) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR code={code} kind={kind}")
+    assert str(path) in lines[0]
+
+
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def _first_tree(payload: dict, **fields) -> dict:
+    return dict(payload, trees=[dict(payload["trees"][0], **fields)] + payload["trees"][1:])
+
+
+class TestBadModelFile:
+    @pytest.mark.parametrize("verb", ["predict", "trend"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: "not json {",
+            lambda p: json.dumps([1, 2]),
+            lambda p: json.dumps(_without(p, "feature_names")),
+            lambda p: json.dumps(_without(p, "trees")),
+            lambda p: json.dumps(dict(p, trees=[])),
+            lambda p: json.dumps(dict(p, hyperparameters=[])),
+            lambda p: json.dumps(_first_tree(p, left="x")),
+            lambda p: json.dumps(_first_tree(p, value=p["trees"][0]["value"][:-1])),
+            lambda p: json.dumps(_first_tree(p, right=[len(p["trees"][0]["right"])] * len(p["trees"][0]["right"]))),
+            lambda p: json.dumps(_first_tree(p, feature=[999] + p["trees"][0]["feature"][1:])),
+            lambda p: json.dumps(dict(p, feature_names=["bogus." + n for n in p["feature_names"]])),
+        ],
+        ids=["not-json", "list", "no-feature-names", "no-trees", "empty-trees", "bad-hyperparameters",
+             "bad-array", "short-array", "child-out-of-range", "unknown-feature", "unknown-feature-group"],
+    )
+    def test_is_input_error(self, corpus_dir, model_path, tmp_path, capsys, verb, corrupt):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(corrupt(json.loads(model_path.read_text())))
+        code = run_cli(
+            "classify", verb, "--feed", corpus_dir / "feed.jsonl", "--model", bad, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        _one_error_line(capsys, 2, "input", bad)
+
+
+class TestBadPlantedFile:
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", "not json", '"groups"', '{"groups": [1, 2]}', '{"groups": {"Alpha": [1]}}'],
+        ids=["list", "not-json", "string", "groups-list", "group-not-a-name"],
+    )
+    def test_is_input_error(self, synth_dir, tmp_path, capsys, text):
+        planted = tmp_path / "planted.json"
+        planted.write_text(text)
+        code = run_cli(
+            "correlate", "--feed", synth_dir / "feed.jsonl", "--planted", planted, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        _one_error_line(capsys, 2, "input", planted)
+
+
+class TestBadScenarioFile:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"kind": "classifier", "n_phishing": 5, "n_malware": 5, "bogus": 1}),
+            json.dumps({"kind": "classifier", "n_phishing": 5}),
+            json.dumps({"preset": "no-such-preset"}),
+            json.dumps({"name": "x", "n_urls": [], "horizon_days": 3, "archetypes": []}),
+            json.dumps({"name": "x", "n_urls": {"phishing": 3}, "horizon_days": 3,
+                        "archetypes": [{"name": "A", "kind": "stable", "label": "PhishingSite", "bogus": 1}]}),
+            "not json",
+            "[1, 2]",
+        ],
+        ids=["classifier-unknown-field", "classifier-missing-field", "unknown-preset", "n-urls-list",
+             "archetype-unknown-field", "not-json", "list"],
+    )
+    def test_is_config_error(self, tmp_path, capsys, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", scenario)
+
+
+def _table_runs(synth_dir, corpus_dir, model_path):
+    feed, corpus_feed = synth_dir / "feed.jsonl", corpus_dir / "feed.jsonl"
+    caches = ["--hosting-cache", corpus_dir / "hosting_cache.csv", "--whois-cache", corpus_dir / "whois_cache.csv"]
+    fit = ["--feed", corpus_feed, "--ground-truth", corpus_dir / "truth.csv", *caches,
+           "--clusters", 8, "--trees", 4, "--seed", SEED]
+    return {
+        "metrics": ["metrics", "--feed", feed, "--ground-truth", synth_dir / "truth.csv", "--export-series"],
+        "correlate": ["correlate", "--feed", feed, "--heatmaps", "--k", 3, "--planted", synth_dir / "planted.json"],
+        "leadlag": ["leadlag", "--feed", feed],
+        "train": ["classify", "train", *fit],
+        "ablate": ["classify", "ablate", *fit],
+        "predict": ["classify", "predict", "--feed", corpus_feed, "--model", model_path, *caches],
+        "trend": ["classify", "trend", "--feed", corpus_feed, "--model", model_path],
+    }
+
+
+class TestFormatContract:
+    """`--format json` writes the rows `--format csv` writes: each JSON table
+    is its CSV twin read back with `csv.DictReader`, and every other artifact
+    is byte-identical."""
+
+    @pytest.mark.parametrize("command", ["metrics", "correlate", "leadlag", "train", "ablate", "predict", "trend"])
+    def test_json_tables_are_csv_rows(self, synth_dir, corpus_dir, model_path, tmp_path, command):
+        argv = _table_runs(synth_dir, corpus_dir, model_path)[command]
+        for fmt in ("csv", "json"):
+            assert run_cli(*argv, "--format", fmt, "--out", tmp_path / fmt) == 0
+        as_csv, as_json = (
+            json.loads((tmp_path / fmt / "run_manifest.json").read_text())["artifacts"] for fmt in ("csv", "json")
+        )
+        assert {Path(name).stem for name in as_csv} == {Path(name).stem for name in as_json}
+        assert not [name for name in as_json if name.endswith(".csv")]
+        tables = 0
+        for name in as_json:
+            written = (tmp_path / "json" / name).read_text(encoding="utf-8")
+            twin = tmp_path / "csv" / Path(name).with_suffix(".csv")
+            if name.endswith(".json") and twin.name in as_csv:
+                tables += 1
+                with open(twin, encoding="utf-8", newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert written == json.dumps(rows, sort_keys=True, indent=2) + "\n", name
+            else:
+                assert written == (tmp_path / "csv" / name).read_text(encoding="utf-8"), name
+        assert tables

@@ -110,3 +110,27 @@ class TestTreeOrderInvariance:
         reordered = replace(model, trees=tuple(reversed(model.trees)))
         assert np.array_equal(reordered.predict_proba(X), model.predict_proba(X))
         assert np.array_equal(reordered.predict(X), model.predict(X))
+
+
+class TestLoadRejectsUnwalkableTrees:
+    """A saved tree whose walk could leave the arrays or never reach a leaf
+    is rejected on load, before `predict` runs it."""
+
+    @pytest.mark.parametrize(
+        "child_ids",
+        [lambda n: [0] * n, lambda n: list(range(n)), lambda n: [n] * n, lambda n: [-1] * n],
+        ids=["root", "self", "past-end", "negative"],
+    )
+    def test_bad_child_ids(self, tmp_path, child_ids):
+        import json
+
+        X, y = _separable(seed=12)
+        model = train_forest_model(X, y, [f"f{i}" for i in range(5)], seed=5, n_estimators=3)
+        path = tmp_path / "model.json"
+        save_forest(model, path)
+        payload = json.loads(path.read_text())
+        tree = payload["trees"][0]
+        tree["left"] = child_ids(len(tree["left"]))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=str(path)):
+            load_forest(path)
