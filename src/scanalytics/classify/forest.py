@@ -1,10 +1,19 @@
 """Bagged decision forest for binary attack-type classification.
 
 Trees use axis-aligned splits chosen by Gini impurity over candidate
-thresholds at midpoints of adjacent distinct feature values. Tree t draws its
-bootstrap sample and split-feature subsets from a generator seeded with
-(seed + t), so training is reproducible at any parallelism level. Prediction
-is the majority over tree votes; the score is the vote fraction for class 1.
+thresholds at midpoints of adjacent distinct feature values. The search is
+exact and sorts nothing per node: each column's distinct values are ranked
+once per forest (`_BinnedMatrix`), and a node reads its row and positive
+counts per value from two `np.bincount` calls over those ranks. Prefix sums
+over the values present in the node score every boundary with the float
+expression a sort of the node's rows would use, so each tree is the one that
+sort would grow, bit for bit. This is the histogram search of LightGBM (Ke et
+al. 2017) with one bin per distinct value instead of approximate bins.
+
+Tree t draws its bootstrap sample and split-feature subsets from a generator
+seeded with (seed + t), so training is reproducible at any parallelism level.
+Prediction is the majority over tree votes; the score is the vote fraction
+for class 1.
 
 Models persist to a versioned JSON file carrying hyperparameters, the
 feature-name manifest, the scanner cluster model, and every tree; loading
@@ -70,14 +79,56 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+@dataclass(frozen=True)
+class _BinnedMatrix:
+    """A training matrix with every cell's exact per-value bin.
+
+    Column f's distinct values, ascending as `np.unique` orders them, take
+    the global bin ids offset[f], offset[f] + 1, ...; `codes[i, f]` is the
+    bin of `X[i, f]`, `values[b]` its value and `bin_feature[b]` its column.
+    `np.unique` puts -0.0 and 0.0 in one bin, and every NaN in one bin
+    after the column's numbers.
+    """
+
+    X: np.ndarray  # float64 (rows, features)
+    codes: np.ndarray  # intp (rows, features)
+    values: np.ndarray  # float64 per bin
+    bin_feature: np.ndarray  # intp per bin
+
+    @classmethod
+    def encode(cls, X: np.ndarray) -> "_BinnedMatrix":
+        codes = np.empty(X.shape, dtype=np.intp)
+        columns = []
+        offset = 0
+        for f in range(X.shape[1]):
+            distinct, rank = np.unique(X[:, f], return_inverse=True)
+            codes[:, f] = rank + offset
+            offset += len(distinct)
+            columns.append(distinct)
+        bin_feature = np.repeat(np.arange(X.shape[1]), [len(column) for column in columns])
+        return cls(X, codes, np.concatenate([np.empty(0), *columns]), bin_feature)
+
+    def take(self, rows: np.ndarray) -> "_BinnedMatrix":
+        return _BinnedMatrix(self.X[rows], self.codes[rows], self.values, self.bin_feature)
+
+
 def _build_tree(
-    X: np.ndarray,
+    data: _BinnedMatrix,
     y: np.ndarray,
     max_depth: int,
     max_features: int,
     rng: np.random.Generator,
 ) -> DecisionTree:
+    """Grow one tree depth first. At each node every boundary between two
+    adjacent values of a candidate column is a split; the lowest weighted
+    Gini wins, ties going to the smaller left side, then the smaller column.
+
+    Counts come from per-value bins, not from sorting the node: the bins
+    present in the node, in bin order, are its sorted distinct values, and
+    prefix sums over them give the left side of every boundary."""
+    X, codes, values, bin_feature = data.X, data.codes, data.values, data.bin_feature
     n_features = X.shape[1]
+    n_bins = len(values)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -108,43 +159,64 @@ def _build_tree(
             continue
         node_gini = _gini(np.array([n - ones, ones]), n)
 
+        # The subset is drawn only when it is a strict subset, so the draws
+        # follow the depth-first order of the nodes that reach this line.
         if max_features < n_features:
             candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            node_codes = codes[np.ix_(idx, candidates)]
         else:
-            candidates = np.arange(n_features)
-        Xc = X[np.ix_(idx, candidates)]
+            node_codes = codes[idx]
+        counts = np.bincount(node_codes.ravel(), minlength=n_bins)
+        positives = np.bincount(node_codes[labels == 1].ravel(), minlength=n_bins)
+        present = np.flatnonzero(counts)
+        cum_n = np.cumsum(counts[present])
+        cum_pos = np.cumsum(positives[present])
+        # A boundary joins two adjacent present bins of one column whose
+        # values strictly increase: NaN, compared to anything, is never
+        # greater, so as with sorted rows no split separates it.
+        lo, hi = present[:-1], present[1:]
+        boundary = np.flatnonzero(
+            (bin_feature[lo] == bin_feature[hi]) & (values[hi] > values[lo])
+        )
+        if not boundary.size:
+            continue
+        # Every candidate column holds all n rows of the node, so the j-th
+        # one's prefix sums start after j * n rows and j * ones positives,
+        # and a boundary's left side (1 to n - 1 rows) gives j = cum_n // n.
+        cum_n = cum_n[boundary]
+        column_start = cum_n // n
+        left_pos = cum_pos[boundary] - column_start * ones
 
-        order = np.argsort(Xc, axis=0, kind="stable")
-        x_sorted = np.take_along_axis(Xc, order, axis=0)
-        y_sorted = labels[order]
-        pos_prefix = np.cumsum(y_sorted, axis=0)
-        total_pos = pos_prefix[-1]
-
-        left_n = np.arange(1, n, dtype=float)[:, None]
+        # Term for term the expression over a node's sorted rows, with a
+        # float left_n and an int left_pos, so the floats and ties match it.
+        left_n = (cum_n - column_start * n).astype(float)
         right_n = n - left_n
-        left_pos = pos_prefix[:-1]
-        right_pos = total_pos[None, :] - left_pos
+        right_pos = ones - left_pos
         left_p = left_pos / left_n
         right_p = right_pos / right_n
         gini_left = 1.0 - left_p**2 - (1.0 - left_p) ** 2
         gini_right = 1.0 - right_p**2 - (1.0 - right_p) ** 2
         weighted = (left_n * gini_left + right_n * gini_right) / n
-        valid = x_sorted[1:] > x_sorted[:-1]
-        weighted = np.where(valid, weighted, np.inf)
 
-        flat = int(np.argmin(weighted))
-        best = weighted.flat[flat]
-        if not np.isfinite(best) or best >= node_gini - 1e-12:
+        lo, hi = lo[boundary], hi[boundary]
+        # Lowest Gini, then fewest rows on the left, then the lowest column:
+        # the order of a row-major argmin over a (left rows, column) grid.
+        best = int(np.lexsort((bin_feature[lo], left_n, weighted))[0])
+        if weighted[best] >= node_gini - 1e-12:
             continue
-        split_row, feat_col = divmod(flat, weighted.shape[1])
-        x_lo = x_sorted[split_row, feat_col]
-        x_hi = x_sorted[split_row + 1, feat_col]
+        # The threshold is the midpoint of the two adjacent present values.
+        feat = int(bin_feature[lo[best]])
+        x_lo = values[lo[best]]
+        x_hi = values[hi[best]]
         thr = (x_lo + x_hi) / 2.0
+        column = X[idx, feat]
         if thr >= x_hi:  # midpoint rounded up between adjacent floats
-            thr = x_lo
-        feat = int(candidates[feat_col])
+            # The node's last row equal to x_lo, as a stable sort places
+            # it: its sign of zero may differ from the bin's value.
+            thr = column[column == x_lo][-1]
 
-        go_left = X[idx, feat] <= thr
+        # Partition on the raw values, so NaN rows go right.
+        go_left = column <= thr
         left_idx = idx[go_left]
         right_idx = idx[~go_left]
 
@@ -208,19 +280,21 @@ def train_forest_model(
 ) -> ForestModel:
     """Train bagged Gini trees. Output is identical for any `threads` value."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int8)
+    y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be 2-D with one label per row")
-    if set(np.unique(y)) - {0, 1}:
+    if not np.all((y == 0) | (y == 1)):  # before the cast, which wraps 256 to 0
         raise ValueError("labels must be 0/1")
+    y = y.astype(np.int8)
     if len(feature_names) != X.shape[1]:
         raise ValueError("feature_names length must match X columns")
     effective_features = min(max_features, X.shape[1])
+    data = _BinnedMatrix.encode(X)
 
     def train_one(t: int) -> DecisionTree:
         rng = np.random.default_rng(seed + t)
         boot = rng.integers(0, len(y), len(y))
-        return _build_tree(X[boot], y[boot], max_depth, effective_features, rng)
+        return _build_tree(data.take(boot), y[boot], max_depth, effective_features, rng)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

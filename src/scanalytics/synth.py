@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
+from numbers import Integral, Real
 
 from .feed import (
     DetailedLabel,
@@ -87,6 +88,13 @@ class ScannerArchetype:
             raise ValueError("copier needs a target and lag_days >= 1")
         if self.kind == "specialist" and not (0 < self.recall <= 1 and 0 < self.precision <= 1):
             raise ValueError("specialist recall/precision must be in (0, 1]")
+        if self.kind == "specialist" and self.attack not in _CLASS_LABEL:
+            raise ValueError(f"specialist attack must be one of {sorted(_CLASS_LABEL)}, got {self.attack!r}")
+        if self.kind == "flipper" and not (self.labels and self.period_days >= 1):
+            raise ValueError("flipper needs labels and period_days >= 1")
+        unknown = [name for name in (self.label, *self.labels) if name is not None and name not in _LABEL_BY_NAME]
+        if unknown:
+            raise ValueError(f"unknown label names {unknown}; known: {sorted(_LABEL_BY_NAME)}")
 
 
 @dataclass(frozen=True)
@@ -350,6 +358,22 @@ class ClassifierCorpusConfig:
     lexical_signal_rate: float = 0.55
     hosting_coverage: float = 0.7
     whois_coverage: float = 0.6
+
+    def __post_init__(self) -> None:
+        for name in ("n_phishing", "n_malware", "span_days", "copier_cluster_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        for name in (
+            "copier_fire_phishing", "copier_fire_malware", "phish_specialist_recall",
+            "malware_specialist_recall", "generalist_rate", "lexical_signal_rate",
+            "hosting_coverage", "whois_coverage",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not isinstance(self.start, date):
+            raise ValueError(f"start must be a date, got {self.start!r}")
 
 
 @dataclass(frozen=True)

@@ -524,6 +524,36 @@ class TestBadScenarioFile:
         _one_error_line(capsys, 4, "config", scenario)
 
 
+def _feed_scenario(**archetype):
+    return json.dumps({"name": "x", "n_urls": {"phishing": 3, "malware": 3}, "horizon_days": 3,
+                       "archetypes": [dict({"name": "A"}, **archetype)]})
+
+
+class TestBadScenarioValues:
+    """A scenario field of the right name but a wrong type or value is a
+    config error, not a traceback from inside the generator."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"kind": "classifier", "n_phishing": "ten", "n_malware": 5}),
+            json.dumps({"kind": "classifier", "n_phishing": -3, "n_malware": 5}),
+            json.dumps({"kind": "classifier", "n_phishing": 5, "n_malware": 5, "generalist_rate": 2}),
+            _feed_scenario(kind="stable", label="NoSuchLabel"),
+            _feed_scenario(kind="flipper", labels=["PhishingSite", "NoSuchLabel"]),
+            _feed_scenario(kind="flipper", labels=[]),
+            _feed_scenario(kind="specialist", attack="spam"),
+        ],
+        ids=["classifier-count-string", "classifier-count-negative", "classifier-rate-above-one",
+             "archetype-unknown-label", "flipper-unknown-label", "flipper-no-labels", "specialist-unknown-attack"],
+    )
+    def test_is_config_error(self, tmp_path, capsys, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", scenario)
+
+
 def _table_runs(synth_dir, corpus_dir, model_path):
     feed, corpus_feed = synth_dir / "feed.jsonl", corpus_dir / "feed.jsonl"
     caches = ["--hosting-cache", corpus_dir / "hosting_cache.csv", "--whois-cache", corpus_dir / "whois_cache.csv"]

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanalytics.classify.forest import (
+    DecisionTree,
     ModelFormatError,
+    _BinnedMatrix,
+    _build_tree,
     load_forest,
     save_forest,
     train_forest_model,
@@ -134,3 +139,195 @@ class TestLoadRejectsUnwalkableTrees:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match=str(path)):
             load_forest(path)
+
+
+class TestLabelValidation:
+    """Labels are checked before the int8 cast, which would wrap 256 to 0
+    and -255 to 1 and truncate 0.5 to 0."""
+
+    @pytest.mark.parametrize("bad", [256, 0.5, -255])
+    def test_non_binary_label_rejected(self, bad):
+        X, y = _separable(n=20, seed=13)
+        labels = y.tolist()
+        labels[3] = bad
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            train_forest_model(X, np.array(labels), [f"f{i}" for i in range(5)], seed=0, n_estimators=2)
+
+    def test_binary_labels_of_any_dtype_accepted(self):
+        X, y = _separable(n=20, seed=13)
+        names = [f"f{i}" for i in range(5)]
+        reference = train_forest_model(X, y, names, seed=0, n_estimators=2)
+        for labels in (y.astype(float), y.astype(bool), y.astype(np.int64)):
+            model = train_forest_model(X, labels, names, seed=0, n_estimators=2)
+            assert np.array_equal(model.predict_proba(X), reference.predict_proba(X))
+
+
+def _reference_gini(counts, total):
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+def _reference_build_tree(X, y, max_depth, max_features, rng):
+    """The sort-every-node `_build_tree` the rank-binned search replaced."""
+    n_features = X.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(majority):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(majority)
+        return len(feature) - 1
+
+    def majority_class(labels):
+        ones = int(labels.sum())
+        zeros = len(labels) - ones
+        return 1 if ones > zeros else 0
+
+    root = new_node(majority_class(y))
+    stack = [(np.arange(len(y)), 0, root)]
+    while stack:
+        idx, depth, node_id = stack.pop()
+        labels = y[idx]
+        n = len(idx)
+        ones = int(labels.sum())
+        if n < 2 or ones == 0 or ones == n or depth >= max_depth:
+            continue
+        node_gini = _reference_gini(np.array([n - ones, ones]), n)
+
+        if max_features < n_features:
+            candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            candidates = np.arange(n_features)
+        Xc = X[np.ix_(idx, candidates)]
+
+        order = np.argsort(Xc, axis=0, kind="stable")
+        x_sorted = np.take_along_axis(Xc, order, axis=0)
+        y_sorted = labels[order]
+        pos_prefix = np.cumsum(y_sorted, axis=0)
+        total_pos = pos_prefix[-1]
+
+        left_n = np.arange(1, n, dtype=float)[:, None]
+        right_n = n - left_n
+        left_pos = pos_prefix[:-1]
+        right_pos = total_pos[None, :] - left_pos
+        left_p = left_pos / left_n
+        right_p = right_pos / right_n
+        gini_left = 1.0 - left_p**2 - (1.0 - left_p) ** 2
+        gini_right = 1.0 - right_p**2 - (1.0 - right_p) ** 2
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        valid = x_sorted[1:] > x_sorted[:-1]
+        weighted = np.where(valid, weighted, np.inf)
+
+        flat = int(np.argmin(weighted))
+        best = weighted.flat[flat]
+        if not np.isfinite(best) or best >= node_gini - 1e-12:
+            continue
+        split_row, feat_col = divmod(flat, weighted.shape[1])
+        x_lo = x_sorted[split_row, feat_col]
+        x_hi = x_sorted[split_row + 1, feat_col]
+        thr = (x_lo + x_hi) / 2.0
+        if thr >= x_hi:
+            thr = x_lo
+        feat = int(candidates[feat_col])
+
+        go_left = X[idx, feat] <= thr
+        left_idx = idx[go_left]
+        right_idx = idx[~go_left]
+
+        feature[node_id] = feat
+        threshold[node_id] = float(thr)
+        left_id = new_node(majority_class(y[left_idx]))
+        right_id = new_node(majority_class(y[right_idx]))
+        left[node_id] = left_id
+        right[node_id] = right_id
+        stack.append((left_idx, depth + 1, left_id))
+        stack.append((right_idx, depth + 1, right_id))
+
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.int8),
+    )
+
+
+def _assert_same_tree(X, y, max_depth, max_features, seed, data=None):
+    """`data` defaults to X's own bins; a forest passes the bootstrap rows of
+    the whole matrix's bins, some of which the sample lacks."""
+    data = _BinnedMatrix.encode(X) if data is None else data
+    expected = _reference_build_tree(X, y, max_depth, max_features, np.random.default_rng(seed))
+    actual = _build_tree(data, y, max_depth, max_features, np.random.default_rng(seed))
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(actual, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+# Every float the split search treats specially: both zeros (one bin, equal
+# under `<=`), both infinities (a midpoint that rounds up to x_hi), the
+# smallest subnormal, a value whose sum with its neighbour overflows, and NaN.
+_SPECIAL_VALUES = (-np.inf, -2.0, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 3.0, 1.7e308, np.inf, np.nan)
+
+
+class TestRankBinnedSplitsMatchReference:
+    """`_build_tree` grows the same tree, bit for bit, as sorting every
+    candidate column at every node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_tree_as_sorting_every_node(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        n_features = data.draw(st.integers(min_value=1, max_value=6))
+        if data.draw(st.booleans()):
+            cell = st.integers(min_value=0, max_value=3).map(float)  # few values, many ties
+        else:
+            cell = st.sampled_from(_SPECIAL_VALUES)
+        cells = data.draw(st.lists(cell, min_size=n * n_features, max_size=n * n_features))
+        X = np.array(cells, dtype=float).reshape(n, n_features)
+        for f in data.draw(st.sets(st.integers(min_value=0, max_value=n_features - 1))):
+            X[:, f] = X[0, f]  # a constant column
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+        max_features = data.draw(st.integers(min_value=1, max_value=n_features))
+        max_depth = data.draw(st.integers(min_value=1, max_value=30))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        _assert_same_tree(X, y, max_depth, max_features, seed)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.0, -0.0, np.inf, np.inf], [-0.0, 0.0, np.inf, np.inf], [-0.0, np.inf, 0.0, np.inf]],
+        ids=["last-zero-negative", "last-zero-positive", "zeros-interleaved"],
+    )
+    def test_rounded_up_threshold_keeps_the_rows_sign_of_zero(self, column):
+        # The midpoint of a zero and +inf rounds up to inf, so the threshold
+        # falls back to the node's last zero in sorted order, with its sign.
+        X = np.array(column)[:, None]
+        y = np.isinf(X[:, 0]).astype(np.int8)
+        _assert_same_tree(X, y, max_depth=5, max_features=1, seed=0)
+
+    def test_bench_sized_forest_matches_tree_by_tree(self):
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 12, size=(400, 8)).astype(float)
+        X[:, 3] = rng.normal(size=400).round(2)
+        X[:, 5] = 1.0
+        y = ((X[:, 0] + X[:, 3] + rng.normal(size=400)) > 6).astype(np.int8)
+        data = _BinnedMatrix.encode(X)
+        for t in range(6):
+            boot = np.random.default_rng(100 + t).integers(0, len(y), len(y))
+            max_features = 5 if t % 2 else 8
+            _assert_same_tree(X[boot], y[boot], 250, max_features, seed=t, data=data.take(boot))
+
+    def test_saved_model_bytes_equal_across_thread_counts(self, tmp_path):
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, 4, size=(300, 6)).astype(float)
+        X[::7, 2] = np.nan
+        y = ((X[:, 0] + X[:, 1] + rng.integers(0, 3, 300)) > 4).astype(np.int8)
+        names = [f"f{i}" for i in range(6)]
+        paths = []
+        for threads in (1, 4):
+            model = train_forest_model(X, y, names, seed=9, n_estimators=12, max_features=4, threads=threads)
+            paths.append(tmp_path / f"model-{threads}.json")
+            save_forest(model, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
