@@ -288,6 +288,8 @@ def train_forest_model(
     y = y.astype(np.int8)
     if len(feature_names) != X.shape[1]:
         raise ValueError("feature_names length must match X columns")
+    if n_estimators < 1 or max_features < 1:
+        raise ValueError("n_estimators and max_features must be >= 1")
     effective_features = min(max_features, X.shape[1])
     data = _BinnedMatrix.encode(X)
 

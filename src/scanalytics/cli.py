@@ -521,12 +521,12 @@ def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig
             return ClassifierCorpusConfig(seed=seed, **fields)
         return ScenarioConfig(
             name=raw["name"],
-            n_urls={str(k): int(v) for k, v in raw["n_urls"].items()},
-            horizon_days=int(raw["horizon_days"]),
+            n_urls=raw["n_urls"],
+            horizon_days=raw["horizon_days"],
             archetypes=tuple(_archetype_from_dict(a) for a in raw["archetypes"]),
             seed=seed,
-            noise=float(raw.get("noise", 0.0)),
-            stale_fraction=float(raw.get("stale_fraction", 0.0)),
+            noise=raw.get("noise", 0.0),
+            stale_fraction=raw.get("stale_fraction", 0.0),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(f"bad scenario file {path}: {exc}") from None
@@ -579,11 +579,23 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(kind: type, low: float, high: float | None = None, strict: bool = False):
+    """An argparse type: a `kind` value of at least `low` and, with `high`,
+    at most `high`; `strict` excludes both bounds. Limits that depend on the
+    data are checked where the data is read."""
+    above, below = (">", "<") if strict else (">=", "<=")
+    domain = f"{above} {low}" + (f" and {below} {high}" if high is not None else "")
+
+    def parse(text: str):
+        value = kind(text)
+        low_ok = value > low if strict else value >= low
+        high_ok = high is None or (value < high if strict else value <= high)
+        if not (low_ok and high_ok):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -596,7 +608,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--feed", required=True, help="line-delimited scan-report feed")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
-            "--threads", type=_thread_count, default=1,
+            "--threads", type=_bounded(int, 1), default=1,
             help="worker threads for classify train/ablate; other subcommands run single-threaded",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -611,16 +623,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="F-1 trends, certainty, label statistics")
     common(p)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--window", type=int, default=30)
-    p.add_argument("--max-offset", type=int, default=30)
+    p.add_argument("--window", type=_bounded(int, 1), default=30)
+    p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
     p.add_argument("--export-series", action="store_true")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("correlate", help="Jaccard/DTW matrices and clustering")
     common(p)
-    p.add_argument("--window", type=int, default=30)
-    p.add_argument("--max-offset", type=int, default=30)
-    p.add_argument("--k", type=int, default=None, help="cut dendrogram into k clusters")
+    p.add_argument("--window", type=_bounded(int, 1), default=30)
+    p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
+    p.add_argument("--k", type=_bounded(int, 1), default=None, help="cut dendrogram into k clusters")
     p.add_argument("--cut-height", type=float, default=None)
     p.add_argument("--planted", default=None, help="planted manifest for recovery scoring")
     p.add_argument("--heatmaps", action="store_true", help="also emit SVG heatmaps")
@@ -628,7 +640,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("leadlag", help="early-detection matrix and leader ranking")
     common(p)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_bounded(int, 1), default=None)
     p.set_defaults(func=_cmd_leadlag)
 
     p = sub.add_parser("classify", help="attack-type classifier")
@@ -639,9 +651,9 @@ def _build_parser() -> _Parser:
     pt.add_argument("--ground-truth", required=True)
     pt.add_argument("--hosting-cache", default=None)
     pt.add_argument("--whois-cache", default=None)
-    pt.add_argument("--split", type=float, default=0.8)
-    pt.add_argument("--clusters", type=int, default=15)
-    pt.add_argument("--trees", type=int, default=200)
+    pt.add_argument("--split", type=_bounded(float, 0, 1, strict=True), default=0.8)
+    pt.add_argument("--clusters", type=_bounded(int, 2), default=15)
+    pt.add_argument("--trees", type=_bounded(int, 1), default=200)
     pt.add_argument("--groups", nargs="+", default=list(ALL_GROUPS))
     pt.set_defaults(func=_cmd_classify_train)
 
@@ -657,9 +669,9 @@ def _build_parser() -> _Parser:
     pa.add_argument("--ground-truth", required=True)
     pa.add_argument("--hosting-cache", default=None)
     pa.add_argument("--whois-cache", default=None)
-    pa.add_argument("--split", type=float, default=0.8)
-    pa.add_argument("--clusters", type=int, default=15)
-    pa.add_argument("--trees", type=int, default=200)
+    pa.add_argument("--split", type=_bounded(float, 0, 1, strict=True), default=0.8)
+    pa.add_argument("--clusters", type=_bounded(int, 2), default=15)
+    pa.add_argument("--trees", type=_bounded(int, 1), default=200)
     pa.set_defaults(func=_cmd_classify_ablate)
 
     pr = verbs.add_parser("trend")

@@ -11,9 +11,12 @@ Co-detection comes from the series table (`series._SeriesTable`): Jaccard
 matrices are integer products of (scanner x URL) detection marks, and the
 DTW matrix takes its co-detected URLs from the same marks.
 
-The DTW matrix is batched and exact: all alignments of one length run
-through the full grid together, one grid row per numpy step (`_dtw_batch`).
-The scalar `dtw_distance` is the oracle it must equal.
+The DTW matrix is batched and exact. Every (pair, co-detected URL)
+alignment comes from the table one way, ragged or not: both series' labels,
+carried forward over the days either observed. All alignments of one length
+run through the full grid together, one grid row per numpy step
+(`_dtw_batch`). The scalar `dtw_distance` over `_aligned_pair` sequences is
+the reference it must equal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .feed import DetailedLabel
-from .series import _NO_DAY, SeriesMap, _SeriesTable
+from .series import SeriesMap, _SeriesTable
 
 __all__ = [
     "MatrixKind",
@@ -187,7 +190,8 @@ def _aligned_pair(ts_a, ts_b, window: int | None) -> tuple[list[int], list[int]]
     """Both scanners' binary labels over the union of their observed days.
 
     Absent days take the scanner's last observed value; days before its
-    first observation take 0.
+    first observation take 0. The per-pair reference for the alignments
+    `scanner_dtw_matrix` builds from the series table.
     """
     def observed(ts):
         return [
@@ -252,60 +256,49 @@ def scanner_dtw_matrix(
     pairs with no co-detected URL get NaN.
 
     Batched and exact: the result equals averaging `dtw_distance` over each
-    pair's `_aligned_pair` sequences. Where both scanners observed the same
-    days, those are their raw windowed label sequences; elsewhere
-    `_aligned_pair` builds them. All alignments of one length run together
-    through `_dtw_batch`. Distances are integers, so sums and means do not
-    depend on summation order.
+    pair's `_aligned_pair` sequences. Every detecting series is laid on one
+    grid of the window's observed days, with the days it observed and its
+    label carried forward to every grid day; an alignment is both carried
+    rows at the days either scanner observed. All alignments of one length
+    run together through `_dtw_batch`. Distances are integers, so sums and
+    means do not depend on summation order.
     """
     table = _SeriesTable.of(series)
     order = _scanner_order(table, scanners)
     detected = table.summary(0, window).labels.any(axis=-1)
     detects = table.rows(detected, order)
 
-    # Each detecting series' windowed labels and observed days, interned as
-    # ids [scanner, url]. They are a prefix of its rows (rows run in day
-    # order), padded here to one width with values no label or day takes.
-    keyed = detected[table.keys]
-    key_s, key_u, start = table.key_scanner[keyed], table.key_url[keyed], table.key_start[keyed]
-    inside = np.ones(len(table.day), dtype=bool) if window is None else table.day < window
-    before = np.concatenate(([0], np.cumsum(inside)))
-    n_inside = before[table.key_stop[keyed]] - before[start]
-    at = start[:, None] + np.arange(int(np.max(n_inside, initial=0)))
-    pad = at >= (start + n_inside)[:, None]
-    at[pad] = 0
-    unique_rows, labels = np.unique(np.where(pad, -1, table.bl[at]), axis=0, return_inverse=True)
-    days = np.unique(np.where(pad, _NO_DAY, table.day[at]), axis=0, return_inverse=True)[1]
-    sequences = {tuple(row[row >= 0].tolist()): k for k, row in enumerate(unique_rows)}
-    label_id = np.zeros((len(table.scanners), len(table.urls)), dtype=np.int64)
-    day_id = np.zeros_like(label_id)
-    label_id[key_s, key_u] = labels.reshape(-1)
-    day_id[key_s, key_u] = days.reshape(-1)
+    # Detecting series, one row each, on the grid of their windowed days.
+    # `mark` holds 2 * (column + 1) + bl where a series observed a day, so
+    # its running maximum carries the last observation forward (0 before it).
+    slot = np.full(detected.shape, -1, dtype=np.int32)
+    slot[detected] = np.arange(np.count_nonzero(detected))
+    point = slot[table.scanner, table.url]
+    kept = point >= 0
+    if window is not None:
+        kept &= table.day < window
+    grid, column = np.unique(table.day[kept], return_inverse=True)
+    mark = np.zeros((np.count_nonzero(detected), len(grid)), dtype=np.int32)
+    mark[point[kept], column] = 2 * column + 2 + table.bl[kept]
+    seen = mark > 0
+    carried = (np.maximum.accumulate(mark, axis=1) % 2).astype(np.int8)
 
-    # Alignments: (pair, co-detected URL) in pair order, then URL order.
+    # Alignments: (pair, co-detected URL) in pair order, then URL order, over
+    # the days either scanner observed.
     n = len(order)
     first, second = np.triu_indices(n, 1)
     pair, url = np.nonzero(detects[first] & detects[second])
     # A name the table lacks detects nothing, so its -1 never reaches an alignment.
     rows = np.array([table.scanner_index.get(name, -1) for name in order], dtype=np.int64)
-    row_a, row_b = rows[first[pair]], rows[second[pair]]
-    id_a, id_b = label_id[row_a, url], label_id[row_b, url]
-    # Where the day sets differ, intern the `_aligned_pair` sequences instead.
-    for k in np.flatnonzero(day_id[row_a, url] != day_id[row_b, url]).tolist():
-        key_url = table.urls[url[k]]
-        seq_a, seq_b = _aligned_pair(
-            series[(order[first[pair[k]]], key_url)], series[(order[second[pair[k]]], key_url)], window
-        )
-        id_a[k] = sequences.setdefault(tuple(seq_a), len(sequences))
-        id_b[k] = sequences.setdefault(tuple(seq_b), len(sequences))
-
-    by_id = list(sequences)
-    lengths = np.array([len(by_id[k]) for k in id_a.tolist()], dtype=np.int64)
-    distance = np.empty(len(id_a), dtype=np.int64)
+    slot_a, slot_b = slot[rows[first[pair]], url], slot[rows[second[pair]], url]
+    days = seen[slot_a] | seen[slot_b]
+    lengths = days.sum(axis=1)
+    distance = np.empty(len(pair), dtype=np.int64)
     for length in np.unique(lengths).tolist():
         sel = np.flatnonzero(lengths == length)
+        on = days[sel]
         distance[sel] = _dtw_batch(
-            [by_id[k] for k in id_a[sel].tolist()], [by_id[k] for k in id_b[sel].tolist()]
+            carried[slot_a[sel]][on].reshape(-1, length), carried[slot_b[sel]][on].reshape(-1, length)
         )
 
     counts = np.bincount(pair, minlength=len(first))
@@ -409,7 +402,7 @@ def hierarchical_cluster(
             dist[(min(new_id, other), max(new_id, other))] = (
                 size_a * da + size_b * db
             ) / (size_a + size_b)
-        dist = {key: v for key, v in dist.items() if a not in key and b not in key}
+        del dist[(i, j)]  # the only key left that names a or b
         active.add(new_id)
 
     dendrogram = Dendrogram(leaves=leaves, merges=tuple(merges))

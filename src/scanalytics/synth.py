@@ -49,6 +49,16 @@ _GT_LABEL = {
 _LABEL_BY_NAME = {label.name: label for label in DetailedLabel}
 
 
+def _require_integer(name: str, value, low: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_fraction(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScannerArchetype:
     """One planted scanner behavior.
@@ -84,6 +94,13 @@ class ScannerArchetype:
     def __post_init__(self) -> None:
         if self.kind not in ("stable", "flipper", "leader", "copier", "specialist"):
             raise ValueError(f"unknown archetype kind {self.kind!r}")
+        for name in ("onset_min", "onset_max", "lag_days", "period_days"):
+            _require_integer(name, getattr(self, name))
+        if self.duration_days is not None:
+            _require_integer("duration_days", self.duration_days)
+        if self.onset_min > self.onset_max:
+            raise ValueError(f"onset_min {self.onset_min} exceeds onset_max {self.onset_max}")
+        _require_fraction("dropout_hazard", self.dropout_hazard)
         if self.kind == "copier" and (self.copies is None or self.lag_days < 1):
             raise ValueError("copier needs a target and lag_days >= 1")
         if self.kind == "specialist" and not (0 < self.recall <= 1 and 0 < self.precision <= 1):
@@ -112,8 +129,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         known = set(_GT_LABEL)
-        if set(self.n_urls) - known:
-            raise ValueError(f"URL classes must be among {sorted(known)}")
+        if not isinstance(self.n_urls, dict) or set(self.n_urls) - known:
+            raise ValueError(f"n_urls must map URL classes among {sorted(known)} to counts")
+        for cls, count in self.n_urls.items():
+            _require_integer(f"n_urls[{cls!r}]", count)
+        _require_integer("horizon_days", self.horizon_days, low=1)
+        _require_fraction("noise", self.noise)
+        _require_fraction("stale_fraction", self.stale_fraction)
         names = [a.name for a in self.archetypes]
         if len(names) != len(set(names)):
             raise ValueError("archetype names must be unique")
@@ -361,17 +383,13 @@ class ClassifierCorpusConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_phishing", "n_malware", "span_days", "copier_cluster_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         for name in (
             "copier_fire_phishing", "copier_fire_malware", "phish_specialist_recall",
             "malware_specialist_recall", "generalist_rate", "lexical_signal_rate",
             "hosting_coverage", "whois_coverage",
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+            _require_fraction(name, getattr(self, name))
         if not isinstance(self.start, date):
             raise ValueError(f"start must be a date, got {self.start!r}")
 

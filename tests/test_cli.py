@@ -357,6 +357,31 @@ class TestConfigValidation:
         assert err.startswith("ERROR code=4 kind=config") and "--threads" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["metrics", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--window", "0"),
+            (["metrics", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--max-offset", "-1"),
+            (["correlate", "--feed", "feed.jsonl"], "--window", "0"),
+            (["correlate", "--feed", "feed.jsonl"], "--max-offset", "-2"),
+            (["correlate", "--feed", "feed.jsonl"], "--k", "0"),
+            (["leadlag", "--feed", "feed.jsonl"], "--window", "-1"),
+            (["classify", "train", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--trees", "0"),
+            (["classify", "train", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--trees", "-2"),
+            (["classify", "train", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--clusters", "1"),
+            (["classify", "train", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--split", "1.5"),
+            (["classify", "train", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--split", "0"),
+            (["classify", "ablate", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--trees", "0"),
+            (["classify", "ablate", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--clusters", "1"),
+            (["classify", "ablate", "--feed", "feed.jsonl", "--ground-truth", "truth.csv"], "--split", "nan"),
+        ],
+    )
+    def test_numeric_flag_outside_its_domain_is_config_error(self, tmp_path, capsys, command, flag, value):
+        assert run_cli(*command, flag, value, "--out", tmp_path / "o") == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=4 kind=config") and flag in lines[0]
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynthJsonFormat:
     def test_inputs_stay_csv_and_metrics_reads_them(self, tmp_path):
@@ -422,6 +447,27 @@ class TestSeriesStayColumnar:
         assert run_cli("correlate", "--feed", feed, "--k", 3, "--out", tmp_path / "c") == 0
         assert tables_per_build == [1, 1, 1]
         assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == counts["_SeriesTable"] == 0
+
+    def test_no_series_objects_on_ragged_feed(self, synth_dir, tmp_path, monkeypatch):
+        from scanalytics import series
+
+        # Every third report drops a few scanners, so a scanner misses some of
+        # a URL's report days that another one observed.
+        lines = (synth_dir / "feed.jsonl").read_text().splitlines()
+        ragged = tmp_path / "ragged.jsonl"
+        with open(ragged, "w") as fh:
+            for i, line in enumerate(lines):
+                report = json.loads(line)
+                if i % 3 == 0:
+                    scans = sorted(report["scans"].items())
+                    report["scans"] = dict(scan for k, scan in enumerate(scans) if k % 7 not in (i % 7, (i + 3) % 7))
+                fh.write(json.dumps(report) + "\n")
+
+        counts = Counter()
+        for cls in (series.SeriesPoint, series.LabelTimeSeries):
+            monkeypatch.setattr(cls, "__init__", _counting(cls.__init__, counts, cls.__name__))
+        assert run_cli("correlate", "--feed", ragged, "--k", 3, "--out", tmp_path / "c") == 0
+        assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +598,38 @@ class TestBadScenarioValues:
         scenario.write_text(text)
         assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
         _one_error_line(capsys, 4, "config", scenario)
+
+
+def _scenario_with(**fields):
+    return json.dumps(dict(json.loads(_feed_scenario(kind="leader")), **fields))
+
+
+class TestBadScenarioNumbers:
+    """Archetype and scenario numbers outside their domain are config errors,
+    not tracebacks, compute errors or empty feeds."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _feed_scenario(kind="leader", dropout_hazard="hi"),
+            _feed_scenario(kind="leader", dropout_hazard=1.5),
+            _feed_scenario(kind="leader", onset_min="x"),
+            _feed_scenario(kind="leader", onset_min=3, onset_max=1),
+            _feed_scenario(kind="copier", copies="A", lag_days=1.5),
+            _feed_scenario(kind="leader", duration_days=2.5),
+            _scenario_with(horizon_days=-2),
+            _scenario_with(n_urls={"phishing": -3}),
+            _scenario_with(noise=7),
+            _scenario_with(stale_fraction=-0.1),
+        ],
+        ids=["hazard-string", "hazard-above-one", "onset-string", "onset-reversed", "lag-fraction",
+             "duration-fraction", "horizon-negative", "count-negative", "noise-above-one", "stale-negative"],
+    )
+    def test_is_config_error(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario)
+        assert run_cli("synth", "--scenario", path, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", path)
 
 
 def _table_runs(synth_dir, corpus_dir, model_path):

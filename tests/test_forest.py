@@ -162,6 +162,17 @@ class TestLabelValidation:
             assert np.array_equal(model.predict_proba(X), reference.predict_proba(X))
 
 
+class TestHyperparameterValidation:
+    """A forest without trees has no vote, and a node offered no feature
+    cannot split; both are rejected instead of trained."""
+
+    @pytest.mark.parametrize("hyper", [{"n_estimators": 0}, {"n_estimators": -2}, {"max_features": 0}])
+    def test_empty_forest_or_feature_draw_rejected(self, hyper):
+        X, y = _separable(n=20, seed=13)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            train_forest_model(X, y, [f"f{i}" for i in range(5)], seed=0, **dict({"n_estimators": 2}, **hyper))
+
+
 def _reference_gini(counts, total):
     if total == 0:
         return 0.0
