@@ -210,7 +210,7 @@ def _build_tree(
         x_hi = values[hi[best]]
         thr = (x_lo + x_hi) / 2.0
         column = X[idx, feat]
-        if thr >= x_hi:  # midpoint rounded up between adjacent floats
+        if not thr < x_hi:  # midpoint rounded up, or NaN between -inf and inf
             # The node's last row equal to x_lo, as a stable sort places
             # it: its sign of zero may differ from the bin's value.
             thr = column[column == x_lo][-1]

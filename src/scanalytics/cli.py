@@ -633,7 +633,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=_bounded(int, 1), default=30)
     p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
     p.add_argument("--k", type=_bounded(int, 1), default=None, help="cut dendrogram into k clusters")
-    p.add_argument("--cut-height", type=float, default=None)
+    p.add_argument("--cut-height", type=_bounded(float, 0), default=None)
     p.add_argument("--planted", default=None, help="planted manifest for recovery scoring")
     p.add_argument("--heatmaps", action="store_true", help="also emit SVG heatmaps")
     p.set_defaults(func=_cmd_correlate)

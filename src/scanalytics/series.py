@@ -9,6 +9,13 @@ a report for the scanner are absent, never imputed.
 `build_series` keeps the points in int columns (`_SeriesTable`) and returns a
 read-only `SeriesView` over them; the analytics read the columns, and a
 `LabelTimeSeries` is built only when a key is indexed.
+
+The build is keyed by report: it sorts the reports, not their verdicts, by
+(URL, day), codes each distinct verdict object once, and gives every verdict
+one narrow code row. A stable sort of those rows by scanner yields (scanner,
+URL, day) order, so a point is a run of rows; a one-row point takes its
+labels from that row, and only points with several rows are voted on. What
+the build holds per verdict is a few narrow columns and one int64 row index.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import write_table
-from .feed import DetailedLabel, FeedCohort
+from .feed import DetailedLabel, FeedCohort, ScannerVerdict
 
 __all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "SeriesView", "build_series", "align_by_offset", "write_series_csv"]
 
@@ -245,6 +252,16 @@ class SeriesView(Mapping):
         return SeriesView(self.table.restrict(keep), day0)
 
 
+def _run_bounds(n: int, *columns: np.ndarray) -> np.ndarray:
+    """Start of every run of equal rows across `columns` (each `n` long),
+    then `n`: the runs are the slices between consecutive entries."""
+    change = np.ones(n + 1, dtype=bool)
+    change[1:n] = False
+    for column in columns:
+        change[1:n] |= column[1:] != column[:-1]
+    return np.flatnonzero(change)
+
+
 def build_series(cohort: FeedCohort) -> SeriesView:
     """Build per-(scanner, URL) daily series from a deduplicated cohort.
 
@@ -265,50 +282,65 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     urls = tuple(sorted({r.url for r in with_verdicts}))
     url_index = {url: i for i, url in enumerate(urls)}
 
-    # One row per verdict, coded (scanner, label) once per distinct verdict
-    # object: reports that share verdict objects, as `parse_feed` makes
-    # them, cost one lookup per verdict.
-    verdicts = list(chain.from_iterable(r.verdicts for r in with_verdicts))
-    ids = np.fromiter(map(id, verdicts), np.intp, len(verdicts))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [verdicts[i] for i in first.tolist()]
-    scanners = tuple(sorted({v.scanner_name for v in distinct}))
+    # Reports in (URL, day) order, cohort order within a day. `shift` takes a
+    # verdict's place in this order to its place in cohort verdict order.
+    n_reports = len(with_verdicts)
+    report_url = np.fromiter((url_index[r.url] for r in with_verdicts), np.int32, n_reports)
+    report_day = np.fromiter(((r.scan_day - day0_by_url[r.url]).days for r in with_verdicts), np.int32, n_reports)
+    size = np.fromiter((len(r.verdicts) for r in with_verdicts), np.int64, n_reports)
+    by_day = np.lexsort((report_day, report_url))
+    shift = (np.cumsum(size) - size)[by_day]
+    report_url, report_day, size = report_url[by_day], report_day[by_day], size[by_day]
+    shift -= np.cumsum(size) - size
+    ordered = [with_verdicts[i] for i in by_day.tolist()]
+
+    # One row per verdict in that order, holding narrow codes. Each distinct
+    # verdict object is coded once; `parse_feed` shares them, so few exist.
+    def verdicts() -> Iterator[ScannerVerdict]:
+        return chain.from_iterable(r.verdicts for r in ordered)
+
+    distinct = dict(zip(map(id, verdicts()), verdicts()))
+    scanners = tuple(sorted({v.scanner_name for v in distinct.values()}))
     scanner_index = {name: i for i, name in enumerate(scanners)}
-    code = np.array([scanner_index[v.scanner_name] * _N_LABELS + v.result for v in distinct], dtype=np.int64)[inverse]
-    label = code % _N_LABELS
-    per_report = [len(r.verdicts) for r in with_verdicts]
-    offsets = [(r.scan_day - day0_by_url[r.url]).days for r in with_verdicts]
-    day = np.repeat(np.array(offsets, dtype=np.int64), per_report)
-    url = np.repeat(np.array([url_index[r.url] for r in with_verdicts], dtype=np.int64), per_report)
-    cell = code // _N_LABELS * len(urls) + url
+    code = dict(zip(distinct, range(len(distinct))))
+    row_code = np.fromiter(map(code.__getitem__, map(id, verdicts())), np.min_scalar_type(len(code)), int(size.sum()))
+    scanner_codes = [scanner_index[v.scanner_name] for v in distinct.values()]
+    scanner = np.array(scanner_codes, np.min_scalar_type(len(scanners)))[row_code]
+    label = np.array([v.result for v in distinct.values()], np.int8)[row_code]
+    del row_code
 
-    # Points: distinct (cell, day), sorted. A day's label is its most common
-    # detecting label, ties to the lower enum value as `_plurality_label`.
-    lo, hi = (int(day.min()), int(day.max())) if day.size else (0, 0)
-    span = hi - lo + 1
-    point, first_row, row_point = np.unique(cell * span + (day - lo), return_index=True, return_inverse=True)
-    votes = np.bincount(row_point * _N_LABELS + label, minlength=len(point) * _N_LABELS)
-    detecting = votes.reshape(len(point), _N_LABELS)[:, 1:]
-    bl = detecting.any(axis=1)
-    dl = np.where(bl, detecting.argmax(axis=1) + 1, 0)
+    # Stably sorted by scanner, the rows run in (scanner, URL, day) order, so
+    # a point is a run of rows with one scanner and one (URL, day).
+    row = np.argsort(scanner, kind="stable")
+    scanner, label = scanner[row], label[row]
+    row_report = np.repeat(np.arange(n_reports, dtype=np.int32), size)[row]
+    bounds = _run_bounds(len(row), scanner, report_url[row_report], report_day[row_report])
+    first, count = bounds[:-1], np.diff(bounds)
 
-    # Series: runs of one cell among the sorted points, keyed in order of
-    # their first verdict row.
-    point_cell = point // span
-    key_start = np.flatnonzero(np.diff(point_cell, prepend=-1))
-    key_stop = np.append(key_start[1:], len(point))
-    order = np.argsort(np.minimum.reduceat(first_row, key_start)) if len(point) else key_start
-    key_cell = point_cell[key_start][order]
+    # A point's label is its row's. Where a day holds several verdicts, it is
+    # their most common detecting label, ties to the lower enum value as
+    # `_plurality_label`, and Benign when none detects.
+    dl = label[first]
+    shared = count > 1
+    n_shared = np.count_nonzero(shared)
+    voter = np.repeat(np.arange(n_shared), count[shared])
+    votes = np.bincount(voter * _N_LABELS + label[np.repeat(shared, count)], minlength=n_shared * _N_LABELS)
+    detecting = votes.reshape(-1, _N_LABELS)[:, 1:]
+    dl[shared] = np.where(detecting.any(axis=1), detecting.argmax(axis=1) + 1, 0)
+
+    # Series: runs of one (scanner, URL) among the points, keyed in order of
+    # their first verdict in the cohort.
+    point_report = row_report[first]
+    point_scanner = scanner[first].astype(np.int32)
+    point_url = report_url[point_report]
+    keys = _run_bounds(len(first), point_scanner, point_url)
+    row += shift[row_report]
+    order = np.argsort(np.minimum.reduceat(row, first[keys[:-1]]))
+    key_start = keys[:-1][order]
     table = _SeriesTable._columns(
         scanners, urls,
-        keys=(
-            (key_cell // len(urls)).astype(np.int32), (key_cell % len(urls)).astype(np.int32),
-            key_start[order], key_stop[order],
-        ),
-        rows=(
-            (point_cell // len(urls)).astype(np.int32), (point_cell % len(urls)).astype(np.int32),
-            (point % span + lo).astype(np.int32), bl.astype(np.int8), dl.astype(np.int8),
-        ),
+        keys=(point_scanner[key_start], point_url[key_start], key_start, keys[1:][order]),
+        rows=(point_scanner, point_url, report_day[point_report], (dl != 0).astype(np.int8), dl),
     )
     return SeriesView(table, [day0_by_url[url] for url in urls])
 

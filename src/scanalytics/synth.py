@@ -59,6 +59,11 @@ def _require_fraction(name: str, value) -> None:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def _require_string(name: str, value, optional: bool = False) -> None:
+    if not (isinstance(value, str) or (optional and value is None)):
+        raise ValueError(f"{name} must be a string{' or null' if optional else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScannerArchetype:
     """One planted scanner behavior.
@@ -92,6 +97,12 @@ class ScannerArchetype:
     dropout_hazard: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("name", "kind"):
+            _require_string(name, getattr(self, name))
+        for name in ("group", "label", "copies", "attack"):
+            _require_string(name, getattr(self, name), optional=True)
+        for label in self.labels:
+            _require_string("labels", label)
         if self.kind not in ("stable", "flipper", "leader", "copier", "specialist"):
             raise ValueError(f"unknown archetype kind {self.kind!r}")
         for name in ("onset_min", "onset_max", "lag_days", "period_days"):

@@ -382,6 +382,14 @@ class TestConfigValidation:
         assert len(lines) == 1 and lines[0].startswith("ERROR code=4 kind=config") and flag in lines[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_cut_height_outside_its_domain_is_config_error(self, tmp_path, capsys, value):
+        # NaN and negative heights would merge nothing: every scanner its own cluster.
+        assert run_cli("correlate", "--feed", "feed.jsonl", "--cut-height", value, "--out", tmp_path / "o") == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=4 kind=config") and "--cut-height" in lines[0]
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynthJsonFormat:
     def test_inputs_stay_csv_and_metrics_reads_them(self, tmp_path):
@@ -624,6 +632,31 @@ class TestBadScenarioNumbers:
         ],
         ids=["hazard-string", "hazard-above-one", "onset-string", "onset-reversed", "lag-fraction",
              "duration-fraction", "horizon-negative", "count-negative", "noise-above-one", "stale-negative"],
+    )
+    def test_is_config_error(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario)
+        assert run_cli("synth", "--scenario", path, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", path)
+
+
+class TestBadScenarioTypes:
+    """Archetype names, tags and label names of another JSON type are config
+    errors, not tracebacks from inside the generator."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _feed_scenario(name=5, kind="stable", label="PhishingSite"),
+            _feed_scenario(kind=["leader"]),
+            _feed_scenario(kind="leader", group=7),
+            _feed_scenario(kind="stable", label=3),
+            _feed_scenario(kind="copier", copies=["A"], lag_days=1),
+            _feed_scenario(kind="specialist", attack=1),
+            _feed_scenario(kind="flipper", labels=["PhishingSite", 2]),
+        ],
+        ids=["name-number", "kind-list", "group-number", "label-number", "copies-list", "attack-number",
+             "labels-number"],
     )
     def test_is_config_error(self, tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"

@@ -241,7 +241,7 @@ def _reference_build_tree(X, y, max_depth, max_features, rng):
         x_lo = x_sorted[split_row, feat_col]
         x_hi = x_sorted[split_row + 1, feat_col]
         thr = (x_lo + x_hi) / 2.0
-        if thr >= x_hi:
+        if not thr < x_hi:  # rounded up, or NaN between -inf and inf
             thr = x_lo
         feat = int(candidates[feat_col])
 
@@ -317,6 +317,19 @@ class TestRankBinnedSplitsMatchReference:
         X = np.array(column)[:, None]
         y = np.isinf(X[:, 0]).astype(np.int8)
         _assert_same_tree(X, y, max_depth=5, max_features=1, seed=0)
+
+    def test_minus_and_plus_infinity_split_once(self):
+        # Their midpoint is NaN, which no row is <=; the threshold falls back
+        # to -inf as a rounded-up midpoint does, so the split is not repeated
+        # down to max_depth.
+        X = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
+        y = np.array([0, 0, 1, 1], dtype=np.int8)
+        with np.errstate(invalid="ignore"):
+            tree = _build_tree(_BinnedMatrix.encode(X), y, 30, 1, np.random.default_rng(0))
+            _assert_same_tree(X, y, max_depth=30, max_features=1, seed=0)
+        assert len(tree.feature) == 3
+        assert not np.isnan(tree.threshold).any()
+        assert tree.predict(X).tolist() == [0, 0, 1, 1]
 
     def test_bench_sized_forest_matches_tree_by_tree(self):
         rng = np.random.default_rng(21)

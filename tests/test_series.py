@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from scanalytics.correlate import (
 from scanalytics.feed import DetailedLabel, FeedCohort
 from scanalytics.leadlag import first_detection_index
 from scanalytics.metrics import certainty_scores, f1_by_offset, label_count_distribution, url_label_stats
+from scanalytics.scanners import SCANNER_NAMES
 from scanalytics.series import (
     LabelTimeSeries,
     SeriesPoint,
@@ -388,3 +390,120 @@ class TestColumnarBuildMatchesReference:
         assert ("S", "http://w.test/") not in view and ("T", "http://u.test/") not in view
         assert view[("S", "http://u.test/")].points[0].day_offset == 3
         assert _SeriesTable.of(view).urls == ("http://u.test/", "http://w.test/")
+
+
+def _brute_force_columns(cohort):
+    """Every `_SeriesTable` column `build_series` makes, rebuilt one verdict
+    at a time from the reports."""
+    day0 = {}
+    for r in cohort.reports:
+        if r.url not in day0 or r.first_seen_day < day0[r.url]:
+            day0[r.url] = r.first_seen_day
+    keys = {}  # (scanner, url) -> None, in order of first verdict
+    days = {}  # (scanner, url, day) -> verdicts
+    for r in cohort.reports:
+        for v in r.verdicts:
+            keys.setdefault((v.scanner_name, r.url))
+            days.setdefault((v.scanner_name, r.url, (r.scan_day - day0[r.url]).days), []).append(v)
+    scanners = tuple(sorted({s for s, _ in keys}))
+    urls = tuple(sorted({u for _, u in keys}))
+    points = sorted(days)  # names sort as their indices do
+    bl, dl = [], []
+    for point in points:
+        hits = [v.result for v in days[point] if v.detected]
+        bl.append(int(bool(hits)))
+        # Most votes, then the lowest enum value.
+        dl.append(int(max(set(hits), key=lambda lab: (hits.count(lab), -int(lab)))) if hits else 0)
+    rows_of = {}
+    for row, (s, u, _) in enumerate(points):
+        rows_of.setdefault((s, u), []).append(row)
+    return {
+        "scanners": scanners,
+        "urls": urls,
+        "key_scanner": ("int32", [scanners.index(s) for s, _ in keys]),
+        "key_url": ("int32", [urls.index(u) for _, u in keys]),
+        "key_start": ("int64", [rows_of[key][0] for key in keys]),
+        "key_stop": ("int64", [rows_of[key][-1] + 1 for key in keys]),
+        "scanner": ("int32", [scanners.index(s) for s, _, _ in points]),
+        "url": ("int32", [urls.index(u) for _, u, _ in points]),
+        "day": ("int32", [day for _, _, day in points]),
+        "bl": ("int8", bl),
+        "dl": ("int8", dl),
+    }
+
+
+class TestBuildMatchesBruteForceColumns:
+    """`build_series` codes verdicts by report (URL, day) and votes only
+    where a day holds several verdicts; every column must equal the
+    verdict-by-verdict rebuild."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_column_matches(self, data):
+        seed = data.draw(st.integers(min_value=0, max_value=100_000))
+        shared_objects = data.draw(st.booleans())  # as `parse_feed` shares them
+        keep_order = data.draw(st.booleans())
+        rng = random.Random(seed)
+        labels = [None, DetailedLabel.PhishingSite, DetailedLabel.MalwareSite, DetailedLabel.OtherMalicious]
+        names = ["A", "B", "C", "D"]
+        pool = {(s, lab): verdict(s, lab) for s in names for lab in labels}
+        rs = []
+        for i in range(rng.randint(1, 5)):
+            url = f"http://u{i}.test/"
+            silent = rng.random() < 0.2  # a URL whose reports all lack verdicts
+            for d in range(rng.randint(0, 3), rng.randint(3, 8)):
+                for k in range(rng.choice([0, 1, 1, 2, 3, 4])):  # same-day rescans vote
+                    vs = []
+                    if not silent and rng.random() > 0.15:  # else a report without verdicts
+                        # Ragged: each scanner in some reports only, now and
+                        # then twice in one report.
+                        chosen = [s for s in names if rng.random() < 0.7] + rng.sample(names, rng.choice([0, 0, 0, 1]))
+                        rng.shuffle(chosen)
+                        for s in chosen:
+                            lab = rng.choice(labels)
+                            vs.append(pool[s, lab] if shared_objects else verdict(s, lab))
+                    seen = rng.randint(0, d)
+                    rs.append(report(url, d, f"{i}-{d}-{k}", vs, first_seen_day=seen, hour=rng.randint(0, 23)))
+        rng.shuffle(rs)
+        if keep_order:  # keys follow cohort report order, so keep the shuffled one
+            co = FeedCohort(name="shuffled", urls=frozenset(r.url for r in rs), reports=tuple(rs))
+        else:
+            co = cohort(rs)
+
+        table = build_series(co).table
+        expected = _brute_force_columns(co)
+        assert (table.scanners, table.urls) == (expected.pop("scanners"), expected.pop("urls"))
+        for name, (dtype, values) in expected.items():
+            column = getattr(table, name)
+            assert (column.dtype.name, column.tolist()) == (dtype, values), name
+
+
+class TestBuildMemory:
+    def test_transient_memory_per_verdict(self):
+        # About 95 scanners per report, with verdict objects shared as
+        # `parse_feed` shares them.
+        rng = random.Random(3)
+        labels = [None, DetailedLabel.PhishingSite, DetailedLabel.MalwareSite]
+        pool = {(s, lab): verdict(s, lab) for s in SCANNER_NAMES for lab in labels}
+        rs = []
+        for i in range(36):
+            for d in range(10):
+                vs = [pool[s, rng.choice(labels)] for s in SCANNER_NAMES]
+                rs.append(report(f"http://u{i}.test/", d, f"{i}-{d}", vs))
+        co = cohort(rs)
+        n_verdicts = sum(len(r.verdicts) for r in co.reports)
+        assert n_verdicts >= 30_000
+        build_series(co)  # first-call costs (imports, caches) are not per verdict
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            view = build_series(co)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(view) == 36 * len(SCANNER_NAMES)
+        assert peak <= 100 * n_verdicts, f"{peak / n_verdicts:.0f} B per verdict"
