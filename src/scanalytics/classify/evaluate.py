@@ -55,8 +55,9 @@ def majority_vote(report: ScanReport) -> VoteOutcome:
 
     Equal counts, or zero attack-specific votes, give TIE_UNKNOWN.
     """
-    phishing = sum(1 for v in report.verdicts if v.detected and v.result is DetailedLabel.PhishingSite)
-    malware = sum(1 for v in report.verdicts if v.detected and v.result is DetailedLabel.MalwareSite)
+    verdicts = report.verdicts  # built on each read for a parsed report
+    phishing = sum(1 for v in verdicts if v.detected and v.result is DetailedLabel.PhishingSite)
+    malware = sum(1 for v in verdicts if v.detected and v.result is DetailedLabel.MalwareSite)
     if phishing > malware:
         return VoteOutcome.PHISHING
     if malware > phishing:

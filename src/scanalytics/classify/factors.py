@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, ScanReport
+from ..feed import DetailedLabel, ScannerVerdict, ScanReport
 from ..scanners import SCANNER_NAMES
 
 __all__ = [
@@ -90,10 +90,10 @@ class ScannerClusterModel:
         )
 
 
-def _scanner_universe(reports: Iterable[ScanReport]) -> tuple[str, ...]:
+def _scanner_universe(verdicts: Iterable[Iterable[ScannerVerdict]]) -> tuple[str, ...]:
     names = set(SCANNER_NAMES)
-    for report in reports:
-        names.update(v.scanner_name for v in report.verdicts)
+    for report_verdicts in verdicts:
+        names.update(v.scanner_name for v in report_verdicts)
     return tuple(sorted(names))
 
 
@@ -116,17 +116,20 @@ def fit_scanner_factors(
     if low:
         raise ValueError(f"{len(low)} sample reports have positives < 2 (e.g. {low[0]!r})")
 
-    scanners = _scanner_universe(reports)
+    # Each report's verdicts, read once: a parsed report builds the tuple on
+    # each read.
+    verdicts = [r.verdicts for r in reports]
+    scanners = _scanner_universe(verdicts)
     # Feature columns only for scanners actually appearing in the sample;
     # registry scanners missing from it keep all-zero loading rows.
-    present = tuple(sorted({v.scanner_name for r in reports for v in r.verdicts}))
+    present = tuple(sorted({v.scanner_name for report_verdicts in verdicts for v in report_verdicts}))
     present_index = {name: i for i, name in enumerate(present)}
     n_slots = 1 + len(_LABEL_SLOTS)
     label_slot = {label: 1 + i for i, label in enumerate(_LABEL_SLOTS)}
 
     X = np.zeros((len(reports), len(present) * n_slots))
-    for row, report in enumerate(reports):
-        for verdict in report.verdicts:
+    for row, report_verdicts in enumerate(verdicts):
+        for verdict in report_verdicts:
             if verdict.detected:
                 base = present_index[verdict.scanner_name] * n_slots
                 X[row, base] = 1.0

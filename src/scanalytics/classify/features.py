@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, FeedFormatError, ScanReport, normalize_url
+from ..feed import DetailedLabel, FeedFormatError, ScannerVerdict, ScanReport, normalize_url
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -269,7 +269,12 @@ def vt_cluster_features(report: ScanReport, model: ScannerClusterModel) -> tuple
     detecting scanner inside an existing cluster never changes them. Generic
     and other attack labels count toward the denominator only.
     """
-    detecting = [v for v in report.verdicts if v.detected]
+    return _cluster_proportions(report, [v for v in report.verdicts if v.detected], model)
+
+
+def _cluster_proportions(
+    report: ScanReport, detecting: list[ScannerVerdict], model: ScannerClusterModel
+) -> tuple[float, float]:
     if not detecting:
         raise ValueError(f"report {report.scan_id!r} has no detecting verdicts")
     all_clusters = {model.cluster_of(v.scanner_name) for v in detecting}
@@ -287,8 +292,10 @@ def vt_cluster_features(report: ScanReport, model: ScannerClusterModel) -> tuple
 
 
 def _vt_group(report: ScanReport, model: ScannerClusterModel) -> tuple[float, ...]:
-    phishing_prop, malware_prop = vt_cluster_features(report, model)
-    counts = Counter(v.result for v in report.verdicts if v.detected)
+    # One read of `verdicts`: a parsed report builds the tuple on each read.
+    detecting = [v for v in report.verdicts if v.detected]
+    phishing_prop, malware_prop = _cluster_proportions(report, detecting, model)
+    counts = Counter(v.result for v in detecting)
     return (
         phishing_prop,
         malware_prop,

@@ -204,10 +204,11 @@ def _build_tree(
         best = int(np.lexsort((bin_feature[lo], left_n, weighted))[0])
         if weighted[best] >= node_gini - 1e-12:
             continue
-        # The threshold is the midpoint of the two adjacent present values.
+        # The threshold is the midpoint of the two adjacent present values,
+        # in Python floats: between -inf and inf it is NaN without a warning.
         feat = int(bin_feature[lo[best]])
-        x_lo = values[lo[best]]
-        x_hi = values[hi[best]]
+        x_lo = float(values[lo[best]])
+        x_hi = float(values[hi[best]])
         thr = (x_lo + x_hi) / 2.0
         column = X[idx, feat]
         if not thr < x_hi:  # midpoint rounded up, or NaN between -inf and inf

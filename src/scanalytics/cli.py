@@ -226,7 +226,9 @@ def _cmd_metrics(args) -> int:
 
     # F-1 must see ground-truth URLs even when no scanner ever detects them
     # (they are false negatives); the other metrics follow the detected cohort.
+    detected = {r.url for r in reports if r.positives >= 1}
     full_series = build_series(FeedCohort.build("all", {r.url for r in reports}, reports))
+    del reports  # the series are all that is read from here on
     if not full_series:
         raise ValueError("empty feed; nothing to measure")
     positive, benign = _split_gt(truth)
@@ -235,7 +237,8 @@ def _cmd_metrics(args) -> int:
 
     # The ever-detected cohort's series are the full series of its URLs: a
     # URL's day 0 and daily labels depend on its own reports only.
-    series = full_series.restrict({r.url for r in reports if r.positives >= 1})
+    series = full_series.restrict(detected)
+    del full_series
     if not series:
         raise ValueError("no detected URLs in feed; nothing to measure")
     scores = certainty_scores(series, window=args.window)

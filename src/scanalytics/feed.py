@@ -7,6 +7,12 @@ The feed is UTF-8 line-delimited JSON, one scan report per line:
      "positives": 2,
      "scans": {"ScannerName": {"detected": true, "result": "phishing site"}}}
 
+`parse_feed` records a parse's reports in one `ReportTable`: per-report int
+columns, and each report's verdicts as narrow codes into the parse's shared
+`ScannerVerdict` objects, one flat code array cut into rows. The reports it
+returns are read-only views of those rows; they equal and hash like reports
+built by hand.
+
 Everything returned by this module is immutable after construction and safe
 to share across threads.
 """
@@ -17,10 +23,15 @@ import csv
 import enum
 import json
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import IO, Iterable, Union
+from datetime import date, datetime, timedelta, timezone
+from functools import partial
+from itertools import chain
+from typing import IO, Iterable, Sequence, Union
+
+import numpy as np
 
 from .artifacts import write_table
 from .scanners import is_known_scanner
@@ -29,6 +40,7 @@ __all__ = [
     "DetailedLabel",
     "ScannerVerdict",
     "ScanReport",
+    "ReportTable",
     "GroundTruthLabel",
     "GroundTruthRecord",
     "FeedCohort",
@@ -185,6 +197,198 @@ class ScanReport:
         return self.first_seen.date()
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
+
+
+def _utc_us(ts: datetime) -> int:
+    """Microseconds since the UTC epoch; a naive timestamp is read as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+@dataclass(frozen=True, eq=False)
+class ReportTable:
+    """Scan reports as columns, one row per report.
+
+    Per-report columns: `url` (an index into `urls`), `scan_us` and
+    `first_seen_us` (UTC microseconds since the epoch), `scan_day` and
+    `first_seen_day` (the date ordinals of `ScanReport.scan_day` and
+    `first_seen_day`), `scan_id` and `positives`. Row i's verdicts, in report
+    order, are `verdicts[c]` for c in `codes[start[i]:stop[i]]`: each shared
+    verdict object is stored once, and every verdict is a narrow code into
+    them, in compressed rows over one flat code array.
+    """
+
+    urls: Sequence[str]
+    verdicts: Sequence[ScannerVerdict]
+    codes: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    url: np.ndarray
+    scan_us: np.ndarray
+    first_seen_us: np.ndarray
+    scan_day: np.ndarray
+    first_seen_day: np.ndarray
+    scan_id: Sequence[str]
+    positives: np.ndarray
+
+    @classmethod
+    def of(cls, reports: Sequence[ScanReport]) -> "ReportTable":
+        """The table of `reports`, in their order. Reports that one
+        `parse_feed` call returned are rows of its table and are taken as
+        they are; any other reports are coded here, each distinct verdict
+        object once."""
+        table = getattr(reports[0], "_table", None) if reports else None
+        if table is not None and all(type(r) is _TableReport and r._table is table for r in reports):
+            return table.take(np.fromiter((r._row for r in reports), np.intp, len(reports)))
+        return cls._coded(reports)
+
+    @classmethod
+    def _coded(cls, reports: Sequence[ScanReport]) -> "ReportTable":
+        def verdicts() -> Iterable[ScannerVerdict]:
+            return chain.from_iterable(r.verdicts for r in reports)
+
+        n = len(reports)
+        distinct = dict(zip(map(id, verdicts()), verdicts()))
+        code = dict(zip(distinct, range(len(distinct))))
+        size = np.fromiter((len(r.verdicts) for r in reports), np.int64, n)
+        stop = np.cumsum(size)
+        codes = np.fromiter(map(code.__getitem__, map(id, verdicts())), np.min_scalar_type(len(code)), size.sum())
+
+        def column(values: Iterable[int], dtype) -> np.ndarray:
+            return np.fromiter(values, dtype, n)
+
+        urls: dict[str, int] = {}
+        url = column((urls.setdefault(r.url, len(urls)) for r in reports), np.int32)
+        return cls(
+            urls=tuple(urls), verdicts=tuple(distinct.values()), codes=codes,
+            start=stop - size, stop=stop, url=url,
+            scan_us=column((_utc_us(r.scan_date) for r in reports), np.int64),
+            first_seen_us=column((_utc_us(r.first_seen) for r in reports), np.int64),
+            scan_day=column((r.scan_day.toordinal() for r in reports), np.int32),
+            first_seen_day=column((r.first_seen_day.toordinal() for r in reports), np.int32),
+            scan_id=[r.scan_id for r in reports],
+            positives=column((r.positives for r in reports), np.int32),
+        )
+
+    def take(self, rows: np.ndarray) -> "ReportTable":
+        """The table of `rows`, in that order, sharing URLs, verdicts and codes."""
+        return ReportTable(
+            urls=self.urls, verdicts=self.verdicts, codes=self.codes,
+            start=self.start[rows], stop=self.stop[rows], url=self.url[rows],
+            scan_us=self.scan_us[rows], first_seen_us=self.first_seen_us[rows],
+            scan_day=self.scan_day[rows], first_seen_day=self.first_seen_day[rows],
+            scan_id=[self.scan_id[row] for row in rows.tolist()], positives=self.positives[rows],
+        )
+
+
+class _TableReport(ScanReport):
+    """A `ScanReport` over one row of a `ReportTable`.
+
+    It holds its row's URL, scan id and positives, shared with the table,
+    and reads its timestamps and verdicts from the columns each time they
+    are asked for; its verdicts are the table's shared objects. It equals
+    and hashes like the report built by hand from the same values, and
+    pickles as one.
+    """
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: ReportTable, row: int, url: str, scan_id: str, positives: int):
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "url", url)
+        object.__setattr__(self, "scan_id", scan_id)
+        object.__setattr__(self, "positives", positives)
+
+    @property
+    def scan_date(self) -> datetime:
+        return _EPOCH + _MICROSECOND * self._table.scan_us.item(self._row)
+
+    @property
+    def first_seen(self) -> datetime:
+        return _EPOCH + _MICROSECOND * self._table.first_seen_us.item(self._row)
+
+    @property
+    def verdicts(self) -> tuple[ScannerVerdict, ...]:
+        table, row = self._table, self._row
+        return tuple(map(table.verdicts.__getitem__, table.codes[table.start.item(row):table.stop.item(row)].tolist()))
+
+    @property
+    def scan_day(self) -> date:
+        return date.fromordinal(self._table.scan_day.item(self._row))
+
+    @property
+    def first_seen_day(self) -> date:
+        return date.fromordinal(self._table.first_seen_day.item(self._row))
+
+    def _values(self) -> tuple:
+        return (self.url, self.scan_date, self.first_seen, self.scan_id, self.positives, self.verdicts)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanReport):
+            return NotImplemented
+        return self._values() == (other.url, other.scan_date, other.first_seen, other.scan_id, other.positives, other.verdicts)
+
+    __hash__ = ScanReport.__hash__
+
+    def __reduce__(self):
+        return ScanReport, self._values()
+
+
+class _TableBuilder:
+    """The columns of one parse's `ReportTable`, filled line by line."""
+
+    def __init__(self) -> None:
+        self.url_index: dict[str, int] = {}
+        self.verdicts: list[ScannerVerdict] = []
+        self.codes = array("B")  # widened when a code outgrows it
+        self.offsets = array("q", [0])
+        self.url = array("i")
+        self.scan_us = array("q")
+        self.first_seen_us = array("q")
+        self.scan_id: list[str] = []
+        self.positives = array("i")
+
+    def code(self, verdict: ScannerVerdict) -> int:
+        """The code of a new shared verdict object."""
+        code = len(self.verdicts)
+        self.verdicts.append(verdict)
+        if code >> 8 * self.codes.itemsize:
+            self.codes = array("H" if self.codes.typecode == "B" else "I", self.codes)
+        return code
+
+    def add(self, url: str, scan_date: datetime, first_seen: datetime, scan_id: str, positives: int, codes: list[int]) -> None:
+        self.url.append(self.url_index.setdefault(url, len(self.url_index)))
+        self.scan_us.append(_utc_us(scan_date))
+        self.first_seen_us.append(_utc_us(first_seen))
+        self.scan_id.append(scan_id)
+        self.positives.append(positives)
+        self.codes.fromlist(codes)
+        self.offsets.append(len(self.codes))
+
+    def reports(self) -> list[ScanReport]:
+        """A read-only `ScanReport` over each row of the finished table."""
+        def column(values: array) -> np.ndarray:
+            return np.frombuffer(values, dtype=values.typecode)  # no copy
+
+        def day(us: np.ndarray) -> np.ndarray:
+            return (us // _DAY_US + _EPOCH.toordinal()).astype(np.int32)
+
+        offsets, scan_us, first_seen_us = column(self.offsets), column(self.scan_us), column(self.first_seen_us)
+        table = ReportTable(
+            urls=tuple(self.url_index), verdicts=tuple(self.verdicts), codes=column(self.codes),
+            start=offsets[:-1], stop=offsets[1:], url=column(self.url),
+            scan_us=scan_us, first_seen_us=first_seen_us, scan_day=day(scan_us), first_seen_day=day(first_seen_us),
+            scan_id=self.scan_id, positives=column(self.positives),
+        )
+        urls = map(table.urls.__getitem__, self.url)  # the arrays give Python ints one at a time
+        return list(map(partial(_TableReport, table), range(len(self.scan_id)), urls, self.scan_id, self.positives))
+
+
 class GroundTruthLabel(enum.Enum):
     Benign = "benign"
     Phishing = "phishing"
@@ -267,8 +471,10 @@ def _parse_line(
     line_no: int,
     warnings: list[ParseWarning],
     names_seen: set[str],
-    verdict_cache: dict[tuple[str, bool, str], tuple[ScannerVerdict, bool]],
-) -> ScanReport:
+    verdict_cache: dict[tuple[str, bool, str], tuple[int, bool]],
+    table: _TableBuilder,
+) -> None:
+    """Check one line and add its report to `table`."""
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -298,7 +504,7 @@ def _parse_line(
     if not isinstance(scans, dict):
         raise FeedFormatError("scans must be an object")
 
-    verdicts: list[ScannerVerdict] = []
+    codes: list[int] = []
     n_detected = 0
     for scanner_name, entry in scans.items():
         if not isinstance(entry, dict) or "detected" not in entry:
@@ -317,13 +523,13 @@ def _parse_line(
                 result = DetailedLabel.OtherMalicious
             elif not detected:
                 result = DetailedLabel.Benign
-            shared = verdict_cache[key] = (ScannerVerdict(scanner_name, detected, result), catch_all)
-        verdict, catch_all = shared
+            shared = verdict_cache[key] = (table.code(ScannerVerdict(scanner_name, detected, result)), catch_all)
+        code, catch_all = shared
         if catch_all:
             warnings.append(
                 ParseWarning(line_no, f"{scanner_name}: detected with benign result, kept as catch-all")
             )
-        verdicts.append(verdict)
+        codes.append(code)
         n_detected += detected
         if scanner_name not in names_seen:
             # Unknown names are accepted but tagged; warn once per name.
@@ -342,14 +548,7 @@ def _parse_line(
             )
         )
 
-    return ScanReport(
-        url=url,
-        scan_date=scan_date,
-        first_seen=first_seen,
-        scan_id=scan_id,
-        positives=n_detected,
-        verdicts=tuple(verdicts),
-    )
+    table.add(url, scan_date, first_seen, scan_id, n_detected, codes)
 
 
 def parse_feed(
@@ -364,11 +563,13 @@ def parse_feed(
 
     Reports of one call share one ScannerVerdict per distinct (scanner name,
     detected, raw result string); checks and warnings run for every line.
+    The reports are the rows of one `ReportTable`, which holds each verdict
+    as a narrow code into the shared objects (`ReportTable.of` returns it).
     """
-    reports: list[ScanReport] = []
+    table = _TableBuilder()
     warnings: list[ParseWarning] = []
     names_seen: set[str] = set()
-    verdict_cache: dict[tuple[str, bool, str], tuple[ScannerVerdict, bool]] = {}
+    verdict_cache: dict[tuple[str, bool, str], tuple[int, bool]] = {}
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
             try:
@@ -382,12 +583,12 @@ def parse_feed(
         if not line:
             continue
         try:
-            reports.append(_parse_line(line, line_no, warnings, names_seen, verdict_cache))
+            _parse_line(line, line_no, warnings, names_seen, verdict_cache, table)
         except FeedFormatError as exc:
             if strict:
                 raise FeedFormatError(f"line {line_no}: {exc}") from None
             warnings.append(ParseWarning(line_no, f"{exc}; line skipped"))
-    return reports, warnings
+    return table.reports(), warnings
 
 
 def parse_feed_file(path, strict: bool = False) -> tuple[list[ScanReport], list[ParseWarning]]:

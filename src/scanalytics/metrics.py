@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class F1Curve:
         return None
 
 
-def _url_certainties(table: _SeriesTable, window: int | None) -> list[tuple[int, float, float]]:
+def _url_certainties(table: _SeriesTable, window: int | None) -> Iterator[tuple[int, float, float]]:
     """(scanner index, bl, dl) certainty of every series observed in the window,
     in series order: detecting days, and days of the most common detecting
     label, each over observed days."""
@@ -75,13 +75,13 @@ def _url_certainties(table: _SeriesTable, window: int | None) -> list[tuple[int,
     detecting = summary.labels.sum(axis=-1)[table.keys].tolist()
     top = summary.labels.max(axis=-1)[table.keys].tolist()
     keyed = zip(table.key_scanner.tolist(), observed, detecting, top)
-    return [(s, d / n, t / n) for s, n, d, t in keyed if n]
+    return ((s, d / n, t / n) for s, n, d, t in keyed if n)
 
 
 def _mean_certainty(scanner_series: Iterable[LabelTimeSeries], window: int, column: int) -> float:
     if window < 1:
         raise ValueError("window must be >= 1")
-    values = _url_certainties(_SeriesTable(scanner_series), window)
+    values = list(_url_certainties(_SeriesTable(scanner_series), window))
     if not values:
         raise ValueError("scanner has no observed URLs in the window")
     return sum(v[column] for v in values) / len(values)
@@ -103,20 +103,19 @@ def dl_certainty(scanner_series: Iterable[LabelTimeSeries], window: int = DEFAUL
 def certainty_scores(series: SeriesMap, window: int = DEFAULT_WINDOW_DAYS) -> dict[str, CertaintyScores]:
     """Both certainty scores for every scanner with observations in the window."""
     table = _SeriesTable.of(series)
-    per_scanner: dict[int, list[tuple[float, float]]] = {}
+    # Each scanner's fractions in series order, summed by `sum` as before;
+    # two float lists per scanner, not a tuple per series.
+    bl_values: list[list[float]] = [[] for _ in table.scanners]
+    dl_values: list[list[float]] = [[] for _ in table.scanners]
     for s, bl, dl in _url_certainties(table, window):
-        per_scanner.setdefault(s, []).append((bl, dl))
+        bl_values[s].append(bl)
+        dl_values[s].append(dl)
 
     out: dict[str, CertaintyScores] = {}
-    for s in sorted(per_scanner):  # scanner indices follow name order
-        values = per_scanner[s]
-        scanner = table.scanners[s]
-        out[scanner] = CertaintyScores(
-            scanner=scanner,
-            bl_certainty=sum(bl for bl, _ in values) / len(values),
-            dl_certainty=sum(dl for _, dl in values) / len(values),
-            n_urls=len(values),
-        )
+    for s, scanner in enumerate(table.scanners):  # scanner indices follow name order
+        n = len(bl_values[s])
+        if n:
+            out[scanner] = CertaintyScores(scanner, sum(bl_values[s]) / n, sum(dl_values[s]) / n, n)
     return out
 
 
@@ -147,11 +146,18 @@ def f1_by_offset(
     labelled = positive | np.array([url in benign_urls for url in table.urls], dtype=bool)
     with_curve = np.unique(table.key_scanner[labelled[table.key_url]]).tolist()
 
-    # tally[scanner, offset, is positive, bl] counts observed labelled URLs.
+    # tally[scanner, offset, is positive, bl] counts observed labelled URLs:
+    # one bincount of each row's flat cell.
     rows = (table.day <= max_offset) & labelled[table.url]
-    days = table.day[rows]
-    tally = np.zeros((len(table.scanners), days.max() + 1 if days.size else 0, 2, 2), dtype=np.int64)
-    np.add.at(tally, (table.scanner[rows], days, positive[table.url[rows]].astype(np.intp), table.bl[rows]), 1)
+    n_days = int(table.day[rows].max()) + 1 if rows.any() else 0
+    cell = table.scanner[rows].astype(np.intp)
+    cell *= n_days
+    cell += table.day[rows]
+    cell *= 2
+    cell += positive[table.url[rows]]
+    cell *= 2
+    cell += table.bl[rows]
+    tally = np.bincount(cell, minlength=len(table.scanners) * n_days * 4).reshape(len(table.scanners), n_days, 2, 2)
 
     curves: dict[str, F1Curve] = {}
     for s in with_curve:  # scanner indices follow name order

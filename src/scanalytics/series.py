@@ -10,12 +10,17 @@ a report for the scanner are absent, never imputed.
 read-only `SeriesView` over them; the analytics read the columns, and a
 `LabelTimeSeries` is built only when a key is indexed.
 
-The build is keyed by report: it sorts the reports, not their verdicts, by
-(URL, day), codes each distinct verdict object once, and gives every verdict
-one narrow code row. A stable sort of those rows by scanner yields (scanner,
-URL, day) order, so a point is a run of rows; a one-row point takes its
-labels from that row, and only points with several rows are voted on. What
-the build holds per verdict is a few narrow columns and one int64 row index.
+The build reads the cohort's `ReportTable` (`feed.ReportTable.of`): the rows
+of the parse the reports came from, or, for reports built by hand, a table
+coded here once per distinct verdict object. It sorts the reports, not their
+verdicts, by (URL, day) and scatters their verdict codes, position by
+position, into one uint8 (report x scanner) label matrix. Points are read
+scanner-major from its transpose, so they come out in (scanner, URL, day)
+order and no per-verdict index is sorted or kept. A point takes its label
+from its one verdict; only days with several report rows (same-day rescans,
+or a scanner listed twice in one report, which gets an extra row) are voted
+on. What the build holds per verdict is the matrix cell and the output
+columns.
 """
 
 from __future__ import annotations
@@ -26,13 +31,12 @@ from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .artifacts import write_table
-from .feed import DetailedLabel, FeedCohort, ScannerVerdict
+from .feed import DetailedLabel, FeedCohort, ReportTable
 
 __all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "SeriesView", "build_series", "align_by_offset", "write_series_csv"]
 
@@ -149,13 +153,18 @@ class _SeriesTable:
         scanner_used[self.key_scanner[kept]] = True
         new_scanner = np.cumsum(scanner_used, dtype=np.int32) - 1
         new_url = np.cumsum(keep_url, dtype=np.int32) - 1
-        new_row = np.concatenate(([0], np.cumsum(kept_rows)))
+        # The kept series' rows stay in row order, so a series now starts
+        # after the rows of the kept series that preceded it.
+        start, length = self.key_start[kept], self.key_stop[kept] - self.key_start[kept]
+        by_row = np.argsort(start)
+        new_start = np.empty_like(start)
+        new_start[by_row] = np.cumsum(length[by_row]) - length[by_row]
         return self._columns(
             tuple(name for name, used in zip(self.scanners, scanner_used.tolist()) if used),
             tuple(url for url, keep in zip(self.urls, keep_url.tolist()) if keep),
             keys=(
                 new_scanner[self.key_scanner[kept]], new_url[self.key_url[kept]],
-                new_row[self.key_start[kept]], new_row[self.key_stop[kept]],
+                new_start, new_start + length,
             ),
             rows=(
                 new_scanner[self.scanner[kept_rows]], new_url[self.url[kept_rows]],
@@ -262,6 +271,36 @@ def _run_bounds(n: int, *columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
+def _vote(label: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group of `label` rows (each starting at one of `starts`) and per
+    scanner: the most common detecting label value, ties to the lower value
+    as `_plurality_label` breaks them; 1 (Benign) where every verdict is
+    benign, and 0 where there is none."""
+    point = np.logical_or.reduceat(label != 0, starts, axis=0).view(np.uint8)
+    top = np.zeros(point.shape, np.int32)
+    for value in range(2, _N_LABELS + 1):
+        votes = np.add.reduceat(label == value, starts, axis=0, dtype=np.int32)
+        wins = votes > top
+        point[wins], top[wins] = value, votes[wins]
+    return point
+
+
+def _listings(codes: np.ndarray, scanner_of: np.ndarray, label_of: np.ndarray, n_scanners: int):
+    """Label and place rows of one report that lists a scanner more than
+    once: its k-th listing of a scanner goes to row k."""
+    scanner = scanner_of[codes]
+    seen: Counter = Counter()
+    copy = []
+    for s in scanner.tolist():
+        copy.append(seen[s])
+        seen[s] += 1
+    label = np.zeros((max(copy) + 1, n_scanners), np.uint8)
+    place = np.zeros(label.shape, np.int64)
+    label[copy, scanner] = label_of[codes]
+    place[copy, scanner] = np.arange(len(codes))
+    return label, place
+
+
 def build_series(cohort: FeedCohort) -> SeriesView:
     """Build per-(scanner, URL) daily series from a deduplicated cohort.
 
@@ -271,78 +310,103 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     read-only `SeriesView`: the points live in int columns, and a
     LabelTimeSeries is built when its key is indexed.
     """
-    reports = cohort.reports
-    day0_by_url: dict[str, date] = {}
-    for report in reports:
-        day = report.first_seen_day
-        prev = day0_by_url.get(report.url)
-        if prev is None or day < prev:
-            day0_by_url[report.url] = day
-    with_verdicts = [r for r in reports if r.verdicts]
-    urls = tuple(sorted({r.url for r in with_verdicts}))
-    url_index = {url: i for i, url in enumerate(urls)}
+    reports = ReportTable.of(cohort.reports)
+    day0 = np.full(len(reports.urls), np.iinfo(np.int32).max, np.int32)
+    np.minimum.at(day0, reports.url, reports.first_seen_day)
 
-    # Reports in (URL, day) order, cohort order within a day. `shift` takes a
-    # verdict's place in this order to its place in cohort verdict order.
-    n_reports = len(with_verdicts)
-    report_url = np.fromiter((url_index[r.url] for r in with_verdicts), np.int32, n_reports)
-    report_day = np.fromiter(((r.scan_day - day0_by_url[r.url]).days for r in with_verdicts), np.int32, n_reports)
-    size = np.fromiter((len(r.verdicts) for r in with_verdicts), np.int64, n_reports)
-    by_day = np.lexsort((report_day, report_url))
-    shift = (np.cumsum(size) - size)[by_day]
-    report_url, report_day, size = report_url[by_day], report_day[by_day], size[by_day]
-    shift -= np.cumsum(size) - size
-    ordered = [with_verdicts[i] for i in by_day.tolist()]
+    # Rows: the reports with verdicts, in (URL, day) order and cohort order
+    # within a day; `rank` is a row's place in the cohort.
+    size = reports.stop - reports.start
+    rank = np.flatnonzero(size)
+    url_of = reports.url[rank]
+    used = np.unique(url_of)
+    names = [reports.urls[u] for u in used.tolist()]
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__), np.intp)
+    url_code = np.zeros(len(reports.urls), np.int32)
+    url_code[used[by_name]] = np.arange(len(used), dtype=np.int32)
+    row_url, row_day = url_code[url_of], reports.scan_day[rank] - day0[url_of]
+    by_day = np.lexsort((row_day, row_url))
+    rank, row_url, row_day = rank[by_day], row_url[by_day], row_day[by_day]
+    start, size = reports.start[rank], size[rank]
 
-    # One row per verdict in that order, holding narrow codes. Each distinct
-    # verdict object is coded once; `parse_feed` shares them, so few exist.
-    def verdicts() -> Iterator[ScannerVerdict]:
-        return chain.from_iterable(r.verdicts for r in ordered)
+    # One uint8 (row x scanner) label matrix: a verdict's label + 1 where the
+    # report lists the scanner, else 0; `place` holds the verdict's position
+    # in its report. It is filled position by position, each step a vector
+    # over the reports at least that long, so no per-verdict index is made.
+    all_scanners = sorted({v.scanner_name for v in reports.verdicts})
+    scanner_index = {name: i for i, name in enumerate(all_scanners)}
+    scanner_of = np.array([scanner_index[v.scanner_name] for v in reports.verdicts], np.intp)
+    label_of = np.array([v.result + 1 for v in reports.verdicts], np.uint8)
+    width = int(size.max()) if size.size else 0
+    label = np.zeros((len(rank), len(all_scanners)), np.uint8)
+    place = np.zeros(label.shape, np.min_scalar_type(width))
+    longest = np.argsort(-size, kind="stable")
+    longer = len(size) - np.cumsum(np.bincount(size, minlength=width))  # rows longer than p
+    for p in range(width):
+        row = longest[:longer[p]]
+        code = reports.codes[start[row] + p]
+        column = scanner_of[code]
+        label[row, column] = label_of[code]
+        place[row, column] = p
 
-    distinct = dict(zip(map(id, verdicts()), verdicts()))
-    scanners = tuple(sorted({v.scanner_name for v in distinct.values()}))
-    scanner_index = {name: i for i, name in enumerate(scanners)}
-    code = dict(zip(distinct, range(len(distinct))))
-    row_code = np.fromiter(map(code.__getitem__, map(id, verdicts())), np.min_scalar_type(len(code)), int(size.sum()))
-    scanner_codes = [scanner_index[v.scanner_name] for v in distinct.values()]
-    scanner = np.array(scanner_codes, np.min_scalar_type(len(scanners)))[row_code]
-    label = np.array([v.result for v in distinct.values()], np.int8)[row_code]
-    del row_code
+    # A report that lists a scanner twice gets an extra row of the same
+    # (URL, day) for each further listing, so the vote sees every verdict.
+    repeats = np.flatnonzero(np.count_nonzero(label, axis=1) < size).tolist()
+    if repeats:
+        blocks = [_listings(reports.codes[start[i]:start[i] + size[i]], scanner_of, label_of, len(all_scanners)) for i in repeats]
+        copies = np.ones(len(rank), np.intp)
+        copies[repeats] = [len(lab) for lab, _ in blocks]
+        first = np.cumsum(copies) - copies
+        spread = np.repeat(np.arange(len(rank)), copies)
+        label, place, rank, row_url, row_day = label[spread], place[spread], rank[spread], row_url[spread], row_day[spread]
+        for i, (lab, pla) in zip(repeats, blocks):
+            label[first[i]:first[i] + len(lab)] = lab
+            place[first[i]:first[i] + len(lab)] = pla
 
-    # Stably sorted by scanner, the rows run in (scanner, URL, day) order, so
-    # a point is a run of rows with one scanner and one (URL, day).
-    row = np.argsort(scanner, kind="stable")
-    scanner, label = scanner[row], label[row]
-    row_report = np.repeat(np.arange(n_reports, dtype=np.int32), size)[row]
-    bounds = _run_bounds(len(row), scanner, report_url[row_report], report_day[row_report])
-    first, count = bounds[:-1], np.diff(bounds)
+    # A point is a (URL, day) that holds a verdict of the scanner: one row's
+    # label, or, where the day has several rows, their vote.
+    groups = _run_bounds(len(rank), row_url, row_day)
+    lengths = np.diff(groups)
+    point = label if len(lengths) == len(rank) else label[groups[:-1]]
+    shared = np.flatnonzero(lengths > 1)
+    if shared.size:
+        n = lengths[shared]
+        offset = np.cumsum(n) - n
+        point[shared] = _vote(label[np.repeat(groups[shared] - offset, n) + np.arange(n.sum())], offset)
+    group_url, group_day = row_url[groups[:-1]], row_day[groups[:-1]]
 
-    # A point's label is its row's. Where a day holds several verdicts, it is
-    # their most common detecting label, ties to the lower enum value as
-    # `_plurality_label`, and Benign when none detects.
-    dl = label[first]
-    shared = count > 1
-    n_shared = np.count_nonzero(shared)
-    voter = np.repeat(np.arange(n_shared), count[shared])
-    votes = np.bincount(voter * _N_LABELS + label[np.repeat(shared, count)], minlength=n_shared * _N_LABELS)
-    detecting = votes.reshape(-1, _N_LABELS)[:, 1:]
-    dl[shared] = np.where(detecting.any(axis=1), detecting.argmax(axis=1) + 1, 0)
+    # Points are read scanner-major from the transpose: a scanner's points
+    # run in (URL, day) order, and its series are the runs of one URL. A
+    # series' key is its first verdict in cohort order, the least
+    # (rank, place) over its rows.
+    count = np.count_nonzero(point, axis=0)
+    kept = np.flatnonzero(count)
+    n_points = int(count.sum())
+    point_url = np.empty(n_points, np.int32)
+    point_day = np.empty(n_points, np.int32)
+    dl = np.empty(n_points, np.int8)
+    first_verdict = []
+    at = 0
+    for s in kept.tolist():
+        hit = np.flatnonzero(point.T[s])
+        stop = at + len(hit)
+        point_url[at:stop], point_day[at:stop], dl[at:stop] = group_url[hit], group_day[hit], point.T[s][hit] - 1
+        at = stop
+        rows = hit if point is label else np.flatnonzero(label.T[s])
+        series = _run_bounds(len(rows), row_url[rows])[:-1]
+        first_verdict.append(np.minimum.reduceat(rank[rows] * width + place.T[s][rows], series))
+    del label, place, point
 
-    # Series: runs of one (scanner, URL) among the points, keyed in order of
-    # their first verdict in the cohort.
-    point_report = row_report[first]
-    point_scanner = scanner[first].astype(np.int32)
-    point_url = report_url[point_report]
-    keys = _run_bounds(len(first), point_scanner, point_url)
-    row += shift[row_report]
-    order = np.argsort(np.minimum.reduceat(row, first[keys[:-1]]))
+    point_scanner = np.repeat(np.arange(len(kept), dtype=np.int32), count[kept])
+    keys = _run_bounds(n_points, point_scanner, point_url)
+    order = np.argsort(np.concatenate(first_verdict)) if first_verdict else np.empty(0, np.intp)
     key_start = keys[:-1][order]
     table = _SeriesTable._columns(
-        scanners, urls,
+        tuple(all_scanners[s] for s in kept.tolist()), tuple(names[i] for i in by_name.tolist()),
         keys=(point_scanner[key_start], point_url[key_start], key_start, keys[1:][order]),
-        rows=(point_scanner, point_url, report_day[point_report], (dl != 0).astype(np.int8), dl),
+        rows=(point_scanner, point_url, point_day, (dl != 0).astype(np.int8), dl),
     )
-    return SeriesView(table, [day0_by_url[url] for url in urls])
+    return SeriesView(table, [date.fromordinal(d) for d in day0[used[by_name]].tolist()])
 
 
 def align_by_offset(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from scanalytics.feed import (
     FeedFormatError,
     GroundTruthConflictError,
     GroundTruthLabel,
+    ReportTable,
     ScannerVerdict,
+    ScanReport,
     dedup_by_scan_id,
     extract_fresh,
     filter_ever_detected,
@@ -26,6 +31,8 @@ from scanalytics.feed import (
     stratified_sample,
     write_ground_truth,
 )
+
+from scanalytics.scanners import SCANNER_NAMES
 
 from conftest import report, verdict
 
@@ -523,3 +530,113 @@ class TestSharedVerdicts:
         assert first[0].verdicts[0] is first[3].verdicts[0]  # lines 1 and 7
         assert first[0].verdicts[0] == second[0].verdicts[0]
         assert first[0].verdicts[0] is not second[0].verdicts[0]
+
+
+def _by_hand(r):
+    """The report `r` is, built by hand with fresh verdict objects."""
+    verdicts = tuple(ScannerVerdict(v.scanner_name, v.detected, v.result) for v in r.verdicts)
+    return ScanReport(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, verdicts)
+
+
+class TestReportViews:
+    """`parse_feed` returns views over its report table's rows; they behave
+    as the reports built by hand from the same values."""
+
+    def _lines(self):
+        return TestSharedVerdicts()._lines() + [
+            make_line(url="HTTP://B.test/p", scan_id="b", scan_date="2021-03-02T05:06:07+02:00",
+                      first_seen="2021-02-28T23:59:59Z", scans={}),
+            make_line(url="http://c.test/", scan_id="c", scan_date="1969-12-31T23:59:59.999999Z",
+                      first_seen="1969-12-30T12:00:00.5-03:00"),
+        ]
+
+    def test_equal_and_hash_as_built_by_hand(self):
+        reports, _ = parse_feed(iter(self._lines()))
+        assert len(reports) == 7
+        for r in reports:
+            plain = _by_hand(r)
+            assert type(plain) is ScanReport and type(r) is not ScanReport and isinstance(r, ScanReport)
+            assert r == plain and plain == r and not (r != plain) and not (plain != r)
+            assert hash(r) == hash(plain)
+            assert plain in {r} and r in {plain}
+            assert (r.scan_day, r.first_seen_day) == (plain.scan_date.date(), plain.first_seen.date())
+        assert reports[0] != reports[1] and _by_hand(reports[0]) != reports[1] and reports[1] != _by_hand(reports[0])
+        assert reports[0] != "not a report"
+        empty, early = reports[-2:]
+        assert (empty.url, empty.verdicts, empty.positives) == ("http://b.test/p", (), 0)
+        assert empty.scan_date.isoformat() == "2021-03-02T03:06:07+00:00"
+        # Microseconds and days before the epoch are kept exactly.
+        assert early.scan_date.isoformat() == "1969-12-31T23:59:59.999999+00:00"
+        assert early.first_seen.isoformat() == "1969-12-30T15:00:00.500000+00:00"
+        assert (early.scan_day.isoformat(), early.first_seen_day.isoformat()) == ("1969-12-31", "1969-12-30")
+
+    def test_verdict_objects_shared_within_one_parse(self):
+        lines = self._lines()
+        first, _ = parse_feed(iter(lines))
+        second, _ = parse_feed(iter(lines))
+        assert first[0].verdicts[1] is first[0].verdicts[1]  # read again from the same row
+        assert first[0].verdicts[0] is first[3].verdicts[0]
+        assert first[0].verdicts == second[0].verdicts
+        assert all(a is not b for a, b in zip(first[0].verdicts, second[0].verdicts))
+        table = ReportTable.of(first)
+        assert table.verdicts is ReportTable.of(first[2:]).verdicts  # rows of one table
+        assert [table.verdicts[c] for c in table.codes[table.start[0]:table.stop[0]]] == list(first[0].verdicts)
+        mixed = ReportTable.of(first[:2] + second[2:])  # two parses: coded by object
+        assert len(mixed.verdicts) == len({id(v) for r in first[:2] + second[2:] for v in r.verdicts})
+
+    def test_report_to_json_round_trips(self):
+        reports, _ = parse_feed(iter(self._lines()[:-1]))  # whole seconds, as the record form writes them
+        lines = [report_to_json(r) for r in reports]
+        assert lines == [report_to_json(_by_hand(r)) for r in reports]
+        again, warnings = parse_feed(iter(lines))
+        assert again == reports
+        assert [w.message for w in warnings] == ["unknown scanner name 'MysteryAV'"]
+        assert [report_to_json(r) for r in again] == lines
+
+    def test_pickles_and_copies_as_a_plain_report(self):
+        reports, _ = parse_feed(iter(self._lines()))
+        for r in reports:
+            restored = pickle.loads(pickle.dumps(r))
+            assert type(restored) is ScanReport and restored == r
+
+    def test_views_are_read_only(self):
+        reports, _ = parse_feed(iter(self._lines()))
+        for name in ("url", "scan_date", "verdicts", "positives"):
+            with pytest.raises(AttributeError):
+                setattr(reports[0], name, None)
+
+
+def _wide_lines(n_urls, n_days, drop, seed):
+    """Feed lines with up to 95 scanners per report; each scanner entry is
+    left out with probability `drop`."""
+    rng = random.Random(seed)
+    entries = [{"detected": False, "result": "clean site"}, {"detected": True, "result": "phishing site"},
+               {"detected": True, "result": "malware site"}]
+    lines = []
+    for i in range(n_urls):
+        for d in range(n_days):
+            scans = {name: rng.choice(entries) for name in SCANNER_NAMES if rng.random() >= drop}
+            lines.append(make_line(url=f"http://u{i}.test/", scan_date=f"2021-03-{1 + d:02d}T12:00:00Z",
+                                   first_seen="2021-03-01T00:00:00Z", scan_id=f"{i}-{d}", scans=scans))
+    return lines
+
+
+class TestParseMemory:
+    def test_bytes_per_report_on_a_wide_feed(self):
+        # Verdicts are narrow codes into the shared objects, so a report
+        # costs about as many bytes as it has scanners, not pointers.
+        lines = _wide_lines(150, 10, 0.0, seed=5)
+        parse_feed(iter(lines[:20]))  # first-call costs (imports, caches) are not per report
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            reports, _ = parse_feed(iter(lines))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(reports) == 1500 and sum(len(r.verdicts) for r in reports) == 1500 * len(SCANNER_NAMES)
+        assert peak <= 600 * len(reports), f"{peak / len(reports):.0f} B per report"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,3 +357,21 @@ class TestRankBinnedSplitsMatchReference:
             paths.append(tmp_path / f"model-{threads}.json")
             save_forest(model, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestInfiniteNeighboursWarnNothing:
+    """The midpoint of adjacent -inf and inf values is NaN; the split falls
+    back to -inf without a RuntimeWarning, in one tree and in a forest."""
+
+    def test_split_between_infinities_raises_no_warning(self):
+        X = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
+        y = np.array([0, 0, 1, 1], dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = _build_tree(_BinnedMatrix.encode(X), y, 30, 1, np.random.default_rng(0))
+            model = train_forest_model(X, y, ["f0"], seed=0, n_estimators=4)
+            votes = model.predict_proba(X)
+        assert tree.threshold.tolist() == [-np.inf, 0.0, 0.0]
+        assert tree.predict(X).tolist() == [0, 0, 1, 1]
+        assert not any(np.isnan(t.threshold).any() for t in model.trees)
+        assert votes.shape[0] == 4

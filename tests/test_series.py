@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 
@@ -17,7 +18,15 @@ from scanalytics.correlate import (
     jaccard_detailed,
     scanner_dtw_matrix,
 )
-from scanalytics.feed import DetailedLabel, FeedCohort
+from scanalytics.feed import (
+    DetailedLabel,
+    FeedCohort,
+    ReportTable,
+    ScannerVerdict,
+    ScanReport,
+    filter_ever_detected,
+    parse_feed,
+)
 from scanalytics.leadlag import first_detection_index
 from scanalytics.metrics import certainty_scores, f1_by_offset, label_count_distribution, url_label_stats
 from scanalytics.scanners import SCANNER_NAMES
@@ -507,3 +516,115 @@ class TestBuildMemory:
                 tracemalloc.stop()
         assert len(view) == 36 * len(SCANNER_NAMES)
         assert peak <= 100 * n_verdicts, f"{peak / n_verdicts:.0f} B per verdict"
+
+
+_ENTRIES = [
+    {"detected": False, "result": "clean site"},
+    {"detected": False, "result": ""},
+    {"detected": True, "result": "phishing site"},
+    {"detected": True, "result": "Malware Sites"},
+    {"detected": True, "result": "spam site"},
+    {"detected": True, "result": ""},  # detected with a benign result: the catch-all
+    {"detected": True, "result": "something new"},  # unrecognised: the catch-all
+]
+
+
+def _feed_line(url, day, hour, first_seen_day, scan_id, scans):
+    """One feed record whose `scans` object is written from (name, entry)
+    pairs in the given order, so a name may repeat as a duplicate key."""
+    head = json.dumps({
+        "url": url, "scan_date": f"2021-03-{1 + day:02d}T{hour:02d}:00:00Z",
+        "first_seen": f"2021-03-{1 + first_seen_day:02d}T00:00:00Z", "scan_id": scan_id,
+        "positives": sum(entry["detected"] for _, entry in dict(scans).items()),
+    })
+    body = ",".join(f"{json.dumps(name)}:{json.dumps(entry)}" for name, entry in scans)
+    return head[:-1] + ',"scans":{' + body + "}}"
+
+
+def _columns(table):
+    names = ("key_scanner", "key_url", "key_start", "key_stop", "scanner", "url", "day", "bl", "dl")
+    return (table.scanners, table.urls) + tuple((getattr(table, n).dtype.name, getattr(table, n).tolist()) for n in names)
+
+
+class TestParsedViewsMatchHandBuilt:
+    """The series built from `parse_feed`'s report table, from the same
+    reports built by hand (coded by verdict object) and verdict by verdict
+    are the same columns."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_three_sources_give_one_table(self, data):
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=100_000)))
+        keep_order = data.draw(st.booleans())
+        names = ["Fortinet", "Sophos", "ESET", "Kaspersky", "Not A Registered Scanner"]
+        lines = []
+        for i in range(rng.randint(1, 5)):
+            first_seen = rng.randint(0, 3)
+            for d in range(first_seen + rng.randint(0, 2), first_seen + rng.randint(3, 8)):
+                seen = first_seen - rng.choice([0, 0, 0, 1])  # reports of one URL may differ
+                for k in range(rng.choice([0, 1, 1, 2, 3])):  # same-day rescans vote
+                    chosen = [n for n in names if rng.random() < 0.7]  # ragged scanner sets
+                    chosen += rng.sample(names, rng.choice([0, 0, 0, 1]))  # a scanner listed twice
+                    if rng.random() < 0.1:
+                        chosen = []  # a report without verdicts still sets day 0
+                    rng.shuffle(chosen)  # per-report verdict order
+                    scans = [(n, rng.choice(_ENTRIES)) for n in chosen]
+                    lines.append(_feed_line(f"http://u{i}.test/", d, rng.randint(0, 23), max(seen, 0), f"{i}-{d}-{k}", scans))
+        rng.shuffle(lines)
+        parsed, _ = parse_feed(iter(lines))
+        by_hand = [
+            ScanReport(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives,
+                       tuple(ScannerVerdict(v.scanner_name, v.detected, v.result) for v in r.verdicts))
+            for r in parsed
+        ]
+        if keep_order:  # keys follow cohort report order, so keep the shuffled one
+            cohorts = [FeedCohort("shuffled", frozenset(r.url for r in rs), tuple(rs)) for rs in (parsed, by_hand)]
+        else:
+            cohorts = [cohort(rs) for rs in (parsed, by_hand)]
+        cohorts += [filter_ever_detected(rs) for rs in (parsed, by_hand)]  # a subset of the table's rows
+
+        for views, built in (cohorts[:2], cohorts[2:]):
+            if views.reports:  # rows of the parse's table, not coded again
+                assert ReportTable.of(views.reports).verdicts is ReportTable.of(parsed).verdicts
+            expected = _brute_force_columns(views)
+            expected = (expected.pop("scanners"), expected.pop("urls")) + tuple(expected.values())
+            assert _columns(build_series(views).table) == expected
+            assert _columns(build_series(built).table) == expected
+
+
+def _wide_cohort(drop, seed):
+    """A parsed 95-scanner feed of 36 URLs x 10 days; each scanner entry is
+    left out with probability `drop`."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(36):
+        for d in range(10):
+            scans = [(name, rng.choice(_ENTRIES[:4])) for name in SCANNER_NAMES if rng.random() >= drop]
+            lines.append(_feed_line(f"http://u{i}.test/", d, 12, 0, f"{i}-{d}", scans))
+    reports, _ = parse_feed(iter(lines))
+    return cohort(reports)
+
+
+class TestBuildMemoryFromParse:
+    """From a parse's report table the build holds a uint8 label matrix and
+    the series columns, and makes no per-verdict index."""
+
+    @pytest.mark.parametrize("drop", [0.0, 0.2], ids=["dense", "ragged"])
+    def test_transient_memory_per_verdict(self, drop):
+        co = _wide_cohort(drop, seed=4)
+        n_verdicts = sum(len(r.verdicts) for r in co.reports)
+        assert n_verdicts >= 27_000
+        build_series(co)  # first-call costs (imports, caches) are not per verdict
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            view = build_series(co)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(view) == 36 * len(SCANNER_NAMES)
+        assert peak <= 35 * n_verdicts, f"{peak / n_verdicts:.0f} B per verdict"
