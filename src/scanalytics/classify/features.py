@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, FeedFormatError, ScannerVerdict, ScanReport, normalize_url
+from ..feed import DetailedLabel, FeedFormatError, ScanReport, normalize_url
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -269,36 +269,23 @@ def vt_cluster_features(report: ScanReport, model: ScannerClusterModel) -> tuple
     detecting scanner inside an existing cluster never changes them. Generic
     and other attack labels count toward the denominator only.
     """
-    return _cluster_proportions(report, [v for v in report.verdicts if v.detected], model)
-
-
-def _cluster_proportions(
-    report: ScanReport, detecting: list[ScannerVerdict], model: ScannerClusterModel
-) -> tuple[float, float]:
-    if not detecting:
-        raise ValueError(f"report {report.scan_id!r} has no detecting verdicts")
-    all_clusters = {model.cluster_of(v.scanner_name) for v in detecting}
-    phishing_clusters = {
-        model.cluster_of(v.scanner_name)
-        for v in detecting
-        if v.result is DetailedLabel.PhishingSite
-    }
-    malware_clusters = {
-        model.cluster_of(v.scanner_name)
-        for v in detecting
-        if v.result is DetailedLabel.MalwareSite
-    }
-    return len(phishing_clusters) / len(all_clusters), len(malware_clusters) / len(all_clusters)
+    return _vt_group(report, model)[:2]
 
 
 def _vt_group(report: ScanReport, model: ScannerClusterModel) -> tuple[float, ...]:
     # One read of `verdicts`: a parsed report builds the tuple on each read.
-    detecting = [v for v in report.verdicts if v.detected]
-    phishing_prop, malware_prop = _cluster_proportions(report, detecting, model)
-    counts = Counter(v.result for v in detecting)
+    detecting = [(model.cluster_of(v.scanner_name), v.result) for v in report.verdicts if v.detected]
+    if not detecting:
+        raise ValueError(f"report {report.scan_id!r} has no detecting verdicts")
+    n_clusters = len({cluster for cluster, _ in detecting})
+    counts = Counter(label for _, label in detecting)
+
+    def proportion(label: DetailedLabel) -> float:
+        return len({cluster for cluster, result in detecting if result is label}) / n_clusters
+
     return (
-        phishing_prop,
-        malware_prop,
+        proportion(DetailedLabel.PhishingSite),
+        proportion(DetailedLabel.MalwareSite),
         float(counts.get(DetailedLabel.PhishingSite, 0)),
         float(counts.get(DetailedLabel.MalwareSite, 0)),
         float(counts.get(DetailedLabel.MaliciousSite, 0)),

@@ -11,7 +11,9 @@ The feed is UTF-8 line-delimited JSON, one scan report per line:
 columns, and each report's verdicts as narrow codes into the parse's shared
 `ScannerVerdict` objects, one flat code array cut into rows. The reports it
 returns are read-only views of those rows; they equal and hash like reports
-built by hand.
+built by hand. Reports built by hand get their table from the same builder,
+coded once per distinct verdict object. A report's day, wherever it is read,
+is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 
 Everything returned by this module is immutable after construction and safe
 to share across threads.
@@ -28,7 +30,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
-from itertools import chain
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -171,7 +172,8 @@ class ScanReport:
     """One scanner-aggregated scan of one URL at one point in time.
 
     `positives` always equals the number of detecting verdicts (recomputed on
-    ingest when the raw field disagrees). Timestamps are UTC.
+    ingest when the raw field disagrees). Timestamps are UTC; a naive one is
+    read as UTC, and `scan_day` and `first_seen_day` are UTC days.
     """
 
     url: str
@@ -189,12 +191,12 @@ class ScanReport:
             raise ValueError("positives does not match detecting verdict count")
 
     @property
-    def scan_day(self):
-        return self.scan_date.date()
+    def scan_day(self) -> date:
+        return date.fromordinal(_utc_day(_utc_us(self.scan_date)))
 
     @property
-    def first_seen_day(self):
-        return self.first_seen.date()
+    def first_seen_day(self) -> date:
+        return date.fromordinal(_utc_day(_utc_us(self.first_seen)))
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -209,17 +211,23 @@ def _utc_us(ts: datetime) -> int:
     return (ts - _EPOCH) // _MICROSECOND
 
 
+def _utc_day(us):
+    """The date ordinal of the UTC day `us` microseconds after the epoch falls
+    on; `us` is an int or an int array."""
+    return us // _DAY_US + _EPOCH.toordinal()
+
+
 @dataclass(frozen=True, eq=False)
 class ReportTable:
     """Scan reports as columns, one row per report.
 
     Per-report columns: `url` (an index into `urls`), `scan_us` and
     `first_seen_us` (UTC microseconds since the epoch), `scan_day` and
-    `first_seen_day` (the date ordinals of `ScanReport.scan_day` and
-    `first_seen_day`), `scan_id` and `positives`. Row i's verdicts, in report
-    order, are `verdicts[c]` for c in `codes[start[i]:stop[i]]`: each shared
-    verdict object is stored once, and every verdict is a narrow code into
-    them, in compressed rows over one flat code array.
+    `first_seen_day` (their UTC date ordinals), `scan_id` and `positives`.
+    Row i's verdicts, in report order, are `verdicts[c]` for c in
+    `codes[start[i]:stop[i]]`: each shared verdict object is stored once, and
+    every verdict is a narrow code into them, in compressed rows over one
+    flat code array.
     """
 
     urls: Sequence[str]
@@ -239,40 +247,20 @@ class ReportTable:
     def of(cls, reports: Sequence[ScanReport]) -> "ReportTable":
         """The table of `reports`, in their order. Reports that one
         `parse_feed` call returned are rows of its table and are taken as
-        they are; any other reports are coded here, each distinct verdict
-        object once."""
+        they are; any other reports are added to a new table as a parse adds
+        them, each distinct verdict object coded once."""
         table = getattr(reports[0], "_table", None) if reports else None
         if table is not None and all(type(r) is _TableReport and r._table is table for r in reports):
             return table.take(np.fromiter((r._row for r in reports), np.intp, len(reports)))
-        return cls._coded(reports)
-
-    @classmethod
-    def _coded(cls, reports: Sequence[ScanReport]) -> "ReportTable":
-        def verdicts() -> Iterable[ScannerVerdict]:
-            return chain.from_iterable(r.verdicts for r in reports)
-
-        n = len(reports)
-        distinct = dict(zip(map(id, verdicts()), verdicts()))
-        code = dict(zip(distinct, range(len(distinct))))
-        size = np.fromiter((len(r.verdicts) for r in reports), np.int64, n)
-        stop = np.cumsum(size)
-        codes = np.fromiter(map(code.__getitem__, map(id, verdicts())), np.min_scalar_type(len(code)), size.sum())
-
-        def column(values: Iterable[int], dtype) -> np.ndarray:
-            return np.fromiter(values, dtype, n)
-
-        urls: dict[str, int] = {}
-        url = column((urls.setdefault(r.url, len(urls)) for r in reports), np.int32)
-        return cls(
-            urls=tuple(urls), verdicts=tuple(distinct.values()), codes=codes,
-            start=stop - size, stop=stop, url=url,
-            scan_us=column((_utc_us(r.scan_date) for r in reports), np.int64),
-            first_seen_us=column((_utc_us(r.first_seen) for r in reports), np.int64),
-            scan_day=column((r.scan_day.toordinal() for r in reports), np.int32),
-            first_seen_day=column((r.first_seen_day.toordinal() for r in reports), np.int32),
-            scan_id=[r.scan_id for r in reports],
-            positives=column((r.positives for r in reports), np.int32),
-        )
+        builder = _TableBuilder()
+        code: dict[int, int] = {}  # the builder keeps each coded object, so its id stays unique
+        for r in reports:
+            verdicts = r.verdicts
+            for v in verdicts:
+                if id(v) not in code:
+                    code[id(v)] = builder.code(v)
+            builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[id(v)] for v in verdicts])
+        return builder.table()
 
     def take(self, rows: np.ndarray) -> "ReportTable":
         """The table of `rows`, in that order, sharing URLs, verdicts and codes."""
@@ -317,14 +305,6 @@ class _TableReport(ScanReport):
         table, row = self._table, self._row
         return tuple(map(table.verdicts.__getitem__, table.codes[table.start.item(row):table.stop.item(row)].tolist()))
 
-    @property
-    def scan_day(self) -> date:
-        return date.fromordinal(self._table.scan_day.item(self._row))
-
-    @property
-    def first_seen_day(self) -> date:
-        return date.fromordinal(self._table.first_seen_day.item(self._row))
-
     def _values(self) -> tuple:
         return (self.url, self.scan_date, self.first_seen, self.scan_id, self.positives, self.verdicts)
 
@@ -340,7 +320,8 @@ class _TableReport(ScanReport):
 
 
 class _TableBuilder:
-    """The columns of one parse's `ReportTable`, filled line by line."""
+    """The columns of one `ReportTable`, filled report by report: the only
+    code that makes a table's columns (`ReportTable.take` selects rows)."""
 
     def __init__(self) -> None:
         self.url_index: dict[str, int] = {}
@@ -370,21 +351,23 @@ class _TableBuilder:
         self.codes.fromlist(codes)
         self.offsets.append(len(self.codes))
 
-    def reports(self) -> list[ScanReport]:
-        """A read-only `ScanReport` over each row of the finished table."""
+    def table(self) -> ReportTable:
+        """The finished table; its columns share the builder's arrays."""
         def column(values: array) -> np.ndarray:
             return np.frombuffer(values, dtype=values.typecode)  # no copy
 
-        def day(us: np.ndarray) -> np.ndarray:
-            return (us // _DAY_US + _EPOCH.toordinal()).astype(np.int32)
-
         offsets, scan_us, first_seen_us = column(self.offsets), column(self.scan_us), column(self.first_seen_us)
-        table = ReportTable(
+        return ReportTable(
             urls=tuple(self.url_index), verdicts=tuple(self.verdicts), codes=column(self.codes),
             start=offsets[:-1], stop=offsets[1:], url=column(self.url),
-            scan_us=scan_us, first_seen_us=first_seen_us, scan_day=day(scan_us), first_seen_day=day(first_seen_us),
+            scan_us=scan_us, first_seen_us=first_seen_us,
+            scan_day=_utc_day(scan_us).astype(np.int32), first_seen_day=_utc_day(first_seen_us).astype(np.int32),
             scan_id=self.scan_id, positives=column(self.positives),
         )
+
+    def reports(self) -> list[ScanReport]:
+        """A read-only `ScanReport` over each row of the finished table."""
+        table = self.table()
         urls = map(table.urls.__getitem__, self.url)  # the arrays give Python ints one at a time
         return list(map(partial(_TableReport, table), range(len(self.scan_id)), urls, self.scan_id, self.positives))
 

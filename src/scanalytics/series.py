@@ -1,10 +1,12 @@
 """Daily label time series per (scanner, URL).
 
 Reports are bucketed into UTC calendar days relative to the URL's first_seen
-day (day 0). A day's binary label is the maximum detected flag the scanner
-gave that day; its detailed label is the plurality label among the scanner's
-detecting reports that day (ties broken by DetailedLabel order). Days without
-a report for the scanner are absent, never imputed.
+day (day 0): a timestamp's day is its UTC day, whatever its offset, for a
+parsed report and a report built by hand alike. A day's binary label is the
+maximum detected flag the scanner gave that day; its detailed label is the
+plurality label among the scanner's detecting reports that day (ties broken
+by DetailedLabel order). Days without a report for the scanner are absent,
+never imputed.
 
 `build_series` keeps the points in int columns (`_SeriesTable`) and returns a
 read-only `SeriesView` over them; the analytics read the columns, and a
@@ -12,15 +14,15 @@ read-only `SeriesView` over them; the analytics read the columns, and a
 
 The build reads the cohort's `ReportTable` (`feed.ReportTable.of`): the rows
 of the parse the reports came from, or, for reports built by hand, a table
-coded here once per distinct verdict object. It sorts the reports, not their
-verdicts, by (URL, day) and scatters their verdict codes, position by
-position, into one uint8 (report x scanner) label matrix. Points are read
-scanner-major from its transpose, so they come out in (scanner, URL, day)
-order and no per-verdict index is sorted or kept. A point takes its label
-from its one verdict; only days with several report rows (same-day rescans,
-or a scanner listed twice in one report, which gets an extra row) are voted
-on. What the build holds per verdict is the matrix cell and the output
-columns.
+made by the parse's builder, each distinct verdict object coded once. It
+sorts the reports, not their verdicts, by (URL, day) and scatters their
+verdict codes, position by position, into one uint8 (report x scanner) label
+matrix. Points are read scanner-major from its transpose, so they come out
+in (scanner, URL, day) order and no per-verdict index is sorted or kept. A
+point takes its label from its one verdict; only days with several report
+rows (same-day rescans, or a scanner listed twice in one report, which gets
+an extra row) are voted on. What the build holds per verdict is the matrix
+cell and the output columns.
 """
 
 from __future__ import annotations

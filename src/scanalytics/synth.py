@@ -314,10 +314,7 @@ def generate(config: ScenarioConfig) -> GeneratedFeed:
             verdicts = []
             for arch in config.archetypes:
                 label = planted[arch.name][url].get(day)
-                if label is None:
-                    verdicts.append(ScannerVerdict(arch.name, False, DetailedLabel.Benign))
-                else:
-                    verdicts.append(ScannerVerdict(arch.name, True, label))
+                verdicts.append(_verdict(arch.name, label is not None, label))
             positives = sum(1 for v in verdicts if v.detected)
             reports.append(
                 ScanReport(
@@ -442,76 +439,38 @@ def _corpus_url(index: int, cls: str, cfg: ClassifierCorpusConfig, rng: random.R
     return f"http://www.{domain}/item{index}"
 
 
+def _verdict(name: str, fires: bool, label: DetailedLabel | None) -> ScannerVerdict:
+    return ScannerVerdict(name, fires, label if fires else DetailedLabel.Benign)
+
+
 def _corpus_verdicts(
     cls: str, cfg: ClassifierCorpusConfig, rng: random.Random
 ) -> list[ScannerVerdict]:
-    verdicts: list[ScannerVerdict] = []
-
     copier_fire = rng.random() < (
         cfg.copier_fire_phishing if cls == "phishing" else cfg.copier_fire_malware
     )
-    for i in range(cfg.copier_cluster_size):
-        verdicts.append(
-            ScannerVerdict(
-                f"CopyCat-{i + 1:02d}",
-                copier_fire,
-                DetailedLabel.MalwareSite if copier_fire else DetailedLabel.Benign,
-            )
-        )
-
+    verdicts = [
+        _verdict(f"CopyCat-{i + 1:02d}", copier_fire, DetailedLabel.MalwareSite)
+        for i in range(cfg.copier_cluster_size)
+    ]
     for i in range(3):
         rate = cfg.phish_specialist_recall if cls == "phishing" else 0.06
-        fire = rng.random() < rate
-        verdicts.append(
-            ScannerVerdict(
-                f"PhishSpec-{i + 1:02d}",
-                fire,
-                DetailedLabel.PhishingSite if fire else DetailedLabel.Benign,
-            )
-        )
-
+        verdicts.append(_verdict(f"PhishSpec-{i + 1:02d}", rng.random() < rate, DetailedLabel.PhishingSite))
     for i in range(2):
         rate = cfg.malware_specialist_recall if cls == "malware" else 0.05
-        fire = rng.random() < rate
-        verdicts.append(
-            ScannerVerdict(
-                f"MalSpec-{i + 1:02d}",
-                fire,
-                DetailedLabel.MalwareSite if fire else DetailedLabel.Benign,
-            )
-        )
-
+        verdicts.append(_verdict(f"MalSpec-{i + 1:02d}", rng.random() < rate, DetailedLabel.MalwareSite))
     for i in range(2):
-        fire = rng.random() < cfg.generalist_rate
-        verdicts.append(
-            ScannerVerdict(
-                f"Generalist-{i + 1:02d}",
-                fire,
-                DetailedLabel.PhishingSite if fire else DetailedLabel.Benign,
-            )
-        )
-
-    fire = rng.random() < 0.5
-    verdicts.append(
-        ScannerVerdict("GenericEye", fire, DetailedLabel.MaliciousSite if fire else DetailedLabel.Benign)
-    )
-    fire = rng.random() < 0.3
-    verdicts.append(
-        ScannerVerdict("SuspEye", fire, DetailedLabel.SuspiciousSite if fire else DetailedLabel.Benign)
-    )
-    fire = rng.random() < 0.1
-    verdicts.append(
-        ScannerVerdict(
-            "QuietWatch", fire, DetailedLabel.NotRecommendedSite if fire else DetailedLabel.Benign
-        )
-    )
+        verdicts.append(_verdict(f"Generalist-{i + 1:02d}", rng.random() < cfg.generalist_rate, DetailedLabel.PhishingSite))
+    verdicts.append(_verdict("GenericEye", rng.random() < 0.5, DetailedLabel.MaliciousSite))
+    verdicts.append(_verdict("SuspEye", rng.random() < 0.3, DetailedLabel.SuspiciousSite))
+    verdicts.append(_verdict("QuietWatch", rng.random() < 0.1, DetailedLabel.NotRecommendedSite))
 
     if not any(v.detected for v in verdicts):
         # Guarantee at least one detection so cluster features are defined.
         name = "PhishSpec-01" if cls == "phishing" else "MalSpec-01"
         label = DetailedLabel.PhishingSite if cls == "phishing" else DetailedLabel.MalwareSite
         verdicts = [
-            ScannerVerdict(name, True, label) if v.scanner_name == name else v for v in verdicts
+            _verdict(name, True, label) if v.scanner_name == name else v for v in verdicts
         ]
     return verdicts
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -708,3 +712,32 @@ class TestFormatContract:
             else:
                 assert written == (tmp_path / "csv" / name).read_text(encoding="utf-8"), name
         assert tables
+
+
+class TestTracedBenchmarkNames:
+    """`bench/traced.py` wraps the CLI's and the library's names by
+    attribute; a name the program drops or renames must fail here, not only
+    inside the benchmark."""
+
+    def test_every_wrapped_name_resolves(self):
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, "bench")
+            import traced
+
+            wrapped = []
+
+            class Counting(traced.Tracer):
+                def wrap(self, fn, name, after=None, rss=None):
+                    wrapped.append(name)
+                    return super().wrap(fn, name, after, rss)
+
+            traced.install(Counting(), "metrics")
+            print(len(wrapped))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        # A child process: installing rebinds module globals for good.
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["52"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from datetime import date, datetime, timedelta, timezone
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,10 @@ from scanalytics.feed import (
     ReportTable,
     ScannerVerdict,
     ScanReport,
+    extract_fresh,
     filter_ever_detected,
     parse_feed,
+    report_to_json,
 )
 from scanalytics.leadlag import first_detection_index
 from scanalytics.metrics import certainty_scores, f1_by_offset, label_count_distribution, url_label_stats
@@ -590,6 +593,37 @@ class TestParsedViewsMatchHandBuilt:
             expected = (expected.pop("scanners"), expected.pop("urls")) + tuple(expected.values())
             assert _columns(build_series(views).table) == expected
             assert _columns(build_series(built).table) == expected
+
+
+class TestOneReportOneDay:
+    """A report's day is the UTC day of its timestamp, whatever its offset:
+    a report built by hand and its parsed round trip give the same days,
+    freshness and series."""
+
+    def test_hand_built_and_parsed_agree(self):
+        east, utc = timezone(timedelta(hours=5)), timezone.utc
+        hit = (ScannerVerdict("Fortinet", True, DetailedLabel.PhishingSite),)
+        by_hand = [
+            # Scanned 2021-03-01 20:00 UTC, the UTC day it was first seen.
+            ScanReport("http://a.test/", datetime(2021, 3, 2, 1, 0, tzinfo=east),
+                       datetime(2021, 3, 1, 0, 0, tzinfo=utc), "a", 1, hit),
+            # First seen 2021-03-01 21:00 UTC, scanned the next UTC day.
+            ScanReport("http://b.test/", datetime(2021, 3, 2, 12, 0, tzinfo=utc),
+                       datetime(2021, 3, 2, 2, 0, tzinfo=east), "b", 1, hit),
+        ]
+        parsed, warnings = parse_feed(iter(report_to_json(r) for r in by_hand))
+        assert parsed == by_hand and not warnings
+        for a, b in zip(by_hand, parsed):
+            assert (a.scan_day, a.first_seen_day) == (b.scan_day, b.first_seen_day)
+        assert [(r.first_seen_day, r.scan_day) for r in by_hand] == [
+            (date(2021, 3, 1), date(2021, 3, 1)), (date(2021, 3, 1), date(2021, 3, 2))]
+        assert extract_fresh(by_hand) == extract_fresh(parsed) == {"http://a.test/"}
+        hand_series, parsed_series = build_series(cohort(by_hand)), build_series(cohort(parsed))
+        assert _columns(hand_series.table) == _columns(parsed_series.table)
+        assert [ts.points[0].day_offset for ts in hand_series.values()] == [0, 1]
+        table = ReportTable.of(by_hand)
+        assert table.scan_day.tolist() == ReportTable.of(parsed).scan_day.tolist()
+        assert table.first_seen_day.tolist() == ReportTable.of(parsed).first_seen_day.tolist()
 
 
 def _wide_cohort(drop, seed):
