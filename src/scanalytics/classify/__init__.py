@@ -9,6 +9,7 @@ from .evaluate import (
     evaluate_predictions,
     majority_vote,
     majority_vote_class,
+    majority_vote_classes,
     split_train_test,
     train_forest,
     weekly_trend,
@@ -27,6 +28,7 @@ from .features import (
     FEATURE_GROUPS,
     SUSPICIOUS_TOKENS,
     FeatureExtractionError,
+    FeatureTable,
     FeatureVector,
     HostingCache,
     HostingRecord,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from datetime import date
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..artifacts import write_table
-from ..feed import DetailedLabel, GroundTruthLabel, ScanReport
+from ..feed import DetailedLabel, GroundTruthLabel, ReportTable, ScanReport
 from .factors import ScannerClusterModel
 from .features import ALL_GROUPS, FeatureVector, feature_manifest, feature_matrix
 from .forest import DEFAULT_HYPERPARAMETERS, ForestModel, train_forest_model
@@ -28,6 +29,7 @@ __all__ = [
     "ABLATION_ROWS",
     "majority_vote",
     "majority_vote_class",
+    "majority_vote_classes",
     "evaluate_predictions",
     "split_train_test",
     "train_forest",
@@ -50,17 +52,26 @@ class VoteOutcome(enum.Enum):
     TIE_UNKNOWN = "tie_unknown"
 
 
+_VOTE = {DetailedLabel.PhishingSite: 1, DetailedLabel.MalwareSite: -1}
+
+
+def _vote_margins(table: ReportTable) -> np.ndarray:
+    """Each row's phishing votes minus its malware votes, read from its
+    verdict codes (only detecting verdicts carry either label)."""
+    row, codes = table.flat()
+    vote = np.array([_VOTE.get(v.result, 0) for v in table.verdicts], dtype=np.int64)
+    return np.bincount(row, weights=vote[codes], minlength=len(table.start))
+
+
 def majority_vote(report: ScanReport) -> VoteOutcome:
     """Raw scanner-vote majority between phishing and malware labels.
 
     Equal counts, or zero attack-specific votes, give TIE_UNKNOWN.
     """
-    verdicts = report.verdicts  # built on each read for a parsed report
-    phishing = sum(1 for v in verdicts if v.detected and v.result is DetailedLabel.PhishingSite)
-    malware = sum(1 for v in verdicts if v.detected and v.result is DetailedLabel.MalwareSite)
-    if phishing > malware:
+    margin = _vote_margins(ReportTable.of([report]))[0]
+    if margin > 0:
         return VoteOutcome.PHISHING
-    if malware > phishing:
+    if margin < 0:
         return VoteOutcome.MALWARE
     return VoteOutcome.TIE_UNKNOWN
 
@@ -73,6 +84,12 @@ def majority_vote_class(report: ScanReport, tie_class: int = 0) -> int:
     if outcome is VoteOutcome.MALWARE:
         return 0
     return tie_class
+
+
+def majority_vote_classes(table: ReportTable, tie_class: int = 0) -> np.ndarray:
+    """`majority_vote_class` of every row of `table`."""
+    margin = _vote_margins(table)
+    return np.where(margin > 0, 1, np.where(margin < 0, 0, tie_class))
 
 
 @dataclass(frozen=True)
@@ -248,17 +265,18 @@ def weekly_trend(
     model: ForestModel,
     items: Sequence[tuple[ScanReport, FeatureVector]],
 ) -> list[tuple[str, float, float]]:
-    """Per-ISO-week predicted phishing/malware fractions; empty weeks omitted."""
+    """Per-ISO-week predicted phishing/malware fractions; empty weeks omitted.
+    A report's week is that of its UTC scan day."""
     if not items:
         return []
     groups = groups_from_manifest(model.feature_names)
     X = feature_matrix([vector for _, vector in items], groups)
     predictions = model.predict(X)
+    days, day_of_row = np.unique(ReportTable.of([report for report, _ in items]).scan_day, return_inverse=True)
+    weeks = [f"{iso[0]}-W{iso[1]:02d}" for iso in map(date.isocalendar, map(date.fromordinal, days.tolist()))]
     buckets: dict[str, list[int]] = {}
-    for (report, _), pred in zip(items, predictions):
-        iso = report.scan_date.isocalendar()
-        week = f"{iso[0]}-W{iso[1]:02d}"
-        buckets.setdefault(week, []).append(int(pred))
+    for day, pred in zip(day_of_row.tolist(), predictions.tolist()):
+        buckets.setdefault(weeks[day], []).append(pred)
     out = []
     for week in sorted(buckets):
         votes = buckets[week]

@@ -12,11 +12,11 @@ lets downstream label proportions discount duplicated votes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, ScannerVerdict, ScanReport
+from ..feed import DetailedLabel, ReportTable, ScanReport
 from ..scanners import SCANNER_NAMES
 
 __all__ = [
@@ -90,13 +90,6 @@ class ScannerClusterModel:
         )
 
 
-def _scanner_universe(verdicts: Iterable[Iterable[ScannerVerdict]]) -> tuple[str, ...]:
-    names = set(SCANNER_NAMES)
-    for report_verdicts in verdicts:
-        names.update(v.scanner_name for v in report_verdicts)
-    return tuple(sorted(names))
-
-
 def fit_scanner_factors(
     reports: Sequence[ScanReport],
     n_factors: int = N_FACTORS,
@@ -116,24 +109,27 @@ def fit_scanner_factors(
     if low:
         raise ValueError(f"{len(low)} sample reports have positives < 2 (e.g. {low[0]!r})")
 
-    # Each report's verdicts, read once: a parsed report builds the tuple on
-    # each read.
-    verdicts = [r.verdicts for r in reports]
-    scanners = _scanner_universe(verdicts)
+    table = ReportTable.of(reports)
+    row, codes = table.flat()
+    verdicts = table.verdicts
     # Feature columns only for scanners actually appearing in the sample;
     # registry scanners missing from it keep all-zero loading rows.
-    present = tuple(sorted({v.scanner_name for report_verdicts in verdicts for v in report_verdicts}))
+    present = tuple(sorted({verdicts[code].scanner_name for code in np.unique(codes).tolist()}))
+    scanners = tuple(sorted(set(SCANNER_NAMES).union(present)))
     present_index = {name: i for i, name in enumerate(present)}
     n_slots = 1 + len(_LABEL_SLOTS)
     label_slot = {label: 1 + i for i, label in enumerate(_LABEL_SLOTS)}
 
+    # Each detecting verdict sets its scanner's detected column and its
+    # label's column; both are looked up once per distinct verdict.
+    detected = np.array([v.detected for v in verdicts], bool)
+    base = np.array([present_index.get(v.scanner_name, 0) * n_slots for v in verdicts], np.intp)
+    slot = np.array([label_slot.get(v.result, 0) for v in verdicts], np.intp)
+    keep = detected[codes]
+    row, codes = row[keep], codes[keep]
     X = np.zeros((len(reports), len(present) * n_slots))
-    for row, report_verdicts in enumerate(verdicts):
-        for verdict in report_verdicts:
-            if verdict.detected:
-                base = present_index[verdict.scanner_name] * n_slots
-                X[row, base] = 1.0
-                X[row, base + label_slot[verdict.result]] = 1.0
+    X[row, base[codes]] = 1.0
+    X[row, base[codes] + slot[codes]] = 1.0
 
     std = X.std(axis=0)
     varying = std > 0

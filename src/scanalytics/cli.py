@@ -19,26 +19,30 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .artifacts import write_json as _write_json
 from .artifacts import write_table
 from .classify import (
     ABLATION_ROWS,
+    FeatureTable,
     HostingCache,
     ModelFormatError,
     WhoisCache,
     ablation,
     build_cluster_model,
     evaluate_predictions,
-    extract_features,
     feature_matrix,
     load_forest,
-    majority_vote_class,
+    majority_vote_classes,
     save_forest,
     train_forest,
     weekly_trend,
     write_eval_csv,
 )
+# Not called here: bench/traced.py wraps these names in this module (ROADMAP item 3).
+from .classify import extract_features, majority_vote_class  # noqa: F401
 from .classify.evaluate import CLASS_NAMES, encode_labels, groups_from_manifest, split_train_test
 from .classify.evaluate import write_trend_csv as write_weekly_trend_csv
 from .classify.features import ALL_GROUPS, feature_manifest
@@ -58,6 +62,7 @@ from .feed import (
     FeedFormatError,
     GroundTruthConflictError,
     GroundTruthLabel,
+    ReportTable,
     dedup_by_scan_id,
     extract_fresh,
     filter_ever_detected,
@@ -348,7 +353,9 @@ def _cmd_leadlag(args) -> int:
 
 
 def _prepare_classifier_inputs(run: _Run, args):
-    """Shared train/ablate setup: features + labels + cluster model."""
+    """Shared train/ablate setup: the features and label of each labeled
+    URL's latest report, in URL order, those reports' table, and the cluster
+    model."""
     # Validate every input path up front, before any computation.
     hosting_path = run.add_input(args.hosting_cache) if args.hosting_cache else None
     whois_path = run.add_input(args.whois_cache) if args.whois_cache else None
@@ -361,11 +368,12 @@ def _prepare_classifier_inputs(run: _Run, args):
         raise ValueError("ground truth has no phishing/malware URLs")
 
     # One report per URL: the latest (most scanner-informed) one.
-    latest = {}
-    for report in reports:
-        prev = latest.get(report.url)
-        if prev is None or (report.scan_date, report.scan_id) > (prev.scan_date, prev.scan_id):
-            latest[report.url] = report
+    table = ReportTable.of(reports)
+    latest: dict[str, tuple[int, str, int]] = {}  # URL -> (scan_us, scan_id, row)
+    for row, (url, scan_us, scan_id) in enumerate(zip(table.url.tolist(), table.scan_us.tolist(), table.scan_id)):
+        url = table.urls[url]
+        if url not in latest or (scan_us, scan_id) > latest[url][:2]:
+            latest[url] = (scan_us, scan_id, row)
 
     fit_pool = [r for r in reports if r.positives >= 2]
     if len(fit_pool) > FACTOR_SAMPLE_SIZE:
@@ -383,20 +391,17 @@ def _prepare_classifier_inputs(run: _Run, args):
     if missing:
         print(f"warning: no {'/'.join(missing)} cache provided; those groups are marked missing")
 
-    vectors = []
+    rows = []
     labels = []
-    items = []
     for url in sorted(label_by_url):
-        report = latest.get(url)
-        if report is None or report.positives == 0:
+        if url not in latest or not table.positives[latest[url][2]]:
             continue
-        vector = extract_features(report, cluster_model, hosting=hosting, whois=whois)
-        vectors.append(vector)
+        rows.append(latest[url][2])
         labels.append(label_by_url[url])
-        items.append(report)
-    if not vectors:
+    if not rows:
         raise ValueError("no labeled URLs with detecting reports in feed")
-    return vectors, labels, items, cluster_model
+    table = table.take(np.array(rows, dtype=np.intp))
+    return FeatureTable.build(table, cluster_model, hosting, whois), labels, table, cluster_model
 
 
 def _cmd_classify_train(args) -> int:
@@ -405,9 +410,9 @@ def _cmd_classify_train(args) -> int:
         raise _ConfigError(f"unknown feature groups: {sorted(unknown_groups)}")
     params = {"groups": list(args.groups), "split": args.split, "clusters": args.clusters}
     run = _Run("classify-train", Path(args.out), args.seed, params, args.format)
-    vectors, labels, items, cluster_model = _prepare_classifier_inputs(run, args)
+    features, labels, table, cluster_model = _prepare_classifier_inputs(run, args)
     model, report = train_forest(
-        vectors,
+        features,
         labels,
         groups=tuple(args.groups),
         split=args.split,
@@ -420,7 +425,7 @@ def _cmd_classify_train(args) -> int:
 
     y = encode_labels(labels)
     _, test_idx = split_train_test(y, args.split, args.seed)
-    baseline_pred = [majority_vote_class(items[i]) for i in test_idx]
+    baseline_pred = majority_vote_classes(table)[test_idx]
     baseline = evaluate_predictions(y[test_idx], baseline_pred)
     write_eval_csv({"majority_vote": baseline, "forest": report}, run.artifact("eval.csv"))
 
@@ -440,7 +445,7 @@ def _cmd_classify_train(args) -> int:
 
 def _load_model_and_features(run: _Run, args):
     """Shared predict/trend setup: the model and its feature groups, then
-    each detecting report of the feed with its feature vector."""
+    the feed's detecting reports and their features."""
     model = load_forest(run.add_input(args.model))
     if model.cluster_model is None:
         raise ModelFormatError(f"model file {args.model} lacks a scanner cluster model")
@@ -450,36 +455,33 @@ def _load_model_and_features(run: _Run, args):
     reports, _, _ = _load_feed(run, args.feed)
     hosting = HostingCache.from_csv(run.add_input(args.hosting_cache)) if args.hosting_cache else None
     whois = WhoisCache.from_csv(run.add_input(args.whois_cache)) if args.whois_cache else None
-    items = [
-        (report, extract_features(report, model.cluster_model, hosting=hosting, whois=whois))
-        for report in reports
-        if report.positives
-    ]
-    if not items:
+    reports = [report for report in reports if report.positives]
+    if not reports:
         raise ValueError("no reports with detections to classify")
-    return model, groups, items
+    features = FeatureTable.build(ReportTable.of(reports), model.cluster_model, hosting=hosting, whois=whois)
+    return model, groups, reports, features
 
 
 def _cmd_classify_predict(args) -> int:
     run = _Run("classify-predict", Path(args.out), None, {}, args.format)
-    model, groups, items = _load_model_and_features(run, args)
-    scores = model.predict_proba(feature_matrix([vector for _, vector in items], groups))
+    model, groups, reports, features = _load_model_and_features(run, args)
+    scores = model.predict_proba(feature_matrix(features, groups))
     rows = (
         (report.url, report.scan_id, CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0], score)
-        for (report, _), score in zip(items, scores.tolist())
+        for report, score in zip(reports, scores.tolist())
     )
     write_table(run.artifact("predictions.csv"), ["url", "scan_id", "predicted", "phishing_score"], rows)
     run.seal()
-    print(f"{len(items)} predictions written to {run.out_dir}")
+    print(f"{len(reports)} predictions written to {run.out_dir}")
     return EXIT_OK
 
 
 def _cmd_classify_ablate(args) -> int:
     params = {"split": args.split, "clusters": args.clusters}
     run = _Run("classify-ablate", Path(args.out), args.seed, params, args.format)
-    vectors, labels, _, cluster_model = _prepare_classifier_inputs(run, args)
+    features, labels, _, cluster_model = _prepare_classifier_inputs(run, args)
     reports = ablation(
-        vectors,
+        features,
         labels,
         seed=args.seed,
         split=args.split,
@@ -496,8 +498,8 @@ def _cmd_classify_ablate(args) -> int:
 
 def _cmd_classify_trend(args) -> int:
     run = _Run("classify-trend", Path(args.out), None, {}, args.format)
-    model, _, items = _load_model_and_features(run, args)
-    trend = weekly_trend(model, items)
+    model, _, reports, features = _load_model_and_features(run, args)
+    trend = weekly_trend(model, list(zip(reports, features)))
     write_weekly_trend_csv(trend, run.artifact("weekly_trend.csv"))
     run.seal()
     print(f"{len(trend)} weeks written to {run.out_dir}")

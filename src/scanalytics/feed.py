@@ -12,7 +12,7 @@ columns, and each report's verdicts as narrow codes into the parse's shared
 `ScannerVerdict` objects, one flat code array cut into rows. The reports it
 returns are read-only views of those rows; they equal and hash like reports
 built by hand. Reports built by hand get their table from the same builder,
-coded once per distinct verdict object. A report's day, wherever it is read,
+coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 
 Everything returned by this module is immutable after construction and safe
@@ -248,19 +248,26 @@ class ReportTable:
         """The table of `reports`, in their order. Reports that one
         `parse_feed` call returned are rows of its table and are taken as
         they are; any other reports are added to a new table as a parse adds
-        them, each distinct verdict object coded once."""
+        them, each distinct verdict value coded once."""
         table = getattr(reports[0], "_table", None) if reports else None
         if table is not None and all(type(r) is _TableReport and r._table is table for r in reports):
             return table.take(np.fromiter((r._row for r in reports), np.intp, len(reports)))
         builder = _TableBuilder()
-        code: dict[int, int] = {}  # the builder keeps each coded object, so its id stays unique
+        code: dict[ScannerVerdict, int] = {}
         for r in reports:
             verdicts = r.verdicts
             for v in verdicts:
-                if id(v) not in code:
-                    code[id(v)] = builder.code(v)
-            builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[id(v)] for v in verdicts])
+                if v not in code:
+                    code[v] = builder.code(v)
+            builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[v] for v in verdicts])
         return builder.table()
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's verdict codes, concatenated in row order, and the row
+        each one belongs to."""
+        lengths = self.stop - self.start
+        row = np.repeat(np.arange(len(lengths)), lengths)
+        return row, self.codes[np.repeat(self.start - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(row))]
 
     def take(self, rows: np.ndarray) -> "ReportTable":
         """The table of `rows`, in that order, sharing URLs, verdicts and codes."""
@@ -277,8 +284,8 @@ class _TableReport(ScanReport):
     """A `ScanReport` over one row of a `ReportTable`.
 
     It holds its row's URL, scan id and positives, shared with the table,
-    and reads its timestamps and verdicts from the columns each time they
-    are asked for; its verdicts are the table's shared objects. It equals
+    and reads its timestamps, days and verdicts from the columns each time
+    they are asked for; its verdicts are the table's shared objects. It equals
     and hashes like the report built by hand from the same values, and
     pickles as one.
     """
@@ -299,6 +306,14 @@ class _TableReport(ScanReport):
     @property
     def first_seen(self) -> datetime:
         return _EPOCH + _MICROSECOND * self._table.first_seen_us.item(self._row)
+
+    @property
+    def scan_day(self) -> date:
+        return date.fromordinal(self._table.scan_day.item(self._row))
+
+    @property
+    def first_seen_day(self) -> date:
+        return date.fromordinal(self._table.first_seen_day.item(self._row))
 
     @property
     def verdicts(self) -> tuple[ScannerVerdict, ...]:

@@ -741,3 +741,65 @@ class TestTracedBenchmarkNames:
         done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["52"]
+
+
+class TestConflictingCacheRows:
+    @pytest.mark.parametrize("cache", ["hosting", "whois"])
+    def test_is_input_error_naming_both_rows(self, corpus_dir, model_path, tmp_path, capsys, cache):
+        source = (corpus_dir / f"{cache}_cache.csv").read_text().splitlines()
+        key, *values = source[1].split(",")
+        # The first row again under the same key in upper case, with its last
+        # value changed; an equal copy of the first row before it is accepted.
+        conflicting = ",".join([key.upper() if cache == "whois" else "HTTP" + key[4:], *values[:-1], "other"])
+        path = tmp_path / f"{cache}.csv"
+        path.write_text("\n".join(source + [source[1], conflicting]) + "\n")
+        code = run_cli(
+            "classify", "predict", "--feed", corpus_dir / "feed.jsonl", "--model", model_path,
+            f"--{cache}-cache", path, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=2 kind=input")
+        assert f"{path}: rows 2 and {len(source) + 2}: conflicting records" in lines[0]
+
+
+class TestClassifyMatchesOracle:
+    def test_predict_and_trend_write_the_oracle_artifacts(self, corpus_dir, model_path, tmp_path):
+        """`predict` and `trend` write what the per-report features
+        (tests/feature_oracle.py) give when fed through the same model."""
+        import feature_oracle as oracle
+        from scanalytics.artifacts import write_table
+        from scanalytics.classify import HostingCache, WhoisCache, load_forest
+        from scanalytics.classify.evaluate import groups_from_manifest, write_trend_csv
+        from scanalytics.feed import dedup_by_scan_id, parse_feed_file
+
+        caches = {"--hosting-cache": corpus_dir / "hosting_cache.csv", "--whois-cache": corpus_dir / "whois_cache.csv"}
+        common = ["--feed", corpus_dir / "feed.jsonl", "--model", model_path, *(a for pair in caches.items() for a in pair)]
+        assert run_cli("classify", "predict", *common, "--out", tmp_path / "predict") == 0
+        assert run_cli("classify", "trend", *common, "--out", tmp_path / "trend") == 0
+
+        model = load_forest(model_path)
+        reports = [r for r in dedup_by_scan_id(parse_feed_file(corpus_dir / "feed.jsonl")[0]) if r.positives]
+        hosting = HostingCache.from_csv(caches["--hosting-cache"])
+        whois = WhoisCache.from_csv(caches["--whois-cache"])
+        X = oracle.matrix(
+            [oracle.features(r, model.cluster_model, hosting, whois) for r in reports],
+            groups_from_manifest(model.feature_names),
+        )
+        scores = model.predict_proba(X).tolist()
+        weeks: dict[str, list[int]] = {}
+        for r, prediction in zip(reports, model.predict(X).tolist()):
+            iso = r.scan_date.isocalendar()
+            weeks.setdefault(f"{iso[0]}-W{iso[1]:02d}", []).append(prediction)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        write_table(
+            expected / "predictions.csv", ["url", "scan_id", "predicted", "phishing_score"],
+            [(r.url, r.scan_id, "phishing" if s > 0.5 else "malware", s) for r, s in zip(reports, scores)],
+        )
+        write_trend_csv(
+            [(week, sum(v) / len(v), 1.0 - sum(v) / len(v)) for week, v in sorted(weeks.items())],
+            expected / "weekly_trend.csv",
+        )
+        assert (tmp_path / "predict" / "predictions.csv").read_bytes() == (expected / "predictions.csv").read_bytes()
+        assert (tmp_path / "trend" / "weekly_trend.csv").read_bytes() == (expected / "weekly_trend.csv").read_bytes()

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
-from datetime import timedelta
+import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanalytics.classify.factors import ScannerClusterModel
 from scanalytics.classify.features import (
     ALL_GROUPS,
     FeatureExtractionError,
+    FeatureTable,
     HostingCache,
     HostingRecord,
     WhoisCache,
@@ -22,8 +26,17 @@ from scanalytics.classify.features import (
     lexical_features,
     vt_cluster_features,
 )
-from scanalytics.feed import DetailedLabel, FeedFormatError
+from scanalytics.feed import (
+    DetailedLabel,
+    FeedFormatError,
+    ReportTable,
+    ScanReport,
+    normalize_url,
+    parse_feed,
+    report_to_json,
+)
 
+import feature_oracle as oracle
 from conftest import report, ts, verdict
 
 P = DetailedLabel.PhishingSite
@@ -208,6 +221,17 @@ class TestEnrichment:
         with pytest.raises(FeedFormatError, match=f"cache.csv: {message}"):
             cls.from_csv(path)
 
+    def test_equal_duplicate_cache_rows_count_once(self, tmp_path):
+        hosting = tmp_path / "hosting.csv"
+        hosting.write_text("url,ip_count,asn_count,asn,country\nhttp://a.test/x,3,2,AS1,us\nHTTP://A.test/x,3,2,AS1,us\n")
+        assert len(HostingCache.from_csv(hosting)) == 1
+        whois = tmp_path / "whois.csv"
+        whois.write_text(
+            "domain,created,expires,registrar\n"
+            "example.test,2020-01-01T00:00:00Z,2030-01-01,RegOne\nEXAMPLE.test,2020-01-01,2030-01-01T00:00:00Z,RegOne\n"
+        )
+        assert len(WhoisCache.from_csv(whois)) == 1
+
     def test_whois_age_400_days(self):
         scan = ts(0)
         record = WhoisRecord(
@@ -246,3 +270,131 @@ class TestFeatureMatrix:
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError, match="unknown feature group"):
             feature_manifest(("nope",))
+
+
+# --------------------------------------------------------------------------
+# The column build against the per-report oracle (tests/feature_oracle.py).
+# --------------------------------------------------------------------------
+
+_ORACLE_MODEL = model_with({"a": 0, "b": 0, "c": 1, "d": 2}, k=3)  # "stranger" gets the overflow id 3
+_SCANNERS = ("a", "b", "c", "d", "stranger")
+_LABELS = (None, P, W, M, DetailedLabel.SuspiciousSite, DetailedLabel.OtherMalicious)
+
+_hosts = st.one_of(
+    st.sampled_from(["192.168.10.5", "10.0.0.1", "1.2.3.\u0663", "999.1.1.1", "127.0.0.1.test"]),
+    st.lists(
+        st.sampled_from(["paypal", "Login", "SECURE", "dom01", "a-b", "x\u00b2", "\u0663\u0663", "www", "ebay", "a"]),
+        min_size=1, max_size=3,
+    ).map(".".join),
+)
+
+
+@st.composite
+def _urls(draw, host=_hosts):
+    path = draw(st.text(alphabet="ab/-.%@9\u0663\u00b2VERIFYloginsign", max_size=12))
+    query = draw(st.sampled_from(["", "?q=1", "?account=update&x=%20", "?"]))
+    return (
+        draw(st.sampled_from(["http://", "HTTPS://", "hxxp://", ""]))
+        + draw(st.sampled_from(["", "user@", "a:b@", "x@y@"]))
+        + draw(host)
+        + draw(st.sampled_from(["", ":8080", ":"]))
+        + ("/" + path if path or query else "")
+        + query
+    )
+
+
+_SCAN_BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def _corpora(draw):
+    """Reports that share URLs, with caches that hold some of their URLs
+    and hosts: (reports, hosting cache, whois cache)."""
+    pool = draw(st.lists(_urls(), min_size=1, max_size=4))
+    reports = []
+    for i in range(draw(st.integers(1, 6))):
+        names = draw(st.lists(st.sampled_from(_SCANNERS), max_size=6))
+        verdicts = [verdict(name, draw(st.sampled_from(_LABELS))) for name in names]
+        if draw(st.integers(0, 29)):  # now and then a report without a detection
+            verdicts.append(verdict(draw(st.sampled_from(_SCANNERS)), draw(st.sampled_from(_LABELS[1:]))))
+        offset = timezone(timedelta(hours=draw(st.integers(-12, 14))))
+        scan = (_SCAN_BASE + timedelta(days=draw(st.integers(0, 60)), microseconds=draw(st.integers(0, 10**11)))).astimezone(offset)
+        reports.append(ScanReport(draw(st.sampled_from(pool)), scan, _SCAN_BASE, f"r{i}", sum(v.detected for v in verdicts), tuple(verdicts)))
+    hosting = HostingCache({
+        normalize_url(url): HostingRecord(draw(st.integers(0, 9)), draw(st.integers(0, 3)), f"AS{draw(st.integers(0, 99))}", draw(st.sampled_from(["us", "de", "ru"])))
+        for url in pool if draw(st.booleans())
+    })
+    dates = st.one_of(
+        st.just(datetime(1, 1, 1, tzinfo=timezone.utc)),  # day counts past 2**53 microseconds
+        st.integers(-100 * 86400, 150 * 86400).map(lambda s: _SCAN_BASE + timedelta(seconds=s, microseconds=7)),
+    )
+    whois = {}
+    for url in pool:
+        try:
+            host = oracle._split_url(url)[0]
+        except FeatureExtractionError:
+            continue
+        domain = draw(st.sampled_from([None, host, host.partition(".")[2]]))
+        if domain:  # the host itself, a parent domain, or missing
+            whois[domain] = WhoisRecord(draw(dates), draw(dates), draw(st.sampled_from(["RegOne", "RegTwo"])))
+    return reports, hosting, WhoisCache(whois)
+
+
+def _assert_build_equals_oracle(reports, hosting, whois):
+    try:
+        rows = [oracle.features(r, _ORACLE_MODEL, hosting, whois) for r in reports]
+    except ValueError as exc:  # FeatureExtractionError included: the first failing report's error
+        with pytest.raises(ValueError) as raised:
+            FeatureTable.build(ReportTable.of(reports), _ORACLE_MODEL, hosting, whois)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    table = FeatureTable.build(ReportTable.of(reports), _ORACLE_MODEL, hosting, whois)
+    assert list(table.urls) == [url for url, _ in rows]
+    assert feature_matrix(table).tobytes() == oracle.matrix(rows).tobytes()
+    for groups in (("vt_cluster",), ("whois", "lexical"), ("hosting",)):
+        assert feature_matrix(list(table), groups).tobytes() == oracle.matrix(rows, groups).tobytes()
+    singles = [extract_features(r, _ORACLE_MODEL, hosting=hosting, whois=whois) for r in reports]
+    assert feature_matrix(singles).tobytes() == oracle.matrix(rows).tobytes()
+    for vector, (url, groups) in zip(singles, rows):
+        assert (vector.url, vector.lexical, vector.hosting, vector.whois, vector.vt_cluster) == (url, *(groups[g] for g in ("lexical", "hosting", "whois", "vt_cluster")))
+
+
+class TestColumnBuildMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora())
+    def test_hand_built_reports(self, corpus):
+        _assert_build_equals_oracle(*corpus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_corpora())
+    def test_parsed_reports(self, corpus):
+        reports, hosting, whois = corpus
+        views, _ = parse_feed(report_to_json(r) for r in reports)  # rows of one table, codes shared
+        _assert_build_equals_oracle(views, hosting, whois)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_corpora(), _urls(host=_hosts.filter(bool)))
+    def test_url_override(self, corpus, url):
+        reports, hosting, whois = corpus
+        for r in reports:
+            try:
+                expected = oracle.features(r, _ORACLE_MODEL, hosting, whois, url=url)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    extract_features(r, _ORACLE_MODEL, hosting=hosting, whois=whois, url=url)
+                continue
+            vector = extract_features(r, _ORACLE_MODEL, hosting=hosting, whois=whois, url=url)
+            assert feature_matrix([vector]).tobytes() == oracle.matrix([expected]).tobytes()
+            assert vector.url == normalize_url(url)
+
+    def test_first_failing_row_decides_the_error(self):
+        hostless = report("http:///nopath", 0, "h", [verdict("a", P)])
+        silent = report("http://u.test/", 0, "s", [verdict("a", None)])
+        fine = report("http://u.test/", 0, "f", [verdict("a", P)])
+        for reports, error, message in (
+            ([fine, hostless, silent], FeatureExtractionError, "URL has no host: 'http:///nopath'"),
+            ([fine, silent, hostless], ValueError, "report 's' has no detecting verdicts"),
+        ):
+            with pytest.raises(error, match=re.escape(message)) as raised:
+                FeatureTable.build(ReportTable.of(reports), _ORACLE_MODEL)
+            assert type(raised.value) is error

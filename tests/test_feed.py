@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 import tracemalloc
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
@@ -581,8 +582,8 @@ class TestReportViews:
         table = ReportTable.of(first)
         assert table.verdicts is ReportTable.of(first[2:]).verdicts  # rows of one table
         assert [table.verdicts[c] for c in table.codes[table.start[0]:table.stop[0]]] == list(first[0].verdicts)
-        mixed = ReportTable.of(first[:2] + second[2:])  # two parses: coded by object
-        assert len(mixed.verdicts) == len({id(v) for r in first[:2] + second[2:] for v in r.verdicts})
+        mixed = ReportTable.of(first[:2] + second[2:])  # two parses: coded by value
+        assert len(mixed.verdicts) == len({v for r in first[:2] + second[2:] for v in r.verdicts})
 
     def test_report_to_json_round_trips(self):
         reports, _ = parse_feed(iter(self._lines()[:-1]))  # whole seconds, as the record form writes them
@@ -604,6 +605,25 @@ class TestReportViews:
         for name in ("url", "scan_date", "verdicts", "positives"):
             with pytest.raises(AttributeError):
                 setattr(reports[0], name, None)
+
+    def test_days_just_before_and_after_utc_midnight(self):
+        # Local times at +14:00 and -12:00 whose UTC instants fall just
+        # before and just after midnight UTC: a view reads its days from the
+        # table's day columns and gets the UTC day, as a report built by hand
+        # with the same offset does.
+        stamps = {
+            "2021-03-02T13:59:59.999999+14:00": date(2021, 3, 1),
+            "2021-03-02T14:00:00+14:00": date(2021, 3, 2),
+            "2021-03-01T11:59:59.999999-12:00": date(2021, 3, 1),
+            "2021-03-01T12:00:00-12:00": date(2021, 3, 2),
+        }
+        lines = [make_line(scan_id=f"m{i}", scan_date=stamp, first_seen=stamp) for i, stamp in enumerate(stamps)]
+        reports, _ = parse_feed(iter(lines))
+        for r, (stamp, day) in zip(reports, stamps.items()):
+            local = datetime.fromisoformat(stamp)
+            plain = ScanReport(r.url, local, local, r.scan_id, r.positives, _by_hand(r).verdicts)
+            assert r == plain
+            assert (r.scan_day, r.first_seen_day) == (plain.scan_day, plain.first_seen_day) == (day, day)
 
 
 def _wide_lines(n_urls, n_days, drop, seed):

@@ -520,6 +520,34 @@ class TestBuildMemory:
         assert len(view) == 36 * len(SCANNER_NAMES)
         assert peak <= 100 * n_verdicts, f"{peak / n_verdicts:.0f} B per verdict"
 
+    def test_transient_memory_per_verdict_separate_objects(self):
+        # The same cohort with one verdict object per verdict, as reports
+        # built by hand have: equal verdicts share one code all the same.
+        rng = random.Random(3)
+        labels = [None, DetailedLabel.PhishingSite, DetailedLabel.MalwareSite]
+        rs = [
+            report(f"http://u{i}.test/", d, f"{i}-{d}", [verdict(s, rng.choice(labels)) for s in SCANNER_NAMES])
+            for i in range(36)
+            for d in range(10)
+        ]
+        co = cohort(rs)
+        n_verdicts = sum(len(r.verdicts) for r in co.reports)
+        assert len(ReportTable.of(co.reports).verdicts) <= 3 * len(SCANNER_NAMES)
+        build_series(co)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            view = build_series(co)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(view) == 36 * len(SCANNER_NAMES)
+        assert peak <= 100 * n_verdicts, f"{peak / n_verdicts:.0f} B per verdict"
+
 
 _ENTRIES = [
     {"detected": False, "result": "clean site"},
