@@ -516,9 +516,13 @@ def _archetype_from_dict(raw: dict) -> ScannerArchetype:
 
 
 def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig | ClassifierCorpusConfig:
+    """The scenario of a file; `seed_override`, when given, replaces the
+    file's `seed`, which defaults to 0."""
     raw = _json_object(path, _ConfigError)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     try:
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         if "preset" in raw:
             return preset_config(raw["preset"], seed)
         if raw.get("kind") == "classifier":
@@ -542,7 +546,7 @@ def _cmd_synth(args) -> int:
         raise _ConfigError("specify exactly one of --preset or --scenario")
     if args.preset:
         try:
-            config = preset_config(args.preset, args.seed)
+            config = preset_config(args.preset, 0 if args.seed is None else args.seed)
         except ValueError as exc:
             raise _ConfigError(str(exc)) from None
         params = {"preset": args.preset}
@@ -551,7 +555,7 @@ def _cmd_synth(args) -> int:
         params = {"scenario": Path(args.scenario).name}
     # Synth writes inputs for other subcommands, which read CSV only, so
     # `--format json` does not convert them.
-    run = _Run("synth", Path(args.out), args.seed, params)
+    run = _Run("synth", Path(args.out), config.seed, params)
     if args.scenario:
         run.add_input(args.scenario)
 
@@ -687,7 +691,11 @@ def _build_parser() -> _Parser:
     pr.set_defaults(func=_cmd_classify_trend)
 
     p = sub.add_parser("synth", help="generate a synthetic feed")
-    common(p, feed=False, seed=True)
+    common(p, feed=False)
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="scenario seed; default: a --scenario file's seed, else 0",
+    )
     p.add_argument("--preset", default=None)
     p.add_argument("--scenario", default=None, help="scenario config JSON")
     p.set_defaults(func=_cmd_synth)

@@ -14,6 +14,8 @@ returns are read-only views of those rows; they equal and hash like reports
 built by hand. Reports built by hand get their table from the same builder,
 coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
+`write_feed` writes reports back in the record form, JSON-encoding each
+distinct verdict object once.
 
 Everything returned by this module is immutable after construction and safe
 to share across threads.
@@ -27,9 +29,11 @@ import json
 import random
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from functools import partial
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -595,11 +599,19 @@ def parse_feed_file(path, strict: bool = False) -> tuple[list[ScanReport], list[
 
 
 def _ts_to_string(ts: datetime) -> str:
+    """The record form of a timestamp, in UTC; a naive one is read as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def report_to_json(report: ScanReport) -> str:
-    """Serialize one report back to its single-line record form."""
+    """Serialize one report back to its single-line record form.
+
+    A record keys its scans by scanner name: a report that lists one scanner
+    twice gets the scanner's last verdict, in its first place (`write_feed`
+    refuses such a report).
+    """
     record = {
         "url": report.url,
         "scan_date": _ts_to_string(report.scan_date),
@@ -614,11 +626,52 @@ def report_to_json(report: ScanReport) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=False)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_scanner_name = attrgetter("scanner_name")
+
+
+def _fragment(verdict: ScannerVerdict) -> str:
+    """The verdict's `"name":{"detected":...,"result":...}` member of a
+    record's scans."""
+    scan = {"detected": verdict.detected, "result": label_to_result_string(verdict.result)}
+    return _encode({verdict.scanner_name: scan})[1:-1]
+
+
 def write_feed(reports: Iterable[ScanReport], path) -> None:
+    """Write one `report_to_json` record per report, each on its own line.
+
+    Each distinct verdict object is encoded once, as its scans member (its
+    fragment), and each distinct timestamp once; a line is the report's
+    encoded header fields and its verdicts' fragments joined. Reports that
+    share their verdicts, as a parse's or a synth call's do, encode a few
+    hundred fragments for any number of verdicts. A report that lists one
+    scanner twice has no record of its own and raises ValueError; the lines
+    before it are written.
+    """
+    fragments: dict[int, str] = {}  # by id() of a verdict in `pinned`
+    pinned: list[ScannerVerdict] = []  # keeps each id in `fragments` taken
+    stamp = lru_cache(maxsize=None)(_ts_to_string)
     with open(path, "w", encoding="utf-8") as fh:
         for report in reports:
-            fh.write(report_to_json(report))
-            fh.write("\n")
+            verdicts = report.verdicts
+            keys = list(map(id, verdicts))
+            if not all(map(fragments.__contains__, keys)):
+                for key, verdict in zip(keys, verdicts):
+                    if key not in fragments:
+                        fragments[key] = _fragment(verdict)
+                        pinned.append(verdict)
+            if len(set(map(_scanner_name, verdicts))) < len(verdicts):
+                twice = next(name for name, n in Counter(map(_scanner_name, verdicts)).items() if n > 1)
+                raise ValueError(f"scanner {twice!r} has more than one verdict in report {report.scan_id!r}")
+            header = _encode({
+                "url": report.url,
+                "scan_date": stamp(report.scan_date),
+                "first_seen": stamp(report.first_seen),
+                "scan_id": report.scan_id,
+                "positives": report.positives,
+            })
+            scans = ",".join(map(fragments.__getitem__, keys))
+            fh.write(f'{header[:-1]},"scans":{{{scans}}}}}\n')
 
 
 def dedup_by_scan_id(reports: list[ScanReport]) -> list[ScanReport]:

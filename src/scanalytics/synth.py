@@ -5,14 +5,24 @@ generator plants behavior groups, leader/copier lags, specialists, flippers
 and per-URL attack classes, and reports exactly what it planted in a manifest
 so tests can assert recovery. All randomness flows from per-(scanner, URL)
 sub-generators derived from the scenario seed, so output is byte-for-byte
-reproducible and independent of iteration order.
+reproducible and independent of iteration order. A sub-generator is made
+only where a path draws from it: stable and flipper scanners, and leaders on
+benign URLs, draw nothing.
+
+The reports of one `generate` or `generate_classifier_corpus` call share
+their verdicts: one `ScannerVerdict` per (scanner, detected, label) value,
+checked once when it is first made. `generate` plants each scanner's days on
+a URL as a column of shared verdicts and transposes the URL's columns into
+its daily reports, so no verdict is looked up or built one at a time.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
+from itertools import chain
 from numbers import Integral, Real
 
 from .feed import (
@@ -166,6 +176,18 @@ def _sub_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(":".join((str(seed),) + parts))
 
 
+class _Verdicts(dict):
+    """The shared verdicts of one generator call: `shared[name, label]` is
+    scanner `name`'s verdict detecting `label`, or its benign verdict when
+    `label` is None, made the first time it is asked for."""
+
+    def __missing__(self, key: tuple[str, DetailedLabel | None]) -> ScannerVerdict:
+        name, label = key
+        detected = label is not None
+        verdict = self[key] = ScannerVerdict(name, detected, label if detected else DetailedLabel.Benign)
+        return verdict
+
+
 def _class_counts(config: ScenarioConfig) -> dict[str, int]:
     return {cls: config.n_urls.get(cls, 0) for cls in ("phishing", "malware", "benign")}
 
@@ -189,7 +211,6 @@ def _base_detection_days(
 ) -> dict[int, DetailedLabel]:
     """Planted {day -> label} for one non-copier scanner on one URL."""
     horizon = config.horizon_days
-    rng = _sub_rng(config.seed, arch.name, url)
     class_label = _CLASS_LABEL.get(url_class)
 
     if arch.kind == "stable":
@@ -204,6 +225,7 @@ def _base_detection_days(
         if url_class == "benign":
             return {}
         label = _LABEL_BY_NAME[arch.label] if arch.label else (class_label or DetailedLabel.MaliciousSite)
+        rng = _sub_rng(config.seed, arch.name, url)
         onset = rng.randint(arch.onset_min, arch.onset_max)
         days: dict[int, DetailedLabel] = {}
         day = onset
@@ -218,6 +240,7 @@ def _base_detection_days(
 
     if arch.kind == "specialist":
         label = _LABEL_BY_NAME[arch.label] if arch.label else _CLASS_LABEL[arch.attack]
+        rng = _sub_rng(config.seed, arch.name, url)
         if url_class == arch.attack:
             fires = rng.random() < arch.recall
         else:
@@ -307,23 +330,31 @@ def generate(config: ScenarioConfig) -> GeneratedFeed:
         if config.stale_fraction > 0
         and _sub_rng(config.seed, "stale", url).random() < config.stale_fraction
     }
+    scan_dates = [start_dt + timedelta(days=day) for day in range(config.horizon_days)]
+    shared = _Verdicts()
     reports: list[ScanReport] = []
     for url_index, (url, cls) in enumerate(urls):
         first_seen = start_dt - timedelta(days=30) if url in stale_urls else start_dt
-        for day in range(config.horizon_days):
-            verdicts = []
-            for arch in config.archetypes:
-                label = planted[arch.name][url].get(day)
-                verdicts.append(_verdict(arch.name, label is not None, label))
-            positives = sum(1 for v in verdicts if v.detected)
+        planted_days = [planted[arch.name][url] for arch in config.archetypes]
+        # One column of shared verdicts per scanner, day by day; a day's
+        # report is the day's row across the columns.
+        columns = []
+        for arch, days in zip(config.archetypes, planted_days):
+            column = [shared[arch.name, None]] * config.horizon_days
+            for day, label in days.items():
+                column[day] = shared[arch.name, label]
+            columns.append(column)
+        positives = Counter(chain.from_iterable(planted_days))
+        rows = zip(*columns) if columns else [()] * config.horizon_days
+        for day, row in enumerate(rows):
             reports.append(
                 ScanReport(
                     url=url,
-                    scan_date=start_dt + timedelta(days=day),
+                    scan_date=scan_dates[day],
                     first_seen=first_seen,
                     scan_id=f"{config.name}-{config.seed}-u{url_index:05d}-d{day:03d}",
-                    positives=positives,
-                    verdicts=tuple(verdicts),
+                    positives=positives[day],
+                    verdicts=row,
                 )
             )
     reports.sort(key=lambda r: (r.scan_date, r.url))
@@ -439,39 +470,43 @@ def _corpus_url(index: int, cls: str, cfg: ClassifierCorpusConfig, rng: random.R
     return f"http://www.{domain}/item{index}"
 
 
-def _verdict(name: str, fires: bool, label: DetailedLabel | None) -> ScannerVerdict:
-    return ScannerVerdict(name, fires, label if fires else DetailedLabel.Benign)
+def _corpus_scanners(cfg: ClassifierCorpusConfig) -> tuple[tuple[str, float, float, DetailedLabel], ...]:
+    """(name, rate on phishing, rate on malware, label) of each scanner that
+    draws on its own, in draw order after the copier cluster's one draw."""
+    phish_spec = (cfg.phish_specialist_recall, 0.06, DetailedLabel.PhishingSite)
+    mal_spec = (0.05, cfg.malware_specialist_recall, DetailedLabel.MalwareSite)
+    generalist = (cfg.generalist_rate, cfg.generalist_rate, DetailedLabel.PhishingSite)
+    return (
+        *((f"PhishSpec-{i + 1:02d}", *phish_spec) for i in range(3)),
+        *((f"MalSpec-{i + 1:02d}", *mal_spec) for i in range(2)),
+        *((f"Generalist-{i + 1:02d}", *generalist) for i in range(2)),
+        ("GenericEye", 0.5, 0.5, DetailedLabel.MaliciousSite),
+        ("SuspEye", 0.3, 0.3, DetailedLabel.SuspiciousSite),
+        ("QuietWatch", 0.1, 0.1, DetailedLabel.NotRecommendedSite),
+    )
 
 
 def _corpus_verdicts(
-    cls: str, cfg: ClassifierCorpusConfig, rng: random.Random
+    cls: str,
+    cfg: ClassifierCorpusConfig,
+    rng: random.Random,
+    copiers: tuple[str, ...],
+    scanners: tuple[tuple[str, float, float, DetailedLabel], ...],
+    shared: _Verdicts,
 ) -> list[ScannerVerdict]:
-    copier_fire = rng.random() < (
-        cfg.copier_fire_phishing if cls == "phishing" else cfg.copier_fire_malware
-    )
-    verdicts = [
-        _verdict(f"CopyCat-{i + 1:02d}", copier_fire, DetailedLabel.MalwareSite)
-        for i in range(cfg.copier_cluster_size)
-    ]
-    for i in range(3):
-        rate = cfg.phish_specialist_recall if cls == "phishing" else 0.06
-        verdicts.append(_verdict(f"PhishSpec-{i + 1:02d}", rng.random() < rate, DetailedLabel.PhishingSite))
-    for i in range(2):
-        rate = cfg.malware_specialist_recall if cls == "malware" else 0.05
-        verdicts.append(_verdict(f"MalSpec-{i + 1:02d}", rng.random() < rate, DetailedLabel.MalwareSite))
-    for i in range(2):
-        verdicts.append(_verdict(f"Generalist-{i + 1:02d}", rng.random() < cfg.generalist_rate, DetailedLabel.PhishingSite))
-    verdicts.append(_verdict("GenericEye", rng.random() < 0.5, DetailedLabel.MaliciousSite))
-    verdicts.append(_verdict("SuspEye", rng.random() < 0.3, DetailedLabel.SuspiciousSite))
-    verdicts.append(_verdict("QuietWatch", rng.random() < 0.1, DetailedLabel.NotRecommendedSite))
+    phishing = cls == "phishing"
+    copier_fire = rng.random() < (cfg.copier_fire_phishing if phishing else cfg.copier_fire_malware)
+    copier_label = DetailedLabel.MalwareSite if copier_fire else None
+    verdicts = [shared[name, copier_label] for name in copiers]
+    for name, phishing_rate, malware_rate, label in scanners:
+        fires = rng.random() < (phishing_rate if phishing else malware_rate)
+        verdicts.append(shared[name, label if fires else None])
 
     if not any(v.detected for v in verdicts):
         # Guarantee at least one detection so cluster features are defined.
-        name = "PhishSpec-01" if cls == "phishing" else "MalSpec-01"
-        label = DetailedLabel.PhishingSite if cls == "phishing" else DetailedLabel.MalwareSite
-        verdicts = [
-            _verdict(name, True, label) if v.scanner_name == name else v for v in verdicts
-        ]
+        name = "PhishSpec-01" if phishing else "MalSpec-01"
+        label = DetailedLabel.PhishingSite if phishing else DetailedLabel.MalwareSite
+        verdicts = [shared[name, label] if v.scanner_name == name else v for v in verdicts]
     return verdicts
 
 
@@ -485,13 +520,16 @@ def generate_classifier_corpus(cfg: ClassifierCorpusConfig) -> ClassifierCorpus:
     truth: list[GroundTruthRecord] = []
     hosting_rows: list[dict] = []
     whois_rows: list[dict] = []
+    copiers = tuple(f"CopyCat-{i + 1:02d}" for i in range(cfg.copier_cluster_size))
+    scanners = _corpus_scanners(cfg)
+    shared = _Verdicts()
 
     for index, cls in enumerate(classes):
         rng = _sub_rng(cfg.seed, "corpus", str(index))
         url = _corpus_url(index, cls, cfg, rng)
         day_offset = (index * cfg.span_days) // total if cfg.span_days > 1 else 0
         scan_dt = start_dt + timedelta(days=day_offset)
-        verdicts = _corpus_verdicts(cls, cfg, rng)
+        verdicts = _corpus_verdicts(cls, cfg, rng, copiers, scanners, shared)
         reports.append(
             ScanReport(
                 url=url,
@@ -542,7 +580,7 @@ def generate_classifier_corpus(cfg: ClassifierCorpusConfig) -> ClassifierCorpus:
         "n_malware": cfg.n_malware,
         "span_days": cfg.span_days,
         "classes": {r.url: c for r, c in zip(reports, classes)},
-        "copier_cluster": [f"CopyCat-{i + 1:02d}" for i in range(cfg.copier_cluster_size)],
+        "copier_cluster": list(copiers),
         "hosting_covered": [row["url"] for row in hosting_rows],
         "whois_covered": [row["domain"] for row in whois_rows],
     }

@@ -71,6 +71,37 @@ class TestSynth:
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert run_cli("synth", "--preset", "nope", "--seed", 1, "--out", tmp_path / "x") == 4
 
+    def test_scenario_file_seed_used_without_seed_flag(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"kind": "classifier", "n_phishing": 20, "n_malware": 20, "seed": 5}))
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "file") == 0
+        assert run_cli("synth", "--scenario", scenario, "--seed", 5, "--out", tmp_path / "flag") == 0
+        assert run_cli("synth", "--scenario", scenario, "--seed", 6, "--out", tmp_path / "other") == 0
+        for out, seed in (("file", 5), ("flag", 5), ("other", 6)):
+            assert json.loads((tmp_path / out / "run_manifest.json").read_text())["seed"] == seed
+            assert json.loads((tmp_path / out / "planted.json").read_text())["seed"] == seed
+        assert hash_dir(tmp_path / "file") == hash_dir(tmp_path / "flag")
+        assert hash_dir(tmp_path / "file")["feed.jsonl"] != hash_dir(tmp_path / "other")["feed.jsonl"]
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "decay"}))
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "file") == 0
+        assert run_cli("synth", "--preset", "decay", "--out", tmp_path / "preset") == 0
+        assert run_cli("synth", "--preset", "decay", "--seed", 0, "--out", tmp_path / "zero") == 0
+        for out in ("file", "preset", "zero"):
+            assert json.loads((tmp_path / out / "run_manifest.json").read_text())["seed"] == 0
+        assert hash_dir(tmp_path / "preset") == hash_dir(tmp_path / "zero")
+        assert hash_dir(tmp_path / "file")["feed.jsonl"] == hash_dir(tmp_path / "zero")["feed.jsonl"]
+
+    @pytest.mark.parametrize("seed", ['"7"', "1.5", "true", "null"])
+    def test_non_integer_file_seed_is_config_error(self, tmp_path, capsys, seed):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"preset": "decay", "seed": %s}' % seed)
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "seed must be an integer" in lines[0]
+
 
 class TestIngest:
     def test_summary_counts(self, synth_dir, tmp_path):

@@ -6,8 +6,9 @@ import io
 import json
 import pickle
 import random
+import time
 import tracemalloc
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,10 @@ from scanalytics.feed import (
     normalize_url,
     parse_detailed_label,
     parse_feed,
+    parse_feed_file,
     report_to_json,
     stratified_sample,
+    write_feed,
     write_ground_truth,
 )
 
@@ -660,3 +663,95 @@ class TestParseMemory:
                 tracemalloc.stop()
         assert len(reports) == 1500 and sum(len(r.verdicts) for r in reports) == 1500 * len(SCANNER_NAMES)
         assert peak <= 600 * len(reports), f"{peak / len(reports):.0f} B per report"
+
+
+_NAMES = st.text(max_size=6)  # any code points: non-ASCII, quotes, escapes, empty
+_LABELS = st.sampled_from(sorted(DetailedLabel, key=int))
+_OFFSETS = st.one_of(
+    st.none(),  # naive: read as UTC
+    st.integers(min_value=-23 * 60, max_value=23 * 60).map(lambda m: timezone(timedelta(minutes=m))),
+)
+
+
+@st.composite
+def _hand_built_reports(draw):
+    """Reports built by hand: some verdict objects shared between reports,
+    some equal verdicts as separate objects, unique scanners per report."""
+    pool = draw(st.lists(st.builds(lambda name, label: ScannerVerdict(name, label is not DetailedLabel.Benign, label), _NAMES, _LABELS), max_size=8))
+    reports = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        picks = draw(st.lists(st.sampled_from(pool), unique_by=lambda v: v.scanner_name) if pool else st.just([]))
+        verdicts = [v if draw(st.booleans()) else ScannerVerdict(v.scanner_name, v.detected, v.result) for v in picks]
+        scan_date = draw(st.datetimes(min_value=datetime(1971, 1, 1), max_value=datetime(2100, 1, 1), timezones=_OFFSETS))
+        first_seen = scan_date - draw(st.timedeltas(min_value=timedelta(0), max_value=timedelta(days=40)))
+        reports.append(
+            ScanReport(
+                url=draw(st.text(max_size=10)),
+                scan_date=scan_date,
+                first_seen=first_seen,
+                scan_id=draw(st.text(min_size=1, max_size=6)) + f"-{i}",
+                positives=sum(v.detected for v in verdicts),
+                verdicts=tuple(verdicts),
+            )
+        )
+    return reports
+
+
+class TestWriteFeed:
+    @settings(max_examples=150, deadline=None)
+    @given(reports=_hand_built_reports())
+    def test_bytes_are_report_to_json_lines(self, tmp_path_factory, reports):
+        path = tmp_path_factory.mktemp("feed") / "feed.jsonl"
+        write_feed(reports, path)
+        assert path.read_bytes() == "".join(report_to_json(r) + "\n" for r in reports).encode("utf-8")
+
+    def test_parsed_reports_write_as_read(self, tmp_path):
+        lines = [make_line(scan_id=f"x-{i}", url=f"http://a{i % 3}.test/") for i in range(6)]
+        reports, _ = parse_feed(iter(lines))
+        write_feed(reports, tmp_path / "feed.jsonl")
+        text = (tmp_path / "feed.jsonl").read_text(encoding="utf-8")
+        assert text == "".join(report_to_json(r) + "\n" for r in reports)
+        assert parse_feed_file(tmp_path / "feed.jsonl") == (reports, [])
+
+    def test_reports_made_while_writing(self, tmp_path):
+        # Each report and its verdict are freed once written, so a later
+        # verdict, for another scanner, may be made at an earlier one's address.
+        def reports():
+            for i in range(20):
+                yield report("http://u.test/", i, f"r-{i}", [verdict(f"S{i}", DetailedLabel.MalwareSite if i % 2 else None)])
+
+        write_feed(reports(), tmp_path / "feed.jsonl")
+        text = (tmp_path / "feed.jsonl").read_text(encoding="utf-8")
+        assert text == "".join(report_to_json(r) + "\n" for r in reports())
+        assert parse_feed_file(tmp_path / "feed.jsonl")[0] == list(reports())
+
+    @pytest.mark.parametrize("name", ["Sophos", "Fortiñet"])
+    def test_scanner_listed_twice_is_refused(self, tmp_path, name):
+        twice = report(
+            "http://a.test/", 0, "dup-1",
+            [verdict(name, DetailedLabel.PhishingSite), verdict("ESET"), verdict(name)],
+        )
+        ok = report("http://a.test/", 1, "ok-1", [verdict(name)])
+        with pytest.raises(ValueError, match=f"^scanner {name!r} has more than one verdict in report 'dup-1'$"):
+            write_feed([ok, twice], tmp_path / "feed.jsonl")
+        assert (tmp_path / "feed.jsonl").read_text(encoding="utf-8") == report_to_json(ok) + "\n"
+        # One record's scans hold the scanner once: its last verdict, in its first place.
+        clean = {"detected": False, "result": "clean site"}
+        assert list(json.loads(report_to_json(twice))["scans"].items()) == [(name, clean), ("ESET", clean)]
+
+    def test_naive_timestamps_are_written_as_utc(self, tmp_path, monkeypatch):
+        # A naive timestamp is UTC wherever the report reads it, whatever the
+        # local time zone of the writing process.
+        r = ScanReport("http://a.test/", datetime(2021, 3, 1, 22), datetime(2021, 3, 1, 12), "n-1", 0, ())
+        monkeypatch.setenv("TZ", "EST+5")
+        time.tzset()
+        try:
+            line = report_to_json(r)
+            write_feed([r], tmp_path / "feed.jsonl")
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert '"scan_date":"2021-03-01T22:00:00Z","first_seen":"2021-03-01T12:00:00Z"' in line
+        assert (tmp_path / "feed.jsonl").read_text(encoding="utf-8") == line + "\n"
+        again, _ = parse_feed(iter([line]))
+        assert again[0].scan_day == r.scan_day

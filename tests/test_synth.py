@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from scanalytics.cli import main
 from scanalytics.feed import (
     DetailedLabel,
     dedup_by_scan_id,
@@ -166,3 +170,100 @@ class TestClassifierCorpus:
         for cut in (100, 300, 500):
             frac = classes[:cut].count("phishing") / cut
             assert abs(frac - 0.21) < 0.02
+
+
+def _all_kinds_config(seed=3):
+    """Every archetype kind, noise, stale URLs and a copier chain."""
+    return ScenarioConfig(
+        name="kinds",
+        n_urls={"phishing": 10, "malware": 7, "benign": 5},
+        horizon_days=9,
+        archetypes=(
+            ScannerArchetype(name="A", kind="stable"),
+            ScannerArchetype(name="B", kind="flipper", labels=("PhishingSite", "SpamSite", "MiningSite"), period_days=2),
+            ScannerArchetype(name="C", kind="leader", onset_min=1, onset_max=3, dropout_hazard=0.2),
+            ScannerArchetype(name="D", kind="copier", copies="C", lag_days=2),
+            ScannerArchetype(name="E", kind="copier", copies="D", lag_days=1),
+            ScannerArchetype(name="F", kind="specialist", attack="malware", recall=0.7, precision=0.6, onset_max=2),
+            ScannerArchetype(name="G", kind="leader", label="SuspiciousSite", duration_days=3),
+        ),
+        seed=seed,
+        noise=0.2,
+        stale_fraction=0.3,
+    )
+
+
+def _verdict_objects(reports):
+    return list({id(v): v for r in reports for v in r.verdicts}.values())
+
+
+class TestSharedVerdicts:
+    """One generator call makes one verdict object per (scanner, label)."""
+
+    def test_generate_shares_one_verdict_per_scanner_and_label(self):
+        gen = generate(_all_kinds_config())
+        objects = _verdict_objects(gen.reports)
+        values = {(v.scanner_name, v.detected, v.result) for v in objects}
+        assert len(objects) == len(values)
+        assert sum(len(r.verdicts) for r in gen.reports) == 22 * 9 * 7
+        assert {v.detected for v in objects} == {True, False}
+
+    def test_corpus_shares_one_verdict_per_scanner_and_label(self):
+        corpus = generate_classifier_corpus(ClassifierCorpusConfig(n_phishing=60, n_malware=60, seed=2))
+        objects = _verdict_objects(corpus.reports)
+        assert len(objects) == len({(v.scanner_name, v.detected, v.result) for v in objects})
+        assert len(objects) <= 2 * 17  # each of 17 scanners: one detecting label, one benign
+
+    def test_no_archetypes_still_one_report_per_day(self):
+        gen = generate(_tiny_config(archetypes=(), horizon_days=4))
+        assert [(r.verdicts, r.positives) for r in gen.reports] == [((), 0)] * 4
+
+    def test_benign_planted_label_is_rejected(self):
+        cfg = _tiny_config(archetypes=(ScannerArchetype(name="Odd", kind="stable", label="Benign"),))
+        with pytest.raises(ValueError, match="Benign"):
+            generate(cfg)
+
+
+# sha256 of what `scanalytics synth` writes, pinned from the writer and RNG
+# streams before verdicts were shared: any change to a stream or to the
+# feed's bytes shows here.
+_PINNED = {
+    ("--preset", "three-groups"): {
+        "feed.jsonl": "5029013ff1528ebfab65d486c3d9e62430b347c624966ee1a2879569927075f0",
+        "truth.csv": "9ea8b7cc0d32c94f4a854c64650b1cadec1728f86db148a57bbe2b0ee85b5988",
+        "planted.json": "65f22773cafd3f30d2adedb92350d47500ede314b867f2ee7b823b2b60df59cb",
+    },
+    ("--preset", "leader-copier"): {
+        "feed.jsonl": "187a176c9864ac8ad34f43679b93cc7abc8d2caf04a60dbe81ac7a45630f4a6f",
+        "truth.csv": "1c28da2098d1f1496b8e0d463af7da86d3a647ee2e72eec7b1f1c00c23c8a37c",
+        "planted.json": "f5fb15f7a5f2089647dfc3fe3eb53446523d80e9f6891c84ae3f362f1ace2b6b",
+    },
+    ("--preset", "decay"): {
+        "feed.jsonl": "185e937f2de95a8fc21fc162f4867973a9bfaa313914000bde5de2b1f50e836e",
+        "truth.csv": "b0df3c2542afed0a824a6169741e8c3561cf180ecfd4fe5f3069346bd44f69eb",
+        "planted.json": "b210b575c905dfcc99ceeaec17b00b35a66ef0b706e37a6414181b214020651e",
+    },
+    ("--preset", "specialists"): {
+        "feed.jsonl": "1fc8cb0a79d62164c8b9b7ceab27fe8adfc1fc24d10b600808764776fef9d590",
+        "truth.csv": "78b5ea7c7ac8afe4e166a804332c18d97970fbedad282c1e829fb46f9d53f96f",
+        "planted.json": "6702920c8113962e348245f576c0786065d6eec94a377aa89abfed30a4a2def7",
+    },
+    ("--scenario", "corpus.json"): {
+        "feed.jsonl": "025fff6b295808957d063fe1ee37b542e72b67a6f8f5b9c71725595a04b5e643",
+        "truth.csv": "ca91ac91d063ddf25e08ac56596347c83b6cb5f7dfeade756eea952ec67cc01f",
+        "planted.json": "bbb1b0f85415f564f74738e73fd8671877e335b363f77b20ae70b9715e2f63eb",
+        "hosting_cache.csv": "d1db118d19772943b33fd7eb08878ee5753f6182fdcc584112ed01ce6644663f",
+        "whois_cache.csv": "f1c53de633a9dc7e568d2629990c2ee9650b254523a848226296dd8f273ee75b",
+    },
+}
+
+
+@pytest.mark.parametrize("source", list(_PINNED), ids=[name for _, name in _PINNED])
+def test_synth_writes_pinned_bytes(source, tmp_path):
+    flag, name = source
+    if flag == "--scenario":
+        name = tmp_path / name
+        name.write_text(json.dumps({"kind": "classifier", "n_phishing": 40, "n_malware": 30, "span_days": 5}))
+    assert main(["synth", flag, str(name), "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+    found = {file: hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() for file in _PINNED[source]}
+    assert found == _PINNED[source]
