@@ -27,7 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, FeedFormatError, ReportTable, ScanReport, _utc_us, normalize_url
+from ..feed import DetailedLabel, FeedFormatError, ReportTable, ScanReport, _utc_us, _utf8_lines, normalize_url
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -157,12 +157,13 @@ def _read_cache_csv(path, fields: dict) -> dict[str, dict]:
     """Rows of a cache CSV, each field converted by `fields[name]`, keyed by
     the first field. A missing column or field, or a value its converter
     rejects, raises FeedFormatError naming the file and row; so do two rows
-    with one key and different values. Equal rows count once."""
+    with one key and different values. A file that is not UTF-8 raises it
+    naming the file. Equal rows count once."""
     key = next(iter(fields))
     rows: dict[str, dict] = {}
     row_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=2):
+        for row_no, row in enumerate(csv.DictReader(_utf8_lines(fh, path)), start=2):
             missing = [name for name in fields if row.get(name) is None]
             if missing:
                 raise FeedFormatError(f"{path}: row {row_no}: missing {', '.join(missing)}")

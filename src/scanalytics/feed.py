@@ -15,7 +15,13 @@ built by hand. Reports built by hand get their table from the same builder,
 coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 `write_feed` writes reports back in the record form, JSON-encoding each
-distinct verdict object once.
+distinct verdict object once. `parse_feed` reads that form back decoding
+each distinct verdict once: a line whose JSON is compact with `"scans"`
+last is split into its header fields and one text per scans member; each
+distinct member text is decoded once per parse, and a line whose texts
+have all been seen takes its codes from a table from text to code. Any
+other line, and one that names a scanner twice, is decoded whole; both
+ways give the same reports and warnings.
 
 Everything returned by this module is immutable after construction and safe
 to share across threads.
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache, partial
 from operator import attrgetter
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -468,89 +474,172 @@ def _parse_ts(value: str, field_name: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _parse_line(
-    line: str,
-    line_no: int,
-    warnings: list[ParseWarning],
-    names_seen: set[str],
-    verdict_cache: dict[tuple[str, bool, str], tuple[int, bool]],
-    table: _TableBuilder,
-) -> None:
-    """Check one line and add its report to `table`."""
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FeedFormatError(f"invalid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise FeedFormatError("record is not a JSON object")
+_FIELDS = ("url", "scan_date", "first_seen", "scan_id", "positives", "scans")
+_SCANS = ',"scans":{'
 
-    for key in ("url", "scan_date", "first_seen", "scan_id", "positives", "scans"):
-        if key not in raw:
-            raise FeedFormatError(f"missing field {key!r}")
 
-    url = raw["url"]
-    if not isinstance(url, str) or not url:
-        raise FeedFormatError("url must be a non-empty string")
-    url = normalize_url(url)
+class _FeedParser:
+    """One `parse_feed` call: its table, its warnings, and what it has coded.
 
-    scan_date = _parse_ts(raw["scan_date"], "scan_date")
-    first_seen = _parse_ts(raw["first_seen"], "first_seen")
-    if first_seen > scan_date:
-        raise FeedFormatError("first_seen is after scan_date")
+    `verdict_cache` codes each distinct (scanner name, detected, raw result
+    string); `detected`, `scanner` and `catch_all` are each code's verdict
+    fields and whether it was kept as a catch-all. A line in the writer's
+    form (`_split`) is read as one text per scans member: `members` holds
+    each distinct text decoded, and `fragments` each text's code once its
+    checks and warnings have run. A catch-all's text is never in
+    `fragments`, so its warning is made on every line.
+    """
 
-    scan_id = raw["scan_id"]
-    if not isinstance(scan_id, str) or not scan_id:
-        raise FeedFormatError("scan_id must be a non-empty string")
+    def __init__(self) -> None:
+        self.table = _TableBuilder()
+        self.warnings: list[ParseWarning] = []
+        self.names_seen: set[str] = set()
+        self.verdict_cache: dict[tuple[str, bool, str], int] = {}
+        self.detected: list[bool] = []
+        self.scanner: list[str] = []
+        self.catch_all: list[bool] = []
+        self.members: dict[str, tuple[str, object]] = {}
+        self.fragments: dict[str, int] = {}
 
-    scans = raw["scans"]
-    if not isinstance(scans, dict):
-        raise FeedFormatError("scans must be an object")
+    def _split(self, line: str):
+        """The header fields of a line in the writer's form, its scans member
+        texts, and their codes if all are in `fragments` (else None); or None
+        for a line to decode whole.
 
-    codes: list[int] = []
-    n_detected = 0
-    for scanner_name, entry in scans.items():
-        if not isinstance(entry, dict) or "detected" not in entry:
-            raise FeedFormatError(f"bad scans entry for {scanner_name!r}")
-        detected = entry["detected"]
-        if not isinstance(detected, bool):
-            raise FeedFormatError(f"detected for {scanner_name!r} must be true or false")
-        key = (scanner_name, detected, str(entry.get("result", "")))
-        shared = verdict_cache.get(key)
-        if shared is None:
-            result = parse_detailed_label(key[2])
-            # A scanner that flags the URL but gives a clean/empty result
-            # string still counts as a detection, just without a type vote.
-            catch_all = detected and result is DetailedLabel.Benign
-            if catch_all:
-                result = DetailedLabel.OtherMalicious
-            elif not detected:
-                result = DetailedLabel.Benign
-            shared = verdict_cache[key] = (table.code(ScannerVerdict(scanner_name, detected, result)), catch_all)
-        code, catch_all = shared
-        if catch_all:
-            warnings.append(
-                ParseWarning(line_no, f"{scanner_name}: detected with benign result, kept as catch-all")
+        The writer's form is compact JSON with `"scans"` last. The members
+        are split on `},"`, which inside a string can only end at its closing
+        quote and so leaves a text that does not decode. When the header
+        decodes as an object and every text as one member, the line is
+        exactly their JSON put back together. A line that names one scanner
+        twice is decoded whole: JSON keeps the name's last value in its
+        first place.
+        """
+        p = line.rfind(_SCANS)
+        if p < 0 or not line.endswith("}}"):
+            return None
+        try:
+            header = json.loads(line[:p] + "}")
+        except json.JSONDecodeError:
+            return None
+        if not isinstance(header, dict) or not header or "scans" in header:
+            return None
+        start = p + len(_SCANS)
+        if start == len(line) - 2:
+            return header, [], []
+        if line[start] != '"' or line[-3] != "}":
+            return None
+        pieces = line[start + 1:-3].split('},"')
+        try:
+            codes = list(map(self.fragments.__getitem__, pieces))
+        except KeyError:
+            codes = None
+            members = self.members
+            for piece in pieces:
+                if piece not in members:
+                    try:
+                        member = json.loads('{"' + piece + "}}")
+                    except json.JSONDecodeError:
+                        return None
+                    if len(member) != 1:
+                        return None
+                    members[piece] = next(iter(member.items()))
+            names = [members[piece][0] for piece in pieces]
+        else:
+            names = map(self.scanner.__getitem__, codes)
+        if len(set(names)) < len(pieces):
+            return None
+        return header, pieces, codes
+
+    def _codes(self, members: Iterable[tuple[str, object]], line_no: int) -> list[int]:
+        """The codes of one line's scans members, after each member's checks
+        and warnings."""
+        verdict_cache, names_seen, warnings, catch_all = self.verdict_cache, self.names_seen, self.warnings, self.catch_all
+        codes: list[int] = []
+        for scanner_name, entry in members:
+            if not isinstance(entry, dict) or "detected" not in entry:
+                raise FeedFormatError(f"bad scans entry for {scanner_name!r}")
+            detected = entry["detected"]
+            if not isinstance(detected, bool):
+                raise FeedFormatError(f"detected for {scanner_name!r} must be true or false")
+            key = (scanner_name, detected, str(entry.get("result", "")))
+            code = verdict_cache.get(key)
+            if code is None:
+                result = parse_detailed_label(key[2])
+                # A scanner that flags the URL but gives a clean/empty result
+                # string still counts as a detection, just without a type vote.
+                kept_as_catch_all = detected and result is DetailedLabel.Benign
+                if kept_as_catch_all:
+                    result = DetailedLabel.OtherMalicious
+                elif not detected:
+                    result = DetailedLabel.Benign
+                code = verdict_cache[key] = self.table.code(ScannerVerdict(scanner_name, detected, result))
+                self.detected.append(detected)
+                self.scanner.append(scanner_name)
+                catch_all.append(kept_as_catch_all)
+            if catch_all[code]:
+                warnings.append(
+                    ParseWarning(line_no, f"{scanner_name}: detected with benign result, kept as catch-all")
+                )
+            codes.append(code)
+            if scanner_name not in names_seen:
+                # Unknown names are accepted but tagged; warn once per name.
+                names_seen.add(scanner_name)
+                if not is_known_scanner(scanner_name):
+                    warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
+        return codes
+
+    def add(self, line: str, line_no: int) -> None:
+        """Check one line and add its report to the table."""
+        split = self._split(line)
+        if split is None:
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FeedFormatError(f"invalid JSON: {exc.msg}") from None
+            if not isinstance(raw, dict):
+                raise FeedFormatError("record is not a JSON object")
+        else:
+            raw, pieces, codes = split
+        for key in _FIELDS if split is None else _FIELDS[:-1]:  # a split line has its scans
+            if key not in raw:
+                raise FeedFormatError(f"missing field {key!r}")
+
+        url = raw["url"]
+        if not isinstance(url, str) or not url:
+            raise FeedFormatError("url must be a non-empty string")
+        url = normalize_url(url)
+
+        scan_date = _parse_ts(raw["scan_date"], "scan_date")
+        first_seen = _parse_ts(raw["first_seen"], "first_seen")
+        if first_seen > scan_date:
+            raise FeedFormatError("first_seen is after scan_date")
+
+        scan_id = raw["scan_id"]
+        if not isinstance(scan_id, str) or not scan_id:
+            raise FeedFormatError("scan_id must be a non-empty string")
+
+        if split is None:
+            scans = raw["scans"]
+            if not isinstance(scans, dict):
+                raise FeedFormatError("scans must be an object")
+            codes = self._codes(scans.items(), line_no)
+        elif codes is None:
+            codes = self._codes(map(self.members.__getitem__, pieces), line_no)
+            self.fragments.update((piece, code) for piece, code in zip(pieces, codes) if not self.catch_all[code])
+        n_detected = sum(map(self.detected.__getitem__, codes))
+
+        raw_positives = raw["positives"]
+        if not isinstance(raw_positives, int) or isinstance(raw_positives, bool) or raw_positives < 0:
+            raise FeedFormatError("positives must be a non-negative integer")
+        if raw_positives != n_detected:
+            self.warnings.append(
+                ParseWarning(
+                    line_no,
+                    f"positives field says {raw_positives} but {n_detected} verdicts detect; recomputed",
+                )
             )
-        codes.append(code)
-        n_detected += detected
-        if scanner_name not in names_seen:
-            # Unknown names are accepted but tagged; warn once per name.
-            names_seen.add(scanner_name)
-            if not is_known_scanner(scanner_name):
-                warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
 
-    raw_positives = raw["positives"]
-    if not isinstance(raw_positives, int) or isinstance(raw_positives, bool) or raw_positives < 0:
-        raise FeedFormatError("positives must be a non-negative integer")
-    if raw_positives != n_detected:
-        warnings.append(
-            ParseWarning(
-                line_no,
-                f"positives field says {raw_positives} but {n_detected} verdicts detect; recomputed",
-            )
-        )
-
-    table.add(url, scan_date, first_seen, scan_id, n_detected, codes)
+        self.table.add(url, scan_date, first_seen, scan_id, n_detected, codes)
 
 
 def parse_feed(
@@ -567,11 +656,16 @@ def parse_feed(
     detected, raw result string); checks and warnings run for every line.
     The reports are the rows of one `ReportTable`, which holds each verdict
     as a narrow code into the shared objects (`ReportTable.of` returns it).
+    A line in the writer's form (compact, `"scans"` last) is decoded in
+    parts: its header fields, and each distinct text of a scans member once
+    per call. A text's code is kept in a table from text to code once its
+    checks and warnings have run, except a catch-all's, whose warning is
+    made on every line; a line whose texts are all in the table costs no
+    per-verdict work. Any other line, and one that lists a scanner twice,
+    is decoded whole. Both give the same reports and warnings.
     """
-    table = _TableBuilder()
-    warnings: list[ParseWarning] = []
-    names_seen: set[str] = set()
-    verdict_cache: dict[tuple[str, bool, str], tuple[int, bool]] = {}
+    parser = _FeedParser()
+    warnings = parser.warnings
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
             try:
@@ -585,16 +679,18 @@ def parse_feed(
         if not line:
             continue
         try:
-            _parse_line(line, line_no, warnings, names_seen, verdict_cache, table)
+            parser.add(line, line_no)
         except FeedFormatError as exc:
             if strict:
                 raise FeedFormatError(f"line {line_no}: {exc}") from None
             warnings.append(ParseWarning(line_no, f"{exc}; line skipped"))
-    return table.reports(), warnings
+    return parser.table.reports(), warnings
 
 
 def parse_feed_file(path, strict: bool = False) -> tuple[list[ScanReport], list[ParseWarning]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """`parse_feed` over the file at `path`, read as bytes: lines end at
+    `\\n`, and a line that is not UTF-8 is one malformed line."""
+    with open(path, "rb") as fh:
         return parse_feed(fh, strict=strict)
 
 
@@ -749,6 +845,15 @@ def stratified_sample(
     return sample
 
 
+def _utf8_lines(fh: IO[str], path) -> Iterator[str]:
+    """The lines of `fh`, a text file at `path` opened as UTF-8; bytes that
+    are not UTF-8 raise FeedFormatError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise FeedFormatError(f"{path}: not valid UTF-8") from None
+
+
 _GT_LABELS = {label.value: label for label in GroundTruthLabel}
 _GT_COLUMNS = ("url", "label", "source", "labeled_at")
 
@@ -759,11 +864,12 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
     Exact duplicate rows collapse; a URL with more than one distinct label
     across sources raises GroundTruthConflictError listing every conflict.
     A row with a missing or empty field or a bad timestamp raises
-    FeedFormatError naming the row.
+    FeedFormatError naming the row, and a file that is not UTF-8 one naming
+    the file.
     """
     records: dict[tuple[str, str], GroundTruthRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(fh, path))
         if reader.fieldnames is None or not set(_GT_COLUMNS).issubset(reader.fieldnames):
             raise FeedFormatError(f"ground truth CSV must have columns {sorted(_GT_COLUMNS)}")
         for row_no, row in enumerate(reader, start=2):

@@ -834,3 +834,45 @@ class TestClassifyMatchesOracle:
         )
         assert (tmp_path / "predict" / "predictions.csv").read_bytes() == (expected / "predictions.csv").read_bytes()
         assert (tmp_path / "trend" / "weekly_trend.csv").read_bytes() == (expected / "weekly_trend.csv").read_bytes()
+
+
+class TestNotUtf8:
+    """Input bytes that are not UTF-8 are input errors, or, in a feed, one
+    skipped line; never a compute error."""
+
+    def _feed_with_bad_line(self, synth_dir, tmp_path) -> tuple[Path, int]:
+        lines = (synth_dir / "feed.jsonl").read_bytes().splitlines(keepends=True)
+        path = tmp_path / "feed.jsonl"
+        path.write_bytes(b"".join(lines[:2] + [lines[2].replace(b'"scan_id"', b'"scan_\xffid"')] + lines[3:]))
+        return path, len(lines)
+
+    def test_feed_line_skipped_with_warning(self, synth_dir, tmp_path):
+        feed, n_lines = self._feed_with_bad_line(synth_dir, tmp_path)
+        out = tmp_path / "ingest"
+        assert run_cli("ingest", "--feed", feed, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["reports_parsed"] == n_lines - 1
+        warnings = (out / "warnings.txt").read_text(encoding="utf-8").splitlines()
+        assert [w for w in warnings if "UTF-8" in w] == ["line 3: not valid UTF-8, skipped"]
+
+    def test_feed_line_under_strict_is_input_error(self, synth_dir, tmp_path, capsys):
+        feed, _ = self._feed_with_bad_line(synth_dir, tmp_path)
+        assert run_cli("ingest", "--feed", feed, "--out", tmp_path / "o", "--strict") == 2
+        assert capsys.readouterr().err.splitlines() == ['ERROR code=2 kind=input msg="line 3: not valid UTF-8"']
+
+    def test_ground_truth_is_input_error(self, synth_dir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes((synth_dir / "truth.csv").read_bytes() + b"http://\xff.test/,phishing,x,2021-03-01T00:00:00Z\n")
+        code = run_cli("metrics", "--feed", synth_dir / "feed.jsonl", "--ground-truth", truth, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f'ERROR code=2 kind=input msg="{truth}: not valid UTF-8"']
+
+    @pytest.mark.parametrize("cache", ["hosting", "whois"])
+    def test_cache_is_input_error(self, corpus_dir, model_path, tmp_path, capsys, cache):
+        path = tmp_path / f"{cache}.csv"
+        path.write_bytes((corpus_dir / f"{cache}_cache.csv").read_bytes() + b"\xff\n")
+        code = run_cli(
+            "classify", "predict", "--feed", corpus_dir / "feed.jsonl", "--model", model_path,
+            f"--{cache}-cache", path, "--out", tmp_path / "o",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f'ERROR code=2 kind=input msg="{path}: not valid UTF-8"']

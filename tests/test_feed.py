@@ -9,6 +9,7 @@ import random
 import time
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -755,3 +756,169 @@ class TestWriteFeed:
         assert (tmp_path / "feed.jsonl").read_text(encoding="utf-8") == line + "\n"
         again, _ = parse_feed(iter([line]))
         assert again[0].scan_day == r.scan_day
+
+
+# Texts that look like the writer's member boundary or scans field, escapes,
+# and non-ASCII text, to be put into names, results and header values.
+_TRICKY = ['},"', ',"scans":{', '"', "\\", "}", ",", ":", "{", "é", " ", "\U0001f600"]
+_TEXT = st.lists(st.one_of(st.sampled_from(_TRICKY), st.text(max_size=3)), max_size=3).map("".join)
+_MEMBER_NAMES = st.one_of(st.sampled_from(["Fortinet", "Sophos", "ESET", "scans", "MysteryAV"]), _TEXT)
+_VALID_ENTRIES = st.builds(
+    lambda detected, result: {"detected": detected, "result": result},
+    st.booleans(),
+    st.one_of(st.sampled_from(["phishing site", "Malware Site", "clean site", ""]), _TEXT),  # "clean site" detected: a catch-all
+)
+_ENTRIES = st.one_of(
+    _VALID_ENTRIES,
+    _VALID_ENTRIES,
+    st.builds(lambda detected: {"detected": detected}, st.booleans()),
+    st.sampled_from([
+        5, "x", [], None, {}, {"detected": "true"}, {"detected": {}},
+        {"result": "phishing site", "detected": True},
+        {"Sophos": {"detected": True, "result": "phishing site"}},  # a member's shape, one level down
+    ]),
+)
+_FORMS = ["writer"] * 3 + ["unicode", "default", "scans-first", "extra", "scans-only"]
+_HEADER_FAULTS = st.sampled_from([None] * 4 + ["url", "first_seen", "scan_id", "positives", "missing"])
+
+
+def _record_text(header: dict, members: list, form: str, extra) -> str:
+    """One feed line for `header` and the scans `members`, a list of (name,
+    entry) that may name a scanner twice, written in `form`: "writer" as
+    `write_feed` writes, "unicode" the same without escaping non-ASCII text,
+    "default" with `json.dumps`'s default separators, "scans-first" with
+    `"scans"` first, "extra" with a field after `"scans"`, and "scans-only"
+    with no other field."""
+    sep = (", ", ": ") if form == "default" else (",", ":")
+    dump = partial(json.dumps, ensure_ascii=form != "unicode", separators=sep)
+    scans = '"scans"' + sep[1] + "{" + sep[0].join(dump({name: entry})[1:-1] for name, entry in members) + "}"
+    head = dump(header)[1:-1]
+    if form == "scans-first":
+        return "{" + scans + sep[0] + head + "}"
+    if form == "extra":
+        return "{" + head + sep[0] + scans + sep[0] + '"extra"' + sep[1] + dump(extra) + "}"
+    if form == "scans-only":
+        return "{" + scans + "}"
+    return "{" + head + sep[0] + scans + "}"
+
+
+@st.composite
+def _mixed_feeds(draw):
+    """Feed lines: `report_to_json` lines of reports built by hand, and
+    records in the writer's form and in edited forms, some with a faulty
+    header or truncated, whose scans members are drawn from one small pool so
+    that member texts repeat across lines."""
+    pool = draw(st.lists(st.tuples(_MEMBER_NAMES, _ENTRIES), min_size=1, max_size=6))
+    lines = [report_to_json(r) for r in draw(_hand_built_reports())]
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        header = {
+            "url": draw(st.sampled_from(["http://a.test/", "HTTP://B.Test/x"])),
+            "scan_date": "2021-03-02T00:00:00Z",
+            "first_seen": "2021-03-01T00:00:00Z",
+            "scan_id": f"s{i}",
+            "positives": draw(st.integers(min_value=0, max_value=3)),
+        }
+        fault = draw(_HEADER_FAULTS)
+        if fault == "missing":
+            del header[draw(st.sampled_from(sorted(header)))]
+        elif fault is not None:
+            header[fault] = draw(st.sampled_from(["", -1, None, "2021-03-03T00:00:00Z"]) | _TEXT)
+        members = draw(st.lists(st.sampled_from(pool), max_size=5))
+        extra = draw(st.sampled_from([1, {"scans": {}}, {"a": {"b": {}}}, '},"']))
+        line = _record_text(header, members, draw(st.sampled_from(_FORMS)), extra)
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            line = line[:draw(st.integers(min_value=0, max_value=len(line)))]
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    return [line.strip() for line in lines if line.strip()]
+
+
+def _line(scans: str, positives: int, scan_id: str = "d") -> str:
+    head = '"url":"http://a.test/","scan_date":"2021-03-01T00:00:00Z","first_seen":"2021-03-01T00:00:00Z"'
+    return f'{{{head},"scan_id":"{scan_id}","positives":{positives},"scans":{{{scans}}}}}'
+
+
+_PHISH = '"Fortinet":{"detected":true,"result":"phishing site"}'
+_CLEAN = '"Fortinet":{"detected":false,"result":"clean site"}'
+_ESET = '"ESET":{"detected":false,"result":"clean site"}'
+
+
+class TestWriterForm:
+    """A line in the writer's form is decoded in parts; the reports and
+    warnings are those of the whole-line parse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_mixed_feeds())
+    def test_same_as_whole_line_parse(self, lines):
+        assert parse_feed(iter(lines)) == _reference_parse(lines)
+
+    def test_scanner_listed_twice(self):
+        # JSON keeps a name's last value in its first place, and positives
+        # counts that one verdict: whether the line's member texts are all
+        # known (line 3), some are new (line 4), or a name is written two ways
+        # (line 5).
+        lines = [
+            _line(f"{_PHISH},{_ESET}", 1, "d1"),
+            _line(_CLEAN, 0, "d2"),
+            _line(f"{_PHISH},{_ESET},{_CLEAN}", 1, "d3"),
+            _line('"Sophos":{"detected":true,"result":"malware site"},'
+                  f'{_ESET},"Sophos":{{"detected":true,"result":"phishing site"}}', 2, "d4"),
+            _line(f'{_CLEAN},"Fort\\u0069net":{{"detected":true,"result":"phishing site"}}', 0, "d5"),
+        ]
+        reports, warnings = parse_feed(iter(lines))
+        assert (reports, warnings) == _reference_parse(lines)
+        phish = ScannerVerdict("Fortinet", True, DetailedLabel.PhishingSite)
+        clean = ScannerVerdict("Fortinet", False, DetailedLabel.Benign)
+        eset = ScannerVerdict("ESET", False, DetailedLabel.Benign)
+        assert [(r.verdicts, r.positives) for r in reports[2:]] == [
+            ((clean, eset), 0),
+            ((ScannerVerdict("Sophos", True, DetailedLabel.PhishingSite), eset), 1),
+            ((phish,), 1),
+        ]
+        assert [str(w) for w in warnings] == [
+            "line 3: positives field says 1 but 0 verdicts detect; recomputed",
+            "line 4: positives field says 2 but 1 verdicts detect; recomputed",
+            "line 5: positives field says 0 but 1 verdicts detect; recomputed",
+        ]
+
+    def test_catch_all_warned_on_every_line(self):
+        catch_all = '"Sophos":{"detected":true,"result":"clean site"}'
+        lines = [_line(f"{_ESET},{catch_all}", 1, f"c{i}") for i in range(3)]
+        reports, warnings = parse_feed(iter(lines))
+        assert (reports, warnings) == _reference_parse(lines)
+        assert [str(w) for w in warnings] == [
+            f"line {i}: Sophos: detected with benign result, kept as catch-all" for i in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("line", [
+        '{,"scans":{"ESET":{"detected":false}}}',  # no header field: not JSON
+        '{"scans":{},"url":"http://a.test/"}',  # "scans" first: not the writer's form
+        _line(f"{_ESET} ,{_PHISH}", 0),  # a space after a member
+        _line(f'{_ESET},"Sophos":5', 0),  # a member that is not an object
+        _line(f'{_PHISH},"Sophos":{{"detected":true,"result":"x}},"}}', 2),  # `},"` that closes a string
+        _line(f"{_ESET},{_PHISH}", 1)[:-1],  # truncated
+        _line(f'{_ESET},"Sophos":{{"detected":true]', 1),  # a last member that does not end in "}"
+        _line("{" + _ESET[1:], 0),  # scans that do not open with a quote
+        _line(f'{_ESET},"scans":{{{_PHISH}}}', 1),  # a later scanner named "scans", holding a member
+        _line(_ESET, 1)[:-1] + f',"scans":{{{_PHISH}}}}}',  # "scans" twice: JSON keeps the last
+    ])
+    def test_edge_lines(self, line):
+        lines = [_line(f"{_ESET},{_PHISH}", 1, "first"), line]
+        assert parse_feed(iter(lines)) == _reference_parse(lines)
+
+    def test_decodes_each_distinct_member_once(self, tmp_path, monkeypatch):
+        # A line in the writer's form costs one decode of its header fields,
+        # and each distinct member text one decode per parse: no decode sees
+        # a line's scans, which a silent fall-back to the whole-line parse
+        # would.
+        reports, _ = parse_feed(iter(_wide_lines(150, 10, 0.0, seed=5)))
+        write_feed(reports, tmp_path / "feed.jsonl")
+        lines = (tmp_path / "feed.jsonl").read_text(encoding="utf-8").splitlines()
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+        again, warnings = parse_feed(iter(lines))
+        monkeypatch.undo()
+        assert again == reports and warnings == []
+        n_members = len(ReportTable.of(reports).verdicts)
+        assert len(decoded) <= len(lines) + n_members
+        assert not [text for text in decoded if '"scans"' in text]
