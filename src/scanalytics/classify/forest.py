@@ -376,7 +376,7 @@ def load_forest(path, expect_features: Sequence[str] | None = None) -> ForestMod
         raise
     except KeyError as exc:
         raise ModelFormatError(f"model file {path} lacks field {exc}") from None
-    except (AttributeError, ArithmeticError, TypeError, ValueError) as exc:  # also not JSON or not UTF-8
+    except (AttributeError, ArithmeticError, RecursionError, TypeError, ValueError) as exc:  # also not JSON (or too deeply nested), or not UTF-8
         raise ModelFormatError(f"malformed model file {path}: {exc}") from None
     if expect_features is not None and tuple(expect_features) != feature_names:
         raise ModelFormatError(

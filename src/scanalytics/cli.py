@@ -186,7 +186,7 @@ def _json_object(path: Path, error: type[Exception]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (RecursionError, ValueError) as exc:  # not JSON (or too deeply nested), or not UTF-8
         raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise error(f"{path} must hold a JSON object")
@@ -559,27 +559,19 @@ def _cmd_synth(args) -> int:
     if args.scenario:
         run.add_input(args.scenario)
 
-    if isinstance(config, ClassifierCorpusConfig):
-        corpus = generate_classifier_corpus(config)
-        write_feed(corpus.reports, run.artifact("feed.jsonl"))
-        write_ground_truth(corpus.truth, run.artifact("truth.csv"))
+    classifier = isinstance(config, ClassifierCorpusConfig)
+    corpus = (generate_classifier_corpus if classifier else generate)(config)
+    write_feed(corpus.reports, run.artifact("feed.jsonl"))
+    write_ground_truth(corpus.truth, run.artifact("truth.csv"))
+    if classifier:
         for name, header, rows in (
             ("hosting_cache.csv", ("url", "ip_count", "asn_count", "asn", "country"), corpus.hosting_rows),
             ("whois_cache.csv", ("domain", "created", "expires", "registrar"), corpus.whois_rows),
         ):
             write_table(run.artifact(name), header, ([row[column] for column in header] for row in rows))
-        manifest = corpus.manifest
-        n_reports = len(corpus.reports)
-    else:
-        generated = generate(config)
-        write_feed(generated.reports, run.artifact("feed.jsonl"))
-        write_ground_truth(generated.truth, run.artifact("truth.csv"))
-        manifest = generated.manifest
-        n_reports = len(generated.reports)
-
-    _write_json(manifest, run.artifact("planted.json"))
+    _write_json(corpus.manifest, run.artifact("planted.json"))
     run.seal()
-    print(f"{n_reports} reports written to {run.out_dir}")
+    print(f"{len(corpus.reports)} reports written to {run.out_dir}")
     return EXIT_OK
 
 

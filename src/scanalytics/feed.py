@@ -11,7 +11,9 @@ The feed is UTF-8 line-delimited JSON, one scan report per line:
 columns, and each report's verdicts as narrow codes into the parse's shared
 `ScannerVerdict` objects, one flat code array cut into rows. The reports it
 returns are read-only views of those rows; they equal and hash like reports
-built by hand. Reports built by hand get their table from the same builder,
+built by hand. A report holds at most one verdict per scanner, as a record's
+scans object does: a report built by hand that lists a scanner twice is
+refused. Reports built by hand get their table from the same builder,
 coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 `write_feed` writes reports back in the record form, JSON-encoding each
@@ -35,11 +37,9 @@ import json
 import random
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache, partial
-from operator import attrgetter
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -98,10 +98,6 @@ class DetailedLabel(enum.IntEnum):
     MiningSite = 6
     NotRecommendedSite = 7
     OtherMalicious = 8
-
-    @property
-    def is_detection(self) -> bool:
-        return self is not DetailedLabel.Benign
 
     @property
     def is_attack_type(self) -> bool:
@@ -182,8 +178,10 @@ class ScanReport:
     """One scanner-aggregated scan of one URL at one point in time.
 
     `positives` always equals the number of detecting verdicts (recomputed on
-    ingest when the raw field disagrees). Timestamps are UTC; a naive one is
-    read as UTC, and `scan_day` and `first_seen_day` are UTC days.
+    ingest when the raw field disagrees), and no scanner has more than one
+    verdict. Timestamps are UTC; a naive one is read as UTC, and `scan_day`
+    and `first_seen_day` are UTC days. A report pickles as the call that
+    builds it, so unpickling runs the same checks.
     """
 
     url: str
@@ -196,9 +194,17 @@ class ScanReport:
     def __post_init__(self) -> None:
         if self.first_seen > self.scan_date:
             raise ValueError("first_seen is after scan_date")
-        n_detected = sum(1 for v in self.verdicts if v.detected)
+        verdicts = self.verdicts
+        n_detected = sum(1 for v in verdicts if v.detected)
         if self.positives != n_detected:
             raise ValueError("positives does not match detecting verdict count")
+        if len({v.scanner_name for v in verdicts}) < len(verdicts):
+            names = [v.scanner_name for v in verdicts]
+            twice = next(name for name in names if names.count(name) > 1)
+            raise ValueError(f"scanner {twice!r} has more than one verdict in report {self.scan_id!r}")
+
+    def __reduce__(self):
+        return ScanReport, (self.url, self.scan_date, self.first_seen, self.scan_id, self.positives, self.verdicts)
 
     @property
     def scan_day(self) -> date:
@@ -339,9 +345,6 @@ class _TableReport(ScanReport):
         return self._values() == (other.url, other.scan_date, other.first_seen, other.scan_id, other.positives, other.verdicts)
 
     __hash__ = ScanReport.__hash__
-
-    def __reduce__(self):
-        return ScanReport, self._values()
 
 
 class _TableBuilder:
@@ -519,7 +522,7 @@ class _FeedParser:
             return None
         try:
             header = json.loads(line[:p] + "}")
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             return None
         if not isinstance(header, dict) or not header or "scans" in header:
             return None
@@ -538,7 +541,7 @@ class _FeedParser:
                 if piece not in members:
                     try:
                         member = json.loads('{"' + piece + "}}")
-                    except json.JSONDecodeError:
+                    except (json.JSONDecodeError, RecursionError):
                         return None
                     if len(member) != 1:
                         return None
@@ -596,6 +599,8 @@ class _FeedParser:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FeedFormatError(f"invalid JSON: {exc.msg}") from None
+            except RecursionError:  # nested deeper than the decoder recurses
+                raise FeedFormatError("invalid JSON: nested too deeply") from None
             if not isinstance(raw, dict):
                 raise FeedFormatError("record is not a JSON object")
         else:
@@ -702,12 +707,7 @@ def _ts_to_string(ts: datetime) -> str:
 
 
 def report_to_json(report: ScanReport) -> str:
-    """Serialize one report back to its single-line record form.
-
-    A record keys its scans by scanner name: a report that lists one scanner
-    twice gets the scanner's last verdict, in its first place (`write_feed`
-    refuses such a report).
-    """
+    """Serialize one report back to its single-line record form."""
     record = {
         "url": report.url,
         "scan_date": _ts_to_string(report.scan_date),
@@ -723,7 +723,6 @@ def report_to_json(report: ScanReport) -> str:
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
-_scanner_name = attrgetter("scanner_name")
 
 
 def _fragment(verdict: ScannerVerdict) -> str:
@@ -740,9 +739,7 @@ def write_feed(reports: Iterable[ScanReport], path) -> None:
     fragment), and each distinct timestamp once; a line is the report's
     encoded header fields and its verdicts' fragments joined. Reports that
     share their verdicts, as a parse's or a synth call's do, encode a few
-    hundred fragments for any number of verdicts. A report that lists one
-    scanner twice has no record of its own and raises ValueError; the lines
-    before it are written.
+    hundred fragments for any number of verdicts.
     """
     fragments: dict[int, str] = {}  # by id() of a verdict in `pinned`
     pinned: list[ScannerVerdict] = []  # keeps each id in `fragments` taken
@@ -756,9 +753,6 @@ def write_feed(reports: Iterable[ScanReport], path) -> None:
                     if key not in fragments:
                         fragments[key] = _fragment(verdict)
                         pinned.append(verdict)
-            if len(set(map(_scanner_name, verdicts))) < len(verdicts):
-                twice = next(name for name, n in Counter(map(_scanner_name, verdicts)).items() if n > 1)
-                raise ValueError(f"scanner {twice!r} has more than one verdict in report {report.scan_id!r}")
             header = _encode({
                 "url": report.url,
                 "scan_date": stamp(report.scan_date),

@@ -19,10 +19,10 @@ sorts the reports, not their verdicts, by (URL, day) and scatters their
 verdict codes, position by position, into one uint8 (report x scanner) label
 matrix. Points are read scanner-major from its transpose, so they come out
 in (scanner, URL, day) order and no per-verdict index is sorted or kept. A
-point takes its label from its one verdict; only days with several report
-rows (same-day rescans, or a scanner listed twice in one report, which gets
-an extra row) are voted on. What the build holds per verdict is the matrix
-cell and the output columns.
+report holds at most one verdict per scanner (`feed.ScanReport`), so a
+point takes its label from its one verdict; only days with several reports
+(same-day rescans) are voted on. What the build holds per verdict is the
+matrix cell and the output columns.
 """
 
 from __future__ import annotations
@@ -287,22 +287,6 @@ def _vote(label: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return point
 
 
-def _listings(codes: np.ndarray, scanner_of: np.ndarray, label_of: np.ndarray, n_scanners: int):
-    """Label and place rows of one report that lists a scanner more than
-    once: its k-th listing of a scanner goes to row k."""
-    scanner = scanner_of[codes]
-    seen: Counter = Counter()
-    copy = []
-    for s in scanner.tolist():
-        copy.append(seen[s])
-        seen[s] += 1
-    label = np.zeros((max(copy) + 1, n_scanners), np.uint8)
-    place = np.zeros(label.shape, np.int64)
-    label[copy, scanner] = label_of[codes]
-    place[copy, scanner] = np.arange(len(codes))
-    return label, place
-
-
 def build_series(cohort: FeedCohort) -> SeriesView:
     """Build per-(scanner, URL) daily series from a deduplicated cohort.
 
@@ -350,20 +334,6 @@ def build_series(cohort: FeedCohort) -> SeriesView:
         column = scanner_of[code]
         label[row, column] = label_of[code]
         place[row, column] = p
-
-    # A report that lists a scanner twice gets an extra row of the same
-    # (URL, day) for each further listing, so the vote sees every verdict.
-    repeats = np.flatnonzero(np.count_nonzero(label, axis=1) < size).tolist()
-    if repeats:
-        blocks = [_listings(reports.codes[start[i]:start[i] + size[i]], scanner_of, label_of, len(all_scanners)) for i in repeats]
-        copies = np.ones(len(rank), np.intp)
-        copies[repeats] = [len(lab) for lab, _ in blocks]
-        first = np.cumsum(copies) - copies
-        spread = np.repeat(np.arange(len(rank)), copies)
-        label, place, rank, row_url, row_day = label[spread], place[spread], rank[spread], row_url[spread], row_day[spread]
-        for i, (lab, pla) in zip(repeats, blocks):
-            label[first[i]:first[i] + len(lab)] = lab
-            place[first[i]:first[i] + len(lab)] = pla
 
     # A point is a (URL, day) that holds a verdict of the scanner: one row's
     # label, or, where the day has several rows, their vote.

@@ -876,3 +876,57 @@ class TestNotUtf8:
         )
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f'ERROR code=2 kind=input msg="{path}: not valid UTF-8"']
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested far deeper than the decoder recurses
+
+
+class TestNestedTooDeeply:
+    """JSON nested deeper than the decoder recurses is undecodable JSON: in
+    a feed, one skipped line; in any other input file, an error naming it."""
+
+    def _feed_with_deep_line(self, synth_dir, tmp_path, place: str) -> tuple[Path, int]:
+        lines = (synth_dir / "feed.jsonl").read_bytes().splitlines(keepends=True)
+        if place == "header":
+            deep = lines[2].replace(b',"scans":', b',"extra":' + _DEEP.encode() + b',"scans":', 1)
+        else:  # in one scans member
+            deep = lines[2].replace(b'{"detected"', b'{"extra":' + _DEEP.encode() + b',"detected"', 1)
+        assert deep != lines[2]
+        path = tmp_path / "feed.jsonl"
+        path.write_bytes(b"".join(lines[:2] + [deep] + lines[3:]))
+        return path, len(lines)
+
+    @pytest.mark.parametrize("place", ["header", "member"])
+    def test_feed_line_skipped_with_warning(self, synth_dir, tmp_path, place):
+        feed, n_lines = self._feed_with_deep_line(synth_dir, tmp_path, place)
+        out = tmp_path / "ingest"
+        assert run_cli("ingest", "--feed", feed, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["reports_parsed"] == n_lines - 1
+        warnings = (out / "warnings.txt").read_text(encoding="utf-8").splitlines()
+        assert [w for w in warnings if "JSON" in w] == ["line 3: invalid JSON: nested too deeply; line skipped"]
+
+    @pytest.mark.parametrize("place", ["header", "member"])
+    def test_feed_line_under_strict_is_input_error(self, synth_dir, tmp_path, capsys, place):
+        feed, _ = self._feed_with_deep_line(synth_dir, tmp_path, place)
+        assert run_cli("ingest", "--feed", feed, "--out", tmp_path / "o", "--strict") == 2
+        assert capsys.readouterr().err.splitlines() == ['ERROR code=2 kind=input msg="line 3: invalid JSON: nested too deeply"']
+
+    def test_planted_file_is_input_error(self, synth_dir, tmp_path, capsys):
+        planted = tmp_path / "planted.json"
+        planted.write_text('{"groups": ' + _DEEP + "}")
+        code = run_cli("correlate", "--feed", synth_dir / "feed.jsonl", "--planted", planted, "--out", tmp_path / "o")
+        assert code == 2
+        _one_error_line(capsys, 2, "input", planted)
+
+    def test_scenario_file_is_config_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"preset": ' + _DEEP + "}")
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", scenario)
+
+    def test_model_file_is_input_error(self, corpus_dir, model_path, tmp_path, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(json.loads(model_path.read_text()))[:-1] + ', "extra": ' + _DEEP + "}")
+        code = run_cli("classify", "predict", "--feed", corpus_dir / "feed.jsonl", "--model", bad, "--out", tmp_path / "o")
+        assert code == 2
+        _one_error_line(capsys, 2, "input", bad)

@@ -313,10 +313,12 @@ def _corpora(draw):
     pool = draw(st.lists(_urls(), min_size=1, max_size=4))
     reports = []
     for i in range(draw(st.integers(1, 6))):
-        names = draw(st.lists(st.sampled_from(_SCANNERS), max_size=6))
+        # A report has at most one verdict per scanner, the detecting one added below included.
+        names = draw(st.lists(st.sampled_from(_SCANNERS), unique=True, max_size=len(_SCANNERS) - 1))
         verdicts = [verdict(name, draw(st.sampled_from(_LABELS))) for name in names]
         if draw(st.integers(0, 29)):  # now and then a report without a detection
-            verdicts.append(verdict(draw(st.sampled_from(_SCANNERS)), draw(st.sampled_from(_LABELS[1:]))))
+            unused = [name for name in _SCANNERS if name not in names]
+            verdicts.append(verdict(draw(st.sampled_from(unused)), draw(st.sampled_from(_LABELS[1:]))))
         offset = timezone(timedelta(hours=draw(st.integers(-12, 14))))
         scan = (_SCAN_BASE + timedelta(days=draw(st.integers(0, 60)), microseconds=draw(st.integers(0, 10**11)))).astimezone(offset)
         reports.append(ScanReport(draw(st.sampled_from(pool)), scan, _SCAN_BASE, f"r{i}", sum(v.detected for v in verdicts), tuple(verdicts)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import pickle
@@ -646,10 +647,11 @@ def _wide_lines(n_urls, n_days, drop, seed):
 
 
 class TestParseMemory:
-    def test_bytes_per_report_on_a_wide_feed(self):
-        # Verdicts are narrow codes into the shared objects, so a report
-        # costs about as many bytes as it has scanners, not pointers.
-        lines = _wide_lines(150, 10, 0.0, seed=5)
+    """Verdicts are narrow codes into the shared objects, so a report costs
+    about as many bytes as it has scanners, not pointers."""
+
+    @staticmethod
+    def _assert_bytes_per_report(lines):
         parse_feed(iter(lines[:20]))  # first-call costs (imports, caches) are not per report
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -664,6 +666,17 @@ class TestParseMemory:
                 tracemalloc.stop()
         assert len(reports) == 1500 and sum(len(r.verdicts) for r in reports) == 1500 * len(SCANNER_NAMES)
         assert peak <= 600 * len(reports), f"{peak / len(reports):.0f} B per report"
+
+    def test_bytes_per_report_on_a_wide_feed(self):
+        # `json.dumps`' default separators: every line is decoded whole.
+        self._assert_bytes_per_report(_wide_lines(150, 10, 0.0, seed=5))
+
+    def test_bytes_per_report_on_a_wide_feed_in_the_writer_form(self, tmp_path):
+        # The same reports as `write_feed` writes them: every line is split
+        # into its header and members, and each distinct member decoded once.
+        reports, _ = parse_feed(iter(_wide_lines(150, 10, 0.0, seed=5)))
+        write_feed(reports, tmp_path / "feed.jsonl")
+        self._assert_bytes_per_report((tmp_path / "feed.jsonl").read_text(encoding="utf-8").splitlines())
 
 
 _NAMES = st.text(max_size=6)  # any code points: non-ASCII, quotes, escapes, empty
@@ -727,18 +740,22 @@ class TestWriteFeed:
         assert parse_feed_file(tmp_path / "feed.jsonl")[0] == list(reports())
 
     @pytest.mark.parametrize("name", ["Sophos", "Fortiñet"])
-    def test_scanner_listed_twice_is_refused(self, tmp_path, name):
-        twice = report(
-            "http://a.test/", 0, "dup-1",
-            [verdict(name, DetailedLabel.PhishingSite), verdict("ESET"), verdict(name)],
-        )
-        ok = report("http://a.test/", 1, "ok-1", [verdict(name)])
-        with pytest.raises(ValueError, match=f"^scanner {name!r} has more than one verdict in report 'dup-1'$"):
-            write_feed([ok, twice], tmp_path / "feed.jsonl")
-        assert (tmp_path / "feed.jsonl").read_text(encoding="utf-8") == report_to_json(ok) + "\n"
-        # One record's scans hold the scanner once: its last verdict, in its first place.
-        clean = {"detected": False, "result": "clean site"}
-        assert list(json.loads(report_to_json(twice))["scans"].items()) == [(name, clean), ("ESET", clean)]
+    def test_scanner_listed_twice_is_refused(self, name):
+        # A report holds one verdict per scanner, as a record's scans do, so
+        # a report listing one twice is refused where it is built: directly,
+        # through `dataclasses.replace`, or by unpickling.
+        verdicts = (verdict(name, DetailedLabel.PhishingSite), verdict("ESET"), verdict(name))
+        refused = partial(pytest.raises, ValueError, match=f"^scanner {name!r} has more than one verdict in report 'dup-1'$")
+        with refused():
+            report("http://a.test/", 0, "dup-1", list(verdicts))
+        ok = report("http://a.test/", 0, "dup-1", list(verdicts[:2]))
+        with refused():
+            dataclasses.replace(ok, verdicts=verdicts)
+        forged = object.__new__(ScanReport)  # the fields set without the checks
+        for field in dataclasses.fields(ScanReport):
+            object.__setattr__(forged, field.name, verdicts if field.name == "verdicts" else getattr(ok, field.name))
+        with refused():
+            pickle.loads(pickle.dumps(forged))
 
     def test_naive_timestamps_are_written_as_utc(self, tmp_path, monkeypatch):
         # A naive timestamp is UTC wherever the report reads it, whatever the

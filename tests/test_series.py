@@ -467,9 +467,8 @@ class TestBuildMatchesBruteForceColumns:
                 for k in range(rng.choice([0, 1, 1, 2, 3, 4])):  # same-day rescans vote
                     vs = []
                     if not silent and rng.random() > 0.15:  # else a report without verdicts
-                        # Ragged: each scanner in some reports only, now and
-                        # then twice in one report.
-                        chosen = [s for s in names if rng.random() < 0.7] + rng.sample(names, rng.choice([0, 0, 0, 1]))
+                        # Ragged: each scanner in some reports only.
+                        chosen = [s for s in names if rng.random() < 0.7]
                         rng.shuffle(chosen)
                         for s in chosen:
                             lab = rng.choice(labels)
