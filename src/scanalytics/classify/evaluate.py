@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..artifacts import write_table
-from ..feed import DetailedLabel, GroundTruthLabel, ReportTable, ScanReport
+from ..feed import DetailedLabel, GroundTruthLabel, ReportTable, ScanReport, distinct
 from .factors import ScannerClusterModel
 from .features import ALL_GROUPS, FeatureVector, feature_manifest, feature_matrix
 from .forest import DEFAULT_HYPERPARAMETERS, ForestModel, train_forest_model
@@ -168,7 +168,7 @@ def split_train_test(y: np.ndarray, split: float, seed: int) -> tuple[np.ndarray
     y = np.asarray(y)
     if not 0 < split < 1:
         raise ValueError("split must be in (0, 1)")
-    classes = np.unique(y)
+    classes = distinct(y)
     if len(classes) < 2:
         raise ValueError("both classes must be present")
     rng = np.random.default_rng(seed)

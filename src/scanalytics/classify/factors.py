@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, ReportTable, ScanReport
+from ..feed import DetailedLabel, ReportTable, ScanReport, distinct
 from ..scanners import SCANNER_NAMES
 
 __all__ = [
@@ -114,7 +114,7 @@ def fit_scanner_factors(
     verdicts = table.verdicts
     # Feature columns only for scanners actually appearing in the sample;
     # registry scanners missing from it keep all-zero loading rows.
-    present = tuple(sorted({verdicts[code].scanner_name for code in np.unique(codes).tolist()}))
+    present = tuple(sorted({verdicts[code].scanner_name for code in distinct(codes).tolist()}))
     scanners = tuple(sorted(set(SCANNER_NAMES).union(present)))
     present_index = {name: i for i, name in enumerate(present)}
     n_slots = 1 + len(_LABEL_SLOTS)

@@ -27,7 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, FeedFormatError, ReportTable, ScanReport, _utc_us, _utf8_lines, normalize_url
+from ..feed import DetailedLabel, FeedFormatError, ReportTable, ScanReport, _utc_us, _utf8_lines, distinct, normalize_url
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -292,11 +292,11 @@ def _vt_columns(table: ReportTable, model: ScannerClusterModel) -> tuple[np.ndar
     row, codes = row[detecting], codes[detecting]
     result = label[codes]
     pair = row * width + cluster[codes]
-    n_clusters = np.bincount(np.unique(pair) // width, minlength=n)
+    n_clusters = np.bincount(distinct(pair) // width, minlength=n)
 
     out = np.empty((n, len(VT_CLUSTER_FEATURES)))
     for column, attack in enumerate((DetailedLabel.PhishingSite, DetailedLabel.MalwareSite)):
-        clusters = np.bincount(np.unique(pair[result == attack]) // width, minlength=n)
+        clusters = np.bincount(distinct(pair[result == attack]) // width, minlength=n)
         out[:, column] = clusters / np.maximum(n_clusters, 1)  # int / int: rounded as Python rounds it
     for column, attack in enumerate(
         (DetailedLabel.PhishingSite, DetailedLabel.MalwareSite, DetailedLabel.MaliciousSite), start=2
@@ -348,8 +348,8 @@ class FeatureTable:
         FeatureExtractionError, or whose report has no detecting verdict
         ValueError, whichever comes first."""
         vt, n_clusters = _vt_columns(table, model)
-        distinct, url_of_row = np.unique(table.url, return_inverse=True)
-        targets = [table.urls[u] for u in distinct.tolist()]
+        used, url_of_row = np.unique(table.url, return_inverse=True)
+        targets = [table.urls[u] for u in used.tolist()]
         parts = []
         for url in targets:
             try:

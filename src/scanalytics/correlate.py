@@ -14,9 +14,10 @@ DTW matrix takes its co-detected URLs from the same marks.
 The DTW matrix is batched and exact. Every (pair, co-detected URL)
 alignment comes from the table one way, ragged or not: both series' labels,
 carried forward over the days either observed. All alignments of one length
-run through the full grid together, one grid row per numpy step
-(`_dtw_batch`). The scalar `dtw_distance` over `_aligned_pair` sequences is
-the reference it must equal.
+run through the full grid together, one grid row per numpy step, and the
+grid runs once per distinct row pair (`_dtw_batch`). The scalar
+`dtw_distance` over `_aligned_pair` sequences is the reference it must
+equal.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .artifacts import write_table
-from .feed import DetailedLabel
+from .feed import DetailedLabel, distinct
 from .series import SeriesMap, _SeriesTable
 
 __all__ = [
@@ -224,12 +225,25 @@ _DTW_BLOCK = 256  # alignments per pass of `_dtw_batch`; bounds its (L, block) w
 def _dtw_batch(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.ndarray:
     """`dtw_distance` of each row pair of the 0/1 rows a (B x n) and b (B x m).
 
+    The grid runs once per distinct row pair: a distance depends on its two
+    rows alone, so each pair is keyed on its two rows' bits, packed and
+    joined, the first occurrence of each key is aligned, and every pair
+    takes its key's distance.
+
     Exact: the full grid, one grid row at a time for a block of pairs. With
     t[j] = min(prev[j-1], prev[j]) and C the running sum of the row's costs,
     the row is cur[j] = C[j] + min over k <= j of (t[k] - C[k-1]), a prefix
     minimum in place of the scalar loop's cell-by-cell left move. Costs are
     integers, and so is every distance.
     """
+    a, b = np.asarray(a, dtype=np.int8), np.asarray(b, dtype=np.int8)
+    # One void element per pair, packed so the keys and `np.unique`'s sorted
+    # copies take a byte per 8 cells; `np.unique(axis=0)` on the joined rows
+    # finds the same keys tens of times slower.
+    bits = np.concatenate((np.packbits(a, axis=1), np.packbits(b, axis=1)), axis=1)
+    key = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    a, b = a[first], b[first]
     out = np.empty(len(a), dtype=np.int64)
     for lo in range(0, len(a), _DTW_BLOCK):
         rows_a = np.array(a[lo:lo + _DTW_BLOCK], dtype=np.int32).T  # (n, block)
@@ -242,7 +256,7 @@ def _dtw_batch(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> np.nda
             np.minimum(cur[:-1], cur[1:], out=best[1:])
             cur = run + np.minimum.accumulate(best - (run - cost), axis=0)
         out[lo:lo + cur.shape[1]] = cur[-1]
-    return out
+    return out[inverse]
 
 
 def scanner_dtw_matrix(
@@ -260,8 +274,9 @@ def scanner_dtw_matrix(
     grid of the window's observed days, with the days it observed and its
     label carried forward to every grid day; an alignment is both carried
     rows at the days either scanner observed. All alignments of one length
-    run together through `_dtw_batch`. Distances are integers, so sums and
-    means do not depend on summation order.
+    run together through `_dtw_batch`, which runs the grid once per distinct
+    row pair. Distances are integers, so sums and means do not depend on
+    summation order.
     """
     table = _SeriesTable.of(series)
     order = _scanner_order(table, scanners)
@@ -294,7 +309,7 @@ def scanner_dtw_matrix(
     days = seen[slot_a] | seen[slot_b]
     lengths = days.sum(axis=1)
     distance = np.empty(len(pair), dtype=np.int64)
-    for length in np.unique(lengths).tolist():
+    for length in distinct(lengths).tolist():
         sel = np.flatnonzero(lengths == length)
         on = days[sel]
         distance[sel] = _dtw_batch(

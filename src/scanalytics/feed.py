@@ -233,6 +233,17 @@ def _utc_day(us):
     return us // _DAY_US + _EPOCH.toordinal()
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as `np.unique(values)`
+    gives them. numpy 2.4's `np.unique` without a `return_*` flag imports
+    `numpy.ma` to test for a mask, which costs a process time and memory."""
+    values = np.sort(values, axis=None)
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 @dataclass(frozen=True, eq=False)
 class ReportTable:
     """Scan reports as columns, one row per report.
@@ -303,10 +314,14 @@ class _TableReport(ScanReport):
     and reads its timestamps, days and verdicts from the columns each time
     they are asked for; its verdicts are the table's shared objects. It equals
     and hashes like the report built by hand from the same values, and
-    pickles as one.
+    pickles, copies and `dataclasses.replace`s as one.
     """
 
     __slots__ = ("_table", "_row")
+
+    def __new__(cls, *args, **fields):
+        # `dataclasses.replace` calls the view's class with every field.
+        return ScanReport(**fields) if fields else super().__new__(cls)
 
     def __init__(self, table: ReportTable, row: int, url: str, scan_id: str, positives: int):
         object.__setattr__(self, "_table", table)

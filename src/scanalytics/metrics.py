@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .artifacts import write_table
-from .feed import DetailedLabel
+from .feed import DetailedLabel, distinct
 from .series import LabelTimeSeries, SeriesMap, _SeriesTable
 
 __all__ = [
@@ -144,7 +144,7 @@ def f1_by_offset(
 
     positive = np.array([url in positive_urls for url in table.urls], dtype=bool)
     labelled = positive | np.array([url in benign_urls for url in table.urls], dtype=bool)
-    with_curve = np.unique(table.key_scanner[labelled[table.key_url]]).tolist()
+    with_curve = distinct(table.key_scanner[labelled[table.key_url]]).tolist()
 
     # tally[scanner, offset, is positive, bl] counts observed labelled URLs:
     # one bincount of each row's flat cell.
@@ -194,8 +194,8 @@ def label_count_distribution(
     if window < 1:
         raise ValueError("window must be >= 1")
     table = _SeriesTable.of(series)
-    distinct = (table.summary(0, window).labels[..., _ATTACK_TYPES] > 0).sum(axis=-1)
-    buckets = np.minimum(distinct, _HIST_BINS[-1])  # 0: no attack-type label, excluded
+    n_types = (table.summary(0, window).labels[..., _ATTACK_TYPES] > 0).sum(axis=-1)
+    buckets = np.minimum(n_types, _HIST_BINS[-1])  # 0: no attack-type label, excluded
 
     out: dict[str, dict[int, float]] = {}
     for s, scanner in enumerate(table.scanners):

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import write_table
-from .feed import DetailedLabel, FeedCohort, ReportTable
+from .feed import DetailedLabel, FeedCohort, ReportTable, distinct
 
 __all__ = ["SeriesPoint", "LabelTimeSeries", "SeriesMap", "SeriesView", "build_series", "align_by_offset", "write_series_csv"]
 
@@ -305,7 +305,7 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     size = reports.stop - reports.start
     rank = np.flatnonzero(size)
     url_of = reports.url[rank]
-    used = np.unique(url_of)
+    used = distinct(url_of)
     names = [reports.urls[u] for u in used.tolist()]
     by_name = np.array(sorted(range(len(names)), key=names.__getitem__), np.intp)
     url_code = np.zeros(len(reports.urls), np.int32)

@@ -774,6 +774,44 @@ class TestTracedBenchmarkNames:
         assert done.stdout.split() == ["52"]
 
 
+class TestNoMaskedArrayImport:
+    """numpy 2.4's `np.unique` without a `return_*` flag imports `numpy.ma`,
+    at a cost in time and memory: no analysis subcommand may (`distinct`)."""
+
+    def test_subcommands_leave_numpy_ma_unloaded(self, synth_dir, corpus_dir, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        feed, corpus = synth_dir / "feed.jsonl", corpus_dir / "feed.jsonl"
+        caches = ["--hosting-cache", corpus_dir / "hosting_cache.csv", "--whois-cache", corpus_dir / "whois_cache.csv"]
+        model = tmp_path / "train" / "model.json"
+        commands = {
+            "ingest": ["ingest", "--feed", feed],
+            "metrics": ["metrics", "--feed", feed, "--ground-truth", synth_dir / "truth.csv"],
+            "correlate": ["correlate", "--feed", feed, "--k", 2, "--planted", synth_dir / "planted.json"],
+            "leadlag": ["leadlag", "--feed", feed],
+            "train": ["classify", "train", "--feed", corpus, "--ground-truth", corpus_dir / "truth.csv", *caches,
+                      "--clusters", 8, "--trees", 4, "--seed", SEED],
+            "predict": ["classify", "predict", "--feed", corpus, "--model", model, *caches],
+            "trend": ["classify", "trend", "--feed", corpus, "--model", model, *caches],
+        }
+        argvs = {name: [*map(str, argv), "--out", str(tmp_path / name)] for name, argv in commands.items()}
+        script = textwrap.dedent("""
+            import json, sys
+            from scanalytics.cli import main
+
+            loaded = {}
+            for name, argv in json.loads(sys.argv[1]).items():
+                assert main(argv) == 0, argv
+                loaded[name] = "numpy.ma" in sys.modules
+            print(json.dumps(loaded))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        # A child process: the test session itself may have imported numpy.ma.
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == dict.fromkeys(commands, False)
+
+
 class TestConflictingCacheRows:
     @pytest.mark.parametrize("cache", ["hosting", "whois"])
     def test_is_input_error_naming_both_rows(self, corpus_dir, model_path, tmp_path, capsys, cache):

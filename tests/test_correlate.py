@@ -433,6 +433,18 @@ class TestDtwBatch:
         expected = [dtw_distance(x.tolist(), y.tolist()) for x, y in zip(a, b)]
         assert _dtw_batch(a, b).tolist() == expected
 
+    @pytest.mark.parametrize("n,m", [(6, 9), (1, 4), (1, 1)])
+    def test_repeated_pairs(self, n, m):
+        # Planted trends are step-shaped, so most alignments repeat: 1,000
+        # rows drawn from 5 row pairs, which `_dtw_batch` aligns once each.
+        rng = np.random.default_rng(n * 10 + m)
+        pairs = [(rng.integers(0, 2, size=n), rng.integers(0, 2, size=m)) for _ in range(5)]
+        drawn = rng.integers(0, len(pairs), size=1000)
+        a = np.array([pairs[i][0] for i in drawn])
+        b = np.array([pairs[i][1] for i in drawn])
+        expected = [dtw_distance(x.tolist(), y.tolist()) for x, y in zip(a, b)]
+        assert _dtw_batch(a, b).tolist() == expected
+
 
 def _dtw_matrix_loop(series, window, order):
     """Reference: the scalar loop over (pair, co-detected URL) alignments."""
@@ -475,7 +487,37 @@ def _ragged_alignments(series, window):
     )
 
 
+def _step_cohort_series():
+    """Step-shaped trends from a few onsets, as planted scanners give, over
+    URLs observed 3 to 6 days; E observes even days only. Most (pair, URL)
+    alignments repeat another one of the same length."""
+    onsets = {"A": 0, "B": 1, "C": 1, "D": 2, "E": 3}
+    rs = []
+    for i in range(12):
+        for d in range(3 + i % 4):
+            vs = [verdict(s, P if d >= onset + i % 2 else None) for s, onset in onsets.items() if s != "E" or d % 2 == 0]
+            rs.append(report(f"http://u{i}.test/", d, f"{i}-{d}", vs))
+    return build_series(cohort(rs))
+
+
 class TestScannerDtwMatrixMatchesLoop:
+    def test_repeated_alignments(self):
+        series = _step_cohort_series()
+        names = ("A", "B", "C", "D", "E")
+        for window in (None, 4):
+            got = scanner_dtw_matrix(series, window=window)
+            assert got.scanners == names
+            assert got.values.tobytes() == _dtw_matrix_loop(series, window, names).tobytes()
+            alignments = [
+                tuple(map(tuple, _aligned_pair(series[(a, url)], series[(b, url)], window)))
+                for (a, url) in series
+                for b in names
+                if a < b and (b, url) in series
+            ]
+            alignments = [(x, y) for x, y in alignments if any(x) and any(y)]  # co-detected
+            assert len({len(x) for x, _ in alignments}) > 1
+            assert len(set(alignments)) < len(alignments) / 2
+
     def test_ragged_series(self):
         ragged = {None: 0, 1: 0, 3: 0}
         for seed in range(40):

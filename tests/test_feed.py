@@ -605,6 +605,16 @@ class TestReportViews:
             restored = pickle.loads(pickle.dumps(r))
             assert type(restored) is ScanReport and restored == r
 
+    def test_replace_gives_a_plain_report(self):
+        reports, _ = parse_feed(iter(self._lines()))
+        for r in reports:
+            changed = dataclasses.replace(r, scan_id="b")
+            assert type(changed) is ScanReport and changed == dataclasses.replace(_by_hand(r), scan_id="b")
+        # A plain report, so its checks run: one verdict per scanner.
+        r = reports[0]
+        with pytest.raises(ValueError, match="more than one verdict"):
+            dataclasses.replace(r, verdicts=r.verdicts + r.verdicts[:1], positives=r.positives + r.verdicts[0].detected)
+
     def test_views_are_read_only(self):
         reports, _ = parse_feed(iter(self._lines()))
         for name in ("url", "scan_date", "verdicts", "positives"):
