@@ -8,22 +8,3 @@ feed generator for end-to-end verification.
 """
 
 __version__ = "0.1.0"
-
-from . import classify, correlate, feed, leadlag, metrics, series, synth
-from .feed import (
-    DetailedLabel,
-    FeedCohort,
-    GroundTruthLabel,
-    GroundTruthRecord,
-    ScannerVerdict,
-    ScanReport,
-    dedup_by_scan_id,
-    extract_fresh,
-    filter_ever_detected,
-    parse_feed,
-    stratified_sample,
-)
-from .scanners import SCANNER_NAMES
-from .series import LabelTimeSeries, align_by_offset, build_series
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,20 +76,15 @@ def majority_vote(report: ScanReport) -> VoteOutcome:
     return VoteOutcome.TIE_UNKNOWN
 
 
-def majority_vote_class(report: ScanReport, tie_class: int = 0) -> int:
-    """Binary form of the baseline; ties resolve to `tie_class` (malware)."""
-    outcome = majority_vote(report)
-    if outcome is VoteOutcome.PHISHING:
-        return 1
-    if outcome is VoteOutcome.MALWARE:
-        return 0
-    return tie_class
+def majority_vote_class(report: ScanReport) -> int:
+    """Binary form of the baseline: 1 (phishing) or 0 (malware); ties
+    resolve to malware."""
+    return 1 if majority_vote(report) is VoteOutcome.PHISHING else 0
 
 
-def majority_vote_classes(table: ReportTable, tie_class: int = 0) -> np.ndarray:
+def majority_vote_classes(table: ReportTable) -> np.ndarray:
     """`majority_vote_class` of every row of `table`."""
-    margin = _vote_margins(table)
-    return np.where(margin > 0, 1, np.where(margin < 0, 0, tie_class))
+    return np.where(_vote_margins(table) > 0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -192,13 +187,10 @@ def train_forest(
     cluster_model: ScannerClusterModel | None = None,
     threads: int = 1,
     n_estimators: int = DEFAULT_HYPERPARAMETERS["n_estimators"],
-    max_depth: int = DEFAULT_HYPERPARAMETERS["max_depth"],
-    max_features: int = DEFAULT_HYPERPARAMETERS["max_features"],
 ) -> tuple[ForestModel, EvalReport]:
     """Stratified 80-20 split, train on the large side, evaluate on the rest."""
     y = encode_labels(labels)
-    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators,
-                    max_depth=max_depth, max_features=max_features)
+    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators)
     return _fit_and_evaluate(vectors, y, split_train_test(y, split, seed), groups, fit_args)
 
 
@@ -219,17 +211,14 @@ def ablation(
     split: float = 0.8,
     cluster_model: ScannerClusterModel | None = None,
     threads: int = 1,
-    rows: Sequence[tuple[str, tuple[str, ...]]] = ABLATION_ROWS,
     n_estimators: int = DEFAULT_HYPERPARAMETERS["n_estimators"],
-    max_depth: int = DEFAULT_HYPERPARAMETERS["max_depth"],
-    max_features: int = DEFAULT_HYPERPARAMETERS["max_features"],
 ) -> dict[str, EvalReport]:
-    """One forest per feature-group combination over an identical split."""
+    """One forest per `ABLATION_ROWS` feature-group combination over an
+    identical split."""
     y = encode_labels(labels)
     split_idx = split_train_test(y, split, seed)
-    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators,
-                    max_depth=max_depth, max_features=max_features)
-    return {name: _fit_and_evaluate(vectors, y, split_idx, groups, fit_args)[1] for name, groups in rows}
+    fit_args = dict(seed=seed, cluster_model=cluster_model, threads=threads, n_estimators=n_estimators)
+    return {name: _fit_and_evaluate(vectors, y, split_idx, groups, fit_args)[1] for name, groups in ABLATION_ROWS}
 
 
 def _fit_and_evaluate(

@@ -203,9 +203,8 @@ def cluster_scanners(
     loadings: FactorLoadings,
     k: int = N_CLUSTERS,
     seed: int = 0,
-    n_restarts: int = 10,
 ) -> dict[str, int]:
-    """Seeded k-means over nonzero loading rows; best of `n_restarts` runs.
+    """Seeded k-means over nonzero loading rows; best of 10 runs.
 
     Zero-loading scanners are not clustered: they all receive the overflow
     id k. Cluster ids are canonicalized by first appearance in scanner-name
@@ -220,7 +219,7 @@ def cluster_scanners(
     X = loadings.matrix[nonzero]
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for restart in range(n_restarts):
+    for restart in range(10):
         rng = np.random.default_rng((seed, restart))
         labels, inertia = _kmeans_once(X, k, rng)
         if inertia < best_inertia:
@@ -248,12 +247,11 @@ def cluster_scanners(
 
 def build_cluster_model(
     reports: Sequence[ScanReport],
-    n_factors: int = N_FACTORS,
     k: int = N_CLUSTERS,
     seed: int = 0,
 ) -> ScannerClusterModel:
     """Fit factors and cluster scanners in one step."""
-    loadings = fit_scanner_factors(reports, n_factors=n_factors, seed=seed)
+    loadings = fit_scanner_factors(reports, seed=seed)
     assignment = cluster_scanners(loadings, k=k, seed=seed)
     return ScannerClusterModel(
         scanners=loadings.scanners,

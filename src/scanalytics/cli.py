@@ -41,7 +41,7 @@ from .classify import (
     weekly_trend,
     write_eval_csv,
 )
-# Not called here: bench/traced.py wraps these names in this module (ROADMAP item 3).
+# Not called here: bench/traced.py wraps these names in this module.
 from .classify import extract_features, majority_vote_class  # noqa: F401
 from .classify.evaluate import CLASS_NAMES, encode_labels, groups_from_manifest, split_train_test
 from .classify.evaluate import write_trend_csv as write_weekly_trend_csv

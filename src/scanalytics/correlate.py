@@ -479,13 +479,14 @@ def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
     write_table(path, ["scanner_a", "scanner_b", "value", "kind"], rows)
 
 
-def write_trend_csv(trend: list[tuple[int, float]], path, kind: str = "jaccard_binary") -> None:
-    write_table(path, ["offset", "norm", "kind"], ((offset, norm, kind) for offset, norm in trend))
+def write_trend_csv(trend: list[tuple[int, float]], path) -> None:
+    """Rows of a binary `frobenius_trend`, each with kind jaccard_binary."""
+    write_table(path, ["offset", "norm", "kind"], ((offset, norm, "jaccard_binary") for offset, norm in trend))
 
 
-def write_heatmap_svg(matrix: SimilarityMatrix, path, cell: int = 14) -> None:
-    """Minimal grayscale heatmap; NaN cells are hatched light gray."""
-    n = len(matrix.scanners)
+def write_heatmap_svg(matrix: SimilarityMatrix, path) -> None:
+    """Minimal grayscale heatmap of 14-pixel cells; NaN cells are hatched light gray."""
+    n, cell = len(matrix.scanners), 14
     finite = matrix.values[np.isfinite(matrix.values)]
     vmax = float(finite.max()) if finite.size else 1.0
     vmax = vmax if vmax > 0 else 1.0

@@ -192,7 +192,7 @@ class ScanReport:
     verdicts: tuple[ScannerVerdict, ...]
 
     def __post_init__(self) -> None:
-        if self.first_seen > self.scan_date:
+        if _utc_us(self.first_seen) > _utc_us(self.scan_date):
             raise ValueError("first_seen is after scan_date")
         verdicts = self.verdicts
         n_detected = sum(1 for v in verdicts if v.detected)
@@ -447,7 +447,7 @@ class FeedCohort:
         """Sort, restrict to `urls`, and validate scan_id uniqueness."""
         url_set = frozenset(urls)
         kept = [r for r in reports if r.url in url_set]
-        kept.sort(key=lambda r: (r.url, r.scan_date, r.scan_id))
+        kept.sort(key=lambda r: (r.url, _utc_us(r.scan_date), r.scan_id))
         seen: set[str] = set()
         for r in kept:
             if r.scan_id in seen:
@@ -804,10 +804,11 @@ def extract_fresh(reports: list[ScanReport]) -> set[str]:
     return fresh
 
 
-def filter_ever_detected(reports: list[ScanReport], name: str = "ever_detected") -> FeedCohort:
-    """Cohort of URLs with at least one positive report, keeping all their reports."""
+def filter_ever_detected(reports: list[ScanReport]) -> FeedCohort:
+    """Cohort "ever_detected": the URLs with at least one positive report,
+    keeping all their reports."""
     detected_urls = {r.url for r in reports if r.positives >= 1}
-    return FeedCohort.build(name, detected_urls, reports)
+    return FeedCohort.build("ever_detected", detected_urls, reports)
 
 
 def stratified_sample(

@@ -81,7 +81,7 @@ def _url_certainties(table: _SeriesTable, window: int | None) -> Iterator[tuple[
 def _mean_certainty(scanner_series: Iterable[LabelTimeSeries], window: int, column: int) -> float:
     if window < 1:
         raise ValueError("window must be >= 1")
-    values = list(_url_certainties(_SeriesTable(scanner_series), window))
+    values = list(_url_certainties(_SeriesTable.from_objects(scanner_series), window))
     if not values:
         raise ValueError("scanner has no observed URLs in the window")
     return sum(v[column] for v in values) / len(values)

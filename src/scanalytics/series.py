@@ -103,7 +103,19 @@ class _SeriesTable:
     makes them.
     """
 
-    def __init__(self, series: Iterable[LabelTimeSeries]):
+    def __init__(self, scanners: tuple[str, ...], urls: tuple[str, ...], keys: tuple, rows: tuple):
+        """`keys` is (key_scanner, key_url, key_start, key_stop), `rows` is
+        (scanner, url, day, bl, dl)."""
+        self.scanners = scanners
+        self.urls = urls
+        self.scanner_index = {name: i for i, name in enumerate(scanners)}
+        self.key_scanner, self.key_url, self.key_start, self.key_stop = keys
+        self.keys = (self.key_scanner, self.key_url)  # indexes a summary array in series order
+        self.scanner, self.url, self.day, self.bl, self.dl = rows
+
+    @classmethod
+    def from_objects(cls, series: Iterable[LabelTimeSeries]) -> "_SeriesTable":
+        """The table of hand-built series, in their order."""
         series = list(series)
         scanners = tuple(sorted({ts.scanner for ts in series}))
         urls = tuple(sorted({ts.url for ts in series}))
@@ -114,7 +126,7 @@ class _SeriesTable:
         lengths = np.array([len(ts.points) for ts in series], dtype=np.int64)
         key_stop = np.cumsum(lengths)
         points = [p for ts in series for p in ts.points]
-        self._fill(
+        return cls(
             scanners, urls,
             keys=(key_scanner, key_url, key_stop - lengths, key_stop),
             rows=(
@@ -128,23 +140,7 @@ class _SeriesTable:
     @classmethod
     def of(cls, series: SeriesMap) -> "_SeriesTable":
         """The table a `build_series` view carries; any other map is flattened."""
-        return series.table if isinstance(series, SeriesView) else cls(series.values())
-
-    @classmethod
-    def _columns(cls, scanners: tuple[str, ...], urls: tuple[str, ...], keys: tuple, rows: tuple) -> "_SeriesTable":
-        """A table from its columns: `keys` is (key_scanner, key_url,
-        key_start, key_stop), `rows` is (scanner, url, day, bl, dl)."""
-        table = cls.__new__(cls)
-        table._fill(scanners, urls, keys, rows)
-        return table
-
-    def _fill(self, scanners: tuple[str, ...], urls: tuple[str, ...], keys: tuple, rows: tuple) -> None:
-        self.scanners = scanners
-        self.urls = urls
-        self.scanner_index = {name: i for i, name in enumerate(scanners)}
-        self.key_scanner, self.key_url, self.key_start, self.key_stop = keys
-        self.keys = (self.key_scanner, self.key_url)  # indexes a summary array in series order
-        self.scanner, self.url, self.day, self.bl, self.dl = rows
+        return series.table if isinstance(series, SeriesView) else cls.from_objects(series.values())
 
     def restrict(self, keep_url: np.ndarray) -> "_SeriesTable":
         """The series of the URLs where `keep_url` (one flag per `urls`) is
@@ -161,7 +157,7 @@ class _SeriesTable:
         by_row = np.argsort(start)
         new_start = np.empty_like(start)
         new_start[by_row] = np.cumsum(length[by_row]) - length[by_row]
-        return self._columns(
+        return _SeriesTable(
             tuple(name for name, used in zip(self.scanners, scanner_used.tolist()) if used),
             tuple(url for url, keep in zip(self.urls, keep_url.tolist()) if keep),
             keys=(
@@ -373,7 +369,7 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     keys = _run_bounds(n_points, point_scanner, point_url)
     order = np.argsort(np.concatenate(first_verdict)) if first_verdict else np.empty(0, np.intp)
     key_start = keys[:-1][order]
-    table = _SeriesTable._columns(
+    table = _SeriesTable(
         tuple(all_scanners[s] for s in kept.tolist()), tuple(names[i] for i in by_name.tolist()),
         keys=(point_scanner[key_start], point_url[key_start], key_start, keys[1:][order]),
         rows=(point_scanner, point_url, point_day, (dl != 0).astype(np.int8), dl),

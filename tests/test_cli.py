@@ -470,10 +470,11 @@ class TestSeriesStayColumnar:
         assert len({frozenset(v.scanner_name for v in r.verdicts) for r in reports}) == 1
 
         counts = Counter()
-        for cls in (series.SeriesPoint, series.LabelTimeSeries, series._SeriesTable):
+        for cls in (series.SeriesPoint, series.LabelTimeSeries):
             monkeypatch.setattr(cls, "__init__", _counting(cls.__init__, counts, cls.__name__))
-        columns = series._SeriesTable.__dict__["_columns"].__func__
-        monkeypatch.setattr(series._SeriesTable, "_columns", classmethod(_counting(columns, counts, "tables")))
+        monkeypatch.setattr(series._SeriesTable, "__init__", _counting(series._SeriesTable.__init__, counts, "tables"))
+        from_objects = series._SeriesTable.__dict__["from_objects"].__func__
+        monkeypatch.setattr(series._SeriesTable, "from_objects", classmethod(_counting(from_objects, counts, "from_objects")))
         tables_per_build = []
 
         def build_series(cohort):
@@ -489,7 +490,7 @@ class TestSeriesStayColumnar:
         assert run_cli("leadlag", "--feed", feed, "--out", tmp_path / "l") == 0
         assert run_cli("correlate", "--feed", feed, "--k", 3, "--out", tmp_path / "c") == 0
         assert tables_per_build == [1, 1, 1]
-        assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == counts["_SeriesTable"] == 0
+        assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == counts["from_objects"] == 0
 
     def test_no_series_objects_on_ragged_feed(self, synth_dir, tmp_path, monkeypatch):
         from scanalytics import series
@@ -810,6 +811,28 @@ class TestNoMaskedArrayImport:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == dict.fromkeys(commands, False)
+
+
+class TestImportsStayNarrow:
+    """Importing a library module loads only what it imports: the package
+    root loads no submodule."""
+
+    def test_feed_and_scanners_load_only_their_imports(self):
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import json, sys
+            import scanalytics.scanners
+            loaded = {"numpy": "numpy" in sys.modules}
+            import scanalytics.feed
+            loaded.update((name, name in sys.modules) for name in ("scanalytics.synth", "scanalytics.classify"))
+            print(json.dumps(loaded))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "numpy": False, "scanalytics.synth": False, "scanalytics.classify": False}
 
 
 class TestConflictingCacheRows:

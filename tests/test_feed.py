@@ -641,6 +641,26 @@ class TestReportViews:
             assert (r.scan_day, r.first_seen_day) == (plain.scan_day, plain.first_seen_day) == (day, day)
 
 
+class TestNaiveAndAwareTimestamps:
+    """A naive timestamp is read as UTC, also beside an aware one."""
+
+    EAST = timezone(timedelta(hours=2))
+
+    @pytest.mark.parametrize("first_seen, scan_date", [
+        (datetime(2021, 3, 1, 10), datetime(2021, 3, 1, 13, tzinfo=EAST)),  # 10:00 and 11:00 UTC
+        (datetime(2021, 3, 1, 10, tzinfo=EAST), datetime(2021, 3, 1, 9)),  # 08:00 and 09:00 UTC
+    ])
+    def test_mixed_pair_builds(self, first_seen, scan_date):
+        r = ScanReport("http://a.test/", scan_date, first_seen, "m-1", 0, ())
+        assert r.first_seen_day == r.scan_day == date(2021, 3, 1)
+
+    def test_naive_first_seen_later_in_utc_is_refused(self):
+        # 12:00 UTC is after 13:00+02:00 (11:00 UTC), though its clock reads earlier.
+        with pytest.raises(ValueError, match="first_seen is after scan_date"):
+            ScanReport("http://a.test/", datetime(2021, 3, 1, 13, tzinfo=self.EAST), datetime(2021, 3, 1, 12),
+                       "m-1", 0, ())
+
+
 def _wide_lines(n_urls, n_days, drop, seed):
     """Feed lines with up to 95 scanners per report; each scanner entry is
     left out with probability `drop`."""

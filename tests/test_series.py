@@ -184,7 +184,7 @@ class TestSeriesTable:
         if not rs:
             return
         series = build_series(cohort(rs))
-        table = _SeriesTable(series.values())
+        table = _SeriesTable.from_objects(series.values())
         summary = table.summary(lo, hi)
         detecting = summary.labels.sum(axis=-1)
         modal = summary.labels.argmax(axis=-1)
@@ -651,6 +651,40 @@ class TestOneReportOneDay:
         table = ReportTable.of(by_hand)
         assert table.scan_day.tolist() == ReportTable.of(parsed).scan_day.tolist()
         assert table.first_seen_day.tolist() == ReportTable.of(parsed).first_seen_day.tolist()
+
+    def test_naive_and_aware_scan_dates_in_one_cohort(self):
+        # A naive timestamp is read as UTC: the cohort sorts the reports by
+        # their UTC instants, and the series are those of the same reports
+        # with every timestamp made aware.
+        east = timezone(timedelta(hours=5))
+        phishing, malware = DetailedLabel.PhishingSite, DetailedLabel.MalwareSite
+        mixed = [
+            # 2021-03-01 23:30 UTC: after w1 in UTC, though w1's clock reads later.
+            ScanReport("http://a.test/", datetime(2021, 3, 1, 23, 30), datetime(2021, 3, 1), "n1", 1,
+                       (verdict("S", phishing), verdict("T"))),
+            ScanReport("http://a.test/", datetime(2021, 3, 2, 10), datetime(2021, 3, 1), "n2", 2,
+                       (verdict("S", malware), verdict("T", phishing))),
+            # 2021-03-01 20:00 UTC.
+            ScanReport("http://a.test/", datetime(2021, 3, 2, 1, tzinfo=east), datetime(2021, 3, 1, 5, tzinfo=east),
+                       "w1", 1, (verdict("T", malware),)),
+            ScanReport("http://b.test/", datetime(2021, 3, 3, 4, tzinfo=east), datetime(2021, 3, 3, 4, tzinfo=east),
+                       "w2", 1, (verdict("U", phishing),)),
+            ScanReport("http://b.test/", datetime(2021, 3, 2, 23, 30), datetime(2021, 3, 2, 23), "n3", 1,
+                       (verdict("S", malware),)),
+        ]
+
+        def utc(t):
+            return t if t.tzinfo else t.replace(tzinfo=timezone.utc)
+
+        aware = [ScanReport(r.url, utc(r.scan_date), utc(r.first_seen), r.scan_id, r.positives, r.verdicts)
+                 for r in mixed]
+        mixed_cohort, aware_cohort = cohort(mixed), cohort(aware)
+        order = [r.scan_id for r in aware_cohort.reports]
+        assert order == ["w1", "n1", "n2", "w2", "n3"]
+        assert [r.scan_id for r in mixed_cohort.reports] == order
+        mixed_series, aware_series = build_series(mixed_cohort), build_series(aware_cohort)
+        assert mixed_series == aware_series
+        assert _columns(mixed_series.table) == _columns(aware_series.table)
 
 
 def _wide_cohort(drop, seed):
