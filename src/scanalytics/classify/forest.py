@@ -23,7 +23,6 @@ with a mismatched feature manifest is a fatal error.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -300,6 +299,8 @@ def train_forest_model(
         return _build_tree(data.take(boot), y[boot], max_depth, effective_features, rng)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # it loads `logging`; only this branch needs it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trees = tuple(pool.map(train_one, range(n_estimators)))
     else:

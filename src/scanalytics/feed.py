@@ -17,13 +17,16 @@ refused. Reports built by hand get their table from the same builder,
 coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 `write_feed` writes reports back in the record form, JSON-encoding each
-distinct verdict object once. `parse_feed` reads that form back decoding
-each distinct verdict once: a line whose JSON is compact with `"scans"`
-last is split into its header fields and one text per scans member; each
-distinct member text is decoded once per parse, and a line whose texts
-have all been seen takes its codes from a table from text to code. Any
-other line, and one that names a scanner twice, is decoded whole; both
-ways give the same reports and warnings.
+distinct verdict object once. `parse_feed` reads that form back doing per
+line only the work a value it has not met needs: a line whose JSON is
+compact with `"scans"` last is split into its header fields and its scans
+body. A body met again while it is in a bounded cache (the last 64 K
+characters of bodies used) takes its codes from there; any other is split
+into one text per scans member, each distinct member text decoded once per
+parse. Each distinct timestamp string is parsed once, and each distinct URL
+string normalized once, per parse. Any other line, and one that names a
+scanner twice, is decoded whole; both ways give the same reports and
+warnings. The caches are freed before the reports are made.
 
 Everything returned by this module is immutable after construction and safe
 to share across threads.
@@ -37,6 +40,7 @@ import json
 import random
 from array import array
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache, partial
@@ -214,6 +218,11 @@ class ScanReport:
     def first_seen_day(self) -> date:
         return date.fromordinal(_utc_day(_utc_us(self.first_seen)))
 
+    @property
+    def _scan_us(self) -> int:
+        """`scan_date` in UTC microseconds since the epoch."""
+        return _utc_us(self.scan_date)
+
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -286,7 +295,8 @@ class ReportTable:
             for v in verdicts:
                 if v not in code:
                     code[v] = builder.code(v)
-            builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[v] for v in verdicts])
+            builder.add(r.url, _utc_us(r.scan_date), _utc_us(r.first_seen), r.scan_id, r.positives,
+                        [code[v] for v in verdicts])
         return builder.table()
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -339,6 +349,10 @@ class _TableReport(ScanReport):
         return _EPOCH + _MICROSECOND * self._table.first_seen_us.item(self._row)
 
     @property
+    def _scan_us(self) -> int:
+        return self._table.scan_us.item(self._row)
+
+    @property
     def scan_day(self) -> date:
         return date.fromordinal(self._table.scan_day.item(self._row))
 
@@ -385,10 +399,10 @@ class _TableBuilder:
             self.codes = array("H" if self.codes.typecode == "B" else "I", self.codes)
         return code
 
-    def add(self, url: str, scan_date: datetime, first_seen: datetime, scan_id: str, positives: int, codes: list[int]) -> None:
+    def add(self, url: str, scan_us: int, first_seen_us: int, scan_id: str, positives: int, codes: list[int]) -> None:
         self.url.append(self.url_index.setdefault(url, len(self.url_index)))
-        self.scan_us.append(_utc_us(scan_date))
-        self.first_seen_us.append(_utc_us(first_seen))
+        self.scan_us.append(scan_us)
+        self.first_seen_us.append(first_seen_us)
         self.scan_id.append(scan_id)
         self.positives.append(positives)
         self.codes.fromlist(codes)
@@ -447,7 +461,7 @@ class FeedCohort:
         """Sort, restrict to `urls`, and validate scan_id uniqueness."""
         url_set = frozenset(urls)
         kept = [r for r in reports if r.url in url_set]
-        kept.sort(key=lambda r: (r.url, _utc_us(r.scan_date), r.scan_id))
+        kept.sort(key=lambda r: (r.url, r._scan_us, r.scan_id))
         seen: set[str] = set()
         for r in kept:
             if r.scan_id in seen:
@@ -494,6 +508,11 @@ def _parse_ts(value: str, field_name: str) -> datetime:
 
 _FIELDS = ("url", "scan_date", "first_seen", "scan_id", "positives", "scans")
 _SCANS = ',"scans":{'
+# The most text of scans bodies one parse keeps in `_FeedParser.bodies`; the
+# least recently used body goes first. A 20-scanner body is about 1 KB, a
+# 95-scanner one 5 KB.
+_BODY_CACHE_CHARS = 64 * 1024
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class _FeedParser:
@@ -502,10 +521,16 @@ class _FeedParser:
     `verdict_cache` codes each distinct (scanner name, detected, raw result
     string); `detected`, `scanner` and `catch_all` are each code's verdict
     fields and whether it was kept as a catch-all. A line in the writer's
-    form (`_split`) is read as one text per scans member: `members` holds
-    each distinct text decoded, and `fragments` each text's code once its
-    checks and warnings have run. A catch-all's text is never in
-    `fragments`, so its warning is made on every line.
+    form (`_split`) is read as its header fields and its scans body, the
+    text from `,"scans":{` on. `bodies` maps a body whose checks and warnings
+    have run to its codes and detected count, holding at most
+    `_BODY_CACHE_CHARS` of body text. A body not in it is read as one text
+    per scans member: `members` holds each distinct text decoded, and
+    `fragments` each text's code once its checks and warnings have run. A
+    catch-all's text is in neither `fragments` nor, with its body, `bodies`,
+    so its warning is made on every line. `stamps` holds each distinct
+    timestamp string's UTC microseconds and `urls` each URL string
+    normalized; a string that fails is not kept.
     """
 
     def __init__(self) -> None:
@@ -518,11 +543,16 @@ class _FeedParser:
         self.catch_all: list[bool] = []
         self.members: dict[str, tuple[str, object]] = {}
         self.fragments: dict[str, int] = {}
+        self.bodies: OrderedDict[str, tuple[list[int], int]] = OrderedDict()
+        self.body_chars = 0
+        self.stamps: dict[str, int] = {}
+        self.urls: dict[str, str] = {}
 
     def _split(self, line: str):
-        """The header fields of a line in the writer's form, its scans member
-        texts, and their codes if all are in `fragments` (else None); or None
-        for a line to decode whole.
+        """The header fields of a line in the writer's form, its scans body,
+        and either None if the body is in `bodies`, or its member texts and
+        their codes if all are in `fragments` (else None); or None for a line
+        to decode whole.
 
         The writer's form is compact JSON with `"scans"` last. The members
         are split on `},"`, which inside a string can only end at its closing
@@ -535,15 +565,18 @@ class _FeedParser:
         p = line.rfind(_SCANS)
         if p < 0 or not line.endswith("}}"):
             return None
-        try:
-            header = json.loads(line[:p] + "}")
+        try:  # `json.loads` less its whitespace scans; `end` must be the text's end
+            header, end = _raw_decode(line[:p] + "}")
         except (json.JSONDecodeError, RecursionError):
             return None
-        if not isinstance(header, dict) or not header or "scans" in header:
+        if end != p + 1 or not isinstance(header, dict) or not header or "scans" in header:
             return None
+        body = line[p:]
+        if body in self.bodies:
+            return header, body, None, None
         start = p + len(_SCANS)
         if start == len(line) - 2:
-            return header, [], []
+            return header, body, [], []
         if line[start] != '"' or line[-3] != "}":
             return None
         pieces = line[start + 1:-3].split('},"')
@@ -566,7 +599,7 @@ class _FeedParser:
             names = map(self.scanner.__getitem__, codes)
         if len(set(names)) < len(pieces):
             return None
-        return header, pieces, codes
+        return header, body, pieces, codes
 
     def _codes(self, members: Iterable[tuple[str, object]], line_no: int) -> list[int]:
         """The codes of one line's scans members, after each member's checks
@@ -606,6 +639,32 @@ class _FeedParser:
                     warnings.append(ParseWarning(line_no, f"unknown scanner name {scanner_name!r}"))
         return codes
 
+    def _body_codes(self, body: str, pieces: list[str], codes, line_no: int) -> tuple[list[int], int]:
+        """The codes and detected count of a scans body that `_split` read,
+        after the checks and warnings of any member not in `fragments`."""
+        if pieces is None:
+            self.bodies.move_to_end(body)
+            return self.bodies[body]
+        if codes is None:
+            codes = self._codes(map(self.members.__getitem__, pieces), line_no)
+            self.fragments.update((piece, code) for piece, code in zip(pieces, codes) if not self.catch_all[code])
+        known = codes, sum(map(self.detected.__getitem__, codes))
+        if len(body) <= _BODY_CACHE_CHARS and not any(map(self.catch_all.__getitem__, codes)):
+            bodies = self.bodies
+            self.body_chars += len(body)
+            while self.body_chars > _BODY_CACHE_CHARS:
+                self.body_chars -= len(bodies.popitem(last=False)[0])
+            bodies[body] = known
+        return known
+
+    def _stamp(self, value, field_name: str) -> int:
+        """The UTC microseconds of a timestamp field's value."""
+        us = self.stamps.get(value) if type(value) is str else None
+        if us is None:
+            us = _utc_us(_parse_ts(value, field_name))  # raises unless a timestamp string
+            self.stamps[value] = us
+        return us
+
     def add(self, line: str, line_no: int) -> None:
         """Check one line and add its report to the table."""
         split = self._split(line)
@@ -619,7 +678,7 @@ class _FeedParser:
             if not isinstance(raw, dict):
                 raise FeedFormatError("record is not a JSON object")
         else:
-            raw, pieces, codes = split
+            raw, body, pieces, codes = split
         for key in _FIELDS if split is None else _FIELDS[:-1]:  # a split line has its scans
             if key not in raw:
                 raise FeedFormatError(f"missing field {key!r}")
@@ -627,11 +686,13 @@ class _FeedParser:
         url = raw["url"]
         if not isinstance(url, str) or not url:
             raise FeedFormatError("url must be a non-empty string")
-        url = normalize_url(url)
+        normalized = self.urls.get(url)
+        if normalized is None:
+            normalized = self.urls[url] = normalize_url(url)
 
-        scan_date = _parse_ts(raw["scan_date"], "scan_date")
-        first_seen = _parse_ts(raw["first_seen"], "first_seen")
-        if first_seen > scan_date:
+        scan_us = self._stamp(raw["scan_date"], "scan_date")
+        first_seen_us = self._stamp(raw["first_seen"], "first_seen")
+        if first_seen_us > scan_us:
             raise FeedFormatError("first_seen is after scan_date")
 
         scan_id = raw["scan_id"]
@@ -643,10 +704,9 @@ class _FeedParser:
             if not isinstance(scans, dict):
                 raise FeedFormatError("scans must be an object")
             codes = self._codes(scans.items(), line_no)
-        elif codes is None:
-            codes = self._codes(map(self.members.__getitem__, pieces), line_no)
-            self.fragments.update((piece, code) for piece, code in zip(pieces, codes) if not self.catch_all[code])
-        n_detected = sum(map(self.detected.__getitem__, codes))
+            n_detected = sum(map(self.detected.__getitem__, codes))
+        else:
+            codes, n_detected = self._body_codes(body, pieces, codes, line_no)
 
         raw_positives = raw["positives"]
         if not isinstance(raw_positives, int) or isinstance(raw_positives, bool) or raw_positives < 0:
@@ -659,7 +719,7 @@ class _FeedParser:
                 )
             )
 
-        self.table.add(url, scan_date, first_seen, scan_id, n_detected, codes)
+        self.table.add(normalized, scan_us, first_seen_us, scan_id, n_detected, codes)
 
 
 def parse_feed(
@@ -676,13 +736,17 @@ def parse_feed(
     detected, raw result string); checks and warnings run for every line.
     The reports are the rows of one `ReportTable`, which holds each verdict
     as a narrow code into the shared objects (`ReportTable.of` returns it).
-    A line in the writer's form (compact, `"scans"` last) is decoded in
-    parts: its header fields, and each distinct text of a scans member once
-    per call. A text's code is kept in a table from text to code once its
-    checks and warnings have run, except a catch-all's, whose warning is
-    made on every line; a line whose texts are all in the table costs no
-    per-verdict work. Any other line, and one that lists a scanner twice,
-    is decoded whole. Both give the same reports and warnings.
+    Each distinct timestamp string is parsed once per call, and each
+    distinct URL string normalized once. A line in the writer's form
+    (compact, `"scans"` last) is decoded in parts: its header fields, then
+    its scans body. A body met again while it is among the last 64 K
+    characters of bodies used (`_BODY_CACHE_CHARS`) costs one lookup; any
+    other body is split into one text per member, and each distinct text is
+    decoded once per call. A text's or a body's codes are kept only once its
+    checks and warnings have run, and never when it holds a catch-all, whose
+    warning is made on every line. Any other line, and one that lists a
+    scanner twice, is decoded whole; both ways give the same reports and
+    warnings. These caches are freed before the reports are made.
     """
     parser = _FeedParser()
     warnings = parser.warnings
@@ -704,7 +768,9 @@ def parse_feed(
             if strict:
                 raise FeedFormatError(f"line {line_no}: {exc}") from None
             warnings.append(ParseWarning(line_no, f"{exc}; line skipped"))
-    return parser.table.reports(), warnings
+    table = parser.table
+    del parser  # its caches go before the views are made
+    return table.reports(), warnings
 
 
 def parse_feed_file(path, strict: bool = False) -> tuple[list[ScanReport], list[ParseWarning]]:

@@ -834,6 +834,21 @@ class TestImportsStayNarrow:
         assert json.loads(done.stdout.splitlines()[-1]) == {
             "numpy": False, "scanalytics.synth": False, "scanalytics.classify": False}
 
+    def test_cli_loads_no_thread_pool(self):
+        # Only a forest trained on more than one thread needs the pool, and
+        # `concurrent.futures` brings in `logging`.
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import json, sys
+            import scanalytics.cli
+            print(json.dumps({name: name in sys.modules for name in ("concurrent.futures", "logging")}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"concurrent.futures": False, "logging": False}
+
 
 class TestConflictingCacheRows:
     @pytest.mark.parametrize("cache", ["hosting", "whois"])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scanalytics import feed
 from scanalytics.feed import (
     DetailedLabel,
     FeedFormatError,
@@ -277,6 +278,26 @@ class TestFilterEverDetected:
         out = filter_ever_detected(rs)
         for r in out.reports:
             assert r.positives == sum(1 for v in r.verdicts if v.detected)
+
+    def test_order_of_parsed_hand_built_and_mixed_reports(self):
+        # Parse views sort on their table's `scan_us` column, reports built
+        # by hand on their own timestamps (a naive one read as UTC): one
+        # order, by URL, UTC scan time and scan id, whose UTC order here
+        # differs from the order the clocks read.
+        stamps = ["2021-03-02T01:00:00Z", "2021-03-01T23:00:00-05:00", "2021-03-01T22:00:00+01:00",
+                  "2021-03-02T01:00:00+00:00"]
+        lines = [make_line(url=f"http://u{i % 2}.test/", scan_date=stamps[i % 4], scan_id=f"x-{7 - i}")
+                 for i in range(8)]
+        views, _ = parse_feed(iter(lines))
+        by_hand = [dataclasses.replace(_by_hand(v), scan_date=datetime.fromisoformat(stamps[i % 4].replace("Z", "+00:00")))
+                   for i, v in enumerate(views)]
+        naive = [dataclasses.replace(r, scan_date=r.scan_date.astimezone(timezone.utc).replace(tzinfo=None))
+                 if i % 3 else r for i, r in enumerate(by_hand)]
+        mixed = [v if i % 2 else r for i, (v, r) in enumerate(zip(views, naive))]
+        expected = [r.scan_id for r in sorted(by_hand, key=lambda r: (r.url, r.scan_date, r.scan_id))]
+        assert expected != [r.scan_id for r in sorted(by_hand, key=lambda r: (r.url, r.scan_date.replace(tzinfo=None), r.scan_id))]
+        for reports in (views, by_hand, naive, mixed):
+            assert [r.scan_id for r in filter_ever_detected(reports).reports] == expected
 
 
 class TestStratifiedSample:
@@ -701,6 +722,17 @@ class TestParseMemory:
         # `json.dumps`' default separators: every line is decoded whole.
         self._assert_bytes_per_report(_wide_lines(150, 10, 0.0, seed=5))
 
+    def test_bytes_per_report_with_every_body_twice_in_the_writer_form(self, tmp_path):
+        # The parser's body cache at its fullest: each scans body comes twice,
+        # so every body is kept, and the cache holds its whole budget.
+        reports, _ = parse_feed(iter(_wide_lines(150, 10, 0.0, seed=5)))
+        twice = [ScanReport(r.url, r.scan_date, r.first_seen, r.scan_id, body.positives, body.verdicts)
+                 for r, body in zip(reports, (reports[i // 2] for i in range(len(reports))))]
+        write_feed(twice, tmp_path / "feed.jsonl")
+        lines = (tmp_path / "feed.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len({line[line.rindex(',"scans":{'):] for line in lines}) == len(lines) // 2
+        self._assert_bytes_per_report(lines)
+
     def test_bytes_per_report_on_a_wide_feed_in_the_writer_form(self, tmp_path):
         # The same reports as `write_feed` writes them: every line is split
         # into its header and members, and each distinct member decoded once.
@@ -854,10 +886,15 @@ def _mixed_feeds(draw):
     """Feed lines: `report_to_json` lines of reports built by hand, and
     records in the writer's form and in edited forms, some with a faulty
     header or truncated, whose scans members are drawn from one small pool so
-    that member texts repeat across lines."""
+    that member texts repeat across lines, and whose scans bodies are drawn
+    from a few so that bodies repeat too. Some feeds hold a run of six
+    distinct long bodies with good headers, each a fifth of the parser's body
+    cache or longer than all of it, and then the same six in reverse, so that
+    bodies are pushed out of the cache and some come back after."""
     pool = draw(st.lists(st.tuples(_MEMBER_NAMES, _ENTRIES), min_size=1, max_size=6))
     lines = [report_to_json(r) for r in draw(_hand_built_reports())]
-    for i in range(draw(st.integers(min_value=1, max_value=8))):
+
+    def record(i, members, form, faults=True):
         header = {
             "url": draw(st.sampled_from(["http://a.test/", "HTTP://B.Test/x"])),
             "scan_date": "2021-03-02T00:00:00Z",
@@ -865,17 +902,28 @@ def _mixed_feeds(draw):
             "scan_id": f"s{i}",
             "positives": draw(st.integers(min_value=0, max_value=3)),
         }
-        fault = draw(_HEADER_FAULTS)
+        fault = draw(_HEADER_FAULTS) if faults else None
         if fault == "missing":
             del header[draw(st.sampled_from(sorted(header)))]
         elif fault is not None:
             header[fault] = draw(st.sampled_from(["", -1, None, "2021-03-03T00:00:00Z"]) | _TEXT)
-        members = draw(st.lists(st.sampled_from(pool), max_size=5))
         extra = draw(st.sampled_from([1, {"scans": {}}, {"a": {"b": {}}}, '},"']))
-        line = _record_text(header, members, draw(st.sampled_from(_FORMS)), extra)
-        if draw(st.integers(min_value=0, max_value=9)) == 0:
+        line = _record_text(header, members, form, extra)
+        if faults and draw(st.integers(min_value=0, max_value=9)) == 0:
             line = line[:draw(st.integers(min_value=0, max_value=len(line)))]
+        return line
+
+    bodies = draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), min_size=1, max_size=6))
+    n = draw(st.integers(min_value=1, max_value=8))
+    for i in range(n):
+        line = record(i, draw(st.sampled_from(bodies)), draw(st.sampled_from(_FORMS)))
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([feed._BODY_CACHE_CHARS // 5, feed._BODY_CACHE_CHARS + 1]))
+        run = [[("MysteryAV", {"detected": True, "result": str(j).ljust(width, "x")}),
+                *draw(st.lists(st.sampled_from(pool), max_size=1))] for j in range(6)]
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines[at:at] = [record(n + j, members, "writer", faults=False) for j, members in enumerate(run + run[::-1])]
     return [line.strip() for line in lines if line.strip()]
 
 
@@ -887,6 +935,8 @@ def _line(scans: str, positives: int, scan_id: str = "d") -> str:
 _PHISH = '"Fortinet":{"detected":true,"result":"phishing site"}'
 _CLEAN = '"Fortinet":{"detected":false,"result":"clean site"}'
 _ESET = '"ESET":{"detected":false,"result":"clean site"}'
+_UNKNOWN = '"MysteryAV":{"detected":false,"result":"clean site"}'
+_CATCH_ALL = '"Sophos":{"detected":true,"result":"clean site"}'
 
 
 class TestWriterForm:
@@ -947,6 +997,7 @@ class TestWriterForm:
         _line("{" + _ESET[1:], 0),  # scans that do not open with a quote
         _line(f'{_ESET},"scans":{{{_PHISH}}}', 1),  # a later scanner named "scans", holding a member
         _line(_ESET, 1)[:-1] + f',"scans":{{{_PHISH}}}}}',  # "scans" twice: JSON keeps the last
+        '{"url":"http://a.test/"} ,"scans":{' + _ESET + "}}",  # a header object closed early
     ])
     def test_edge_lines(self, line):
         lines = [_line(f"{_ESET},{_PHISH}", 1, "first"), line]
@@ -961,11 +1012,80 @@ class TestWriterForm:
         write_feed(reports, tmp_path / "feed.jsonl")
         lines = (tmp_path / "feed.jsonl").read_text(encoding="utf-8").splitlines()
         decoded = []
-        loads = json.loads
+        loads, raw_decode = json.loads, feed._raw_decode
         monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+        monkeypatch.setattr(feed, "_raw_decode", lambda text: decoded.append(text) or raw_decode(text))
         again, warnings = parse_feed(iter(lines))
         monkeypatch.undo()
         assert again == reports and warnings == []
         n_members = len(ReportTable.of(reports).verdicts)
         assert len(decoded) <= len(lines) + n_members
         assert not [text for text in decoded if '"scans"' in text]
+        assert sorted(text for text in decoded if text.startswith('{"url"')) == sorted(
+            line[:line.rindex(',"scans":{')] + "}" for line in lines)
+
+    def test_parses_each_distinct_timestamp_and_url_once(self, tmp_path, monkeypatch):
+        # Per parse, whether its lines are split (the writer's form) or
+        # decoded whole.
+        wide = _wide_lines(150, 10, 0.0, seed=5)
+        reports, _ = parse_feed(iter(wide))
+        write_feed(reports, tmp_path / "feed.jsonl")
+        written = (tmp_path / "feed.jsonl").read_text(encoding="utf-8").splitlines()
+        parsed, normalized = [], []
+        parse_ts, normalize_url = feed._parse_ts, feed.normalize_url
+        monkeypatch.setattr(feed, "_parse_ts", lambda value, name: parsed.append(value) or parse_ts(value, name))
+        monkeypatch.setattr(feed, "normalize_url", lambda url: normalized.append(url) or normalize_url(url))
+        for lines in (wide, written, written):
+            records = list(map(json.loads, lines))
+            parsed.clear()
+            normalized.clear()
+            assert parse_feed(iter(lines)) == (reports, [])
+            assert sorted(parsed) == sorted({r[key] for r in records for key in ("scan_date", "first_seen")})
+            assert sorted(normalized) == sorted({r["url"] for r in records})
+
+    @pytest.mark.parametrize("lines, expected", [
+        pytest.param(
+            [_line(f"{_ESET},{_CATCH_ALL}", 1, "c1"), _line(_ESET, 0, "c2"),
+             _line(f"{_ESET},{_CATCH_ALL}", 1, "c3"), _line(f"{_ESET},{_CATCH_ALL}", 1, "c4")],
+            [f"line {i}: Sophos: detected with benign result, kept as catch-all" for i in (1, 3, 4)],
+            id="catch-all"),
+        pytest.param(
+            [_line(f"{_ESET},{_UNKNOWN}", 0, f"u{i}") for i in range(3)],
+            ["line 1: unknown scanner name 'MysteryAV'"],
+            id="unknown-scanner"),
+        pytest.param(
+            [_line(f"{_PHISH},{_ESET},{_CLEAN}", 1, "t1"), _line(f"{_PHISH},{_ESET}", 1, "t2"),
+             _line(f"{_PHISH},{_ESET},{_CLEAN}", 1, "t3"), _line(f"{_PHISH},{_ESET}", 1, "t4"),
+             _line(f"{_CLEAN},{_ESET}", 0, "t5")],
+            [f"line {i}: positives field says 1 but 0 verdicts detect; recomputed" for i in (1, 3)],
+            id="after-a-scanner-named-twice"),
+        pytest.param(
+            [_line(_ESET, 0, "b1").replace("2021-03-01T00:00:00Z", "2021-02-30T00:00:00Z", 1)] * 2
+            + [_line(_ESET, 0, "b2")]
+            + [_line(_ESET, 0, "b3").replace("2021-03-01T00:00:00Z", "2021-02-30T00:00:00Z", 1)],
+            [f"line {i}: bad scan_date timestamp: '2021-02-30T00:00:00Z'; line skipped" for i in (1, 2, 4)],
+            id="bad-timestamp"),
+    ])
+    def test_repeated_values(self, lines, expected):
+        reports, warnings = parse_feed(iter(lines))
+        assert (reports, warnings) == _reference_parse(lines)
+        assert [str(w) for w in warnings] == expected
+
+    @pytest.mark.parametrize("field, message", [
+        ("scan_date", "bad scan_date timestamp: {!r}"),
+        ("first_seen", "bad first_seen timestamp: {!r}"),
+        ("url", "url must be a non-empty string"),
+    ])
+    @pytest.mark.parametrize("value", [["2021-03-01T00:00:00Z"], {"2021-03-01T00:00:00Z": "http://a.test/"}])
+    def test_field_that_is_not_a_string(self, field, message, value):
+        # Repeated, split and decoded whole: the same error on every line,
+        # never a `TypeError` from a lookup.
+        good = {"url": "http://a.test/", "scan_date": "2021-03-01T00:00:00Z",
+                "first_seen": "2021-03-01T00:00:00Z", "scan_id": "g", "positives": 0}
+        eset = [("ESET", {"detected": False, "result": "clean site"})]
+        lines = [_record_text(good, eset, "writer", None)] + [
+            _record_text(dict(good, scan_id=f"b{i}", **{field: value}), eset, form, None)
+            for i, form in enumerate(["writer", "default", "writer", "default"])]
+        reports, warnings = parse_feed(iter(lines))
+        assert (reports, warnings) == _reference_parse(lines)
+        assert [str(w) for w in warnings] == [f"line {i}: {message.format(value)}; line skipped" for i in (2, 3, 4, 5)]
