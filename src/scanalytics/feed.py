@@ -17,16 +17,15 @@ refused. Reports built by hand get their table from the same builder,
 coded once per distinct verdict value. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 `write_feed` writes reports back in the record form, JSON-encoding each
-distinct verdict object once. `parse_feed` reads that form back doing per
-line only the work a value it has not met needs: a line whose JSON is
-compact with `"scans"` last is split into its header fields and its scans
-body. A body met again while it is in a bounded cache (the last 64 K
-characters of bodies used) takes its codes from there; any other is split
-into one text per scans member, each distinct member text decoded once per
-parse. Each distinct timestamp string is parsed once, and each distinct URL
-string normalized once, per parse. Any other line, and one that names a
-scanner twice, is decoded whole; both ways give the same reports and
-warnings. The caches are freed before the reports are made.
+distinct verdict object once. `parse_feed` reads that form back decoding
+each distinct verdict once: a line whose JSON is compact with `"scans"`
+last is split into its header fields and its scans body. A body met again
+while it is in a bounded cache (the last 64 K characters of bodies used)
+takes its codes from there; any other is split into one text per scans
+member, each distinct member text decoded once per parse. Any other line,
+and one that names a scanner twice, is decoded whole; both ways give the
+same reports and warnings. The caches are freed before the reports are
+made.
 
 Everything returned by this module is immutable after construction and safe
 to share across threads.
@@ -295,8 +294,7 @@ class ReportTable:
             for v in verdicts:
                 if v not in code:
                     code[v] = builder.code(v)
-            builder.add(r.url, _utc_us(r.scan_date), _utc_us(r.first_seen), r.scan_id, r.positives,
-                        [code[v] for v in verdicts])
+            builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[v] for v in verdicts])
         return builder.table()
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -399,10 +397,10 @@ class _TableBuilder:
             self.codes = array("H" if self.codes.typecode == "B" else "I", self.codes)
         return code
 
-    def add(self, url: str, scan_us: int, first_seen_us: int, scan_id: str, positives: int, codes: list[int]) -> None:
+    def add(self, url: str, scan_date: datetime, first_seen: datetime, scan_id: str, positives: int, codes: list[int]) -> None:
         self.url.append(self.url_index.setdefault(url, len(self.url_index)))
-        self.scan_us.append(scan_us)
-        self.first_seen_us.append(first_seen_us)
+        self.scan_us.append(_utc_us(scan_date))
+        self.first_seen_us.append(_utc_us(first_seen))
         self.scan_id.append(scan_id)
         self.positives.append(positives)
         self.codes.fromlist(codes)
@@ -528,9 +526,7 @@ class _FeedParser:
     per scans member: `members` holds each distinct text decoded, and
     `fragments` each text's code once its checks and warnings have run. A
     catch-all's text is in neither `fragments` nor, with its body, `bodies`,
-    so its warning is made on every line. `stamps` holds each distinct
-    timestamp string's UTC microseconds and `urls` each URL string
-    normalized; a string that fails is not kept.
+    so its warning is made on every line.
     """
 
     def __init__(self) -> None:
@@ -545,8 +541,6 @@ class _FeedParser:
         self.fragments: dict[str, int] = {}
         self.bodies: OrderedDict[str, tuple[list[int], int]] = OrderedDict()
         self.body_chars = 0
-        self.stamps: dict[str, int] = {}
-        self.urls: dict[str, str] = {}
 
     def _split(self, line: str):
         """The header fields of a line in the writer's form, its scans body,
@@ -657,14 +651,6 @@ class _FeedParser:
             bodies[body] = known
         return known
 
-    def _stamp(self, value, field_name: str) -> int:
-        """The UTC microseconds of a timestamp field's value."""
-        us = self.stamps.get(value) if type(value) is str else None
-        if us is None:
-            us = _utc_us(_parse_ts(value, field_name))  # raises unless a timestamp string
-            self.stamps[value] = us
-        return us
-
     def add(self, line: str, line_no: int) -> None:
         """Check one line and add its report to the table."""
         split = self._split(line)
@@ -686,13 +672,11 @@ class _FeedParser:
         url = raw["url"]
         if not isinstance(url, str) or not url:
             raise FeedFormatError("url must be a non-empty string")
-        normalized = self.urls.get(url)
-        if normalized is None:
-            normalized = self.urls[url] = normalize_url(url)
+        url = normalize_url(url)
 
-        scan_us = self._stamp(raw["scan_date"], "scan_date")
-        first_seen_us = self._stamp(raw["first_seen"], "first_seen")
-        if first_seen_us > scan_us:
+        scan_date = _parse_ts(raw["scan_date"], "scan_date")
+        first_seen = _parse_ts(raw["first_seen"], "first_seen")
+        if first_seen > scan_date:
             raise FeedFormatError("first_seen is after scan_date")
 
         scan_id = raw["scan_id"]
@@ -719,7 +703,7 @@ class _FeedParser:
                 )
             )
 
-        self.table.add(normalized, scan_us, first_seen_us, scan_id, n_detected, codes)
+        self.table.add(url, scan_date, first_seen, scan_id, n_detected, codes)
 
 
 def parse_feed(
@@ -736,10 +720,8 @@ def parse_feed(
     detected, raw result string); checks and warnings run for every line.
     The reports are the rows of one `ReportTable`, which holds each verdict
     as a narrow code into the shared objects (`ReportTable.of` returns it).
-    Each distinct timestamp string is parsed once per call, and each
-    distinct URL string normalized once. A line in the writer's form
-    (compact, `"scans"` last) is decoded in parts: its header fields, then
-    its scans body. A body met again while it is among the last 64 K
+    A line in the writer's form (compact, `"scans"` last) is decoded in
+    parts: its header fields, then its scans body. A body met again while it is among the last 64 K
     characters of bodies used (`_BODY_CACHE_CHARS`) costs one lookup; any
     other body is split into one text per member, and each distinct text is
     decoded once per call. A text's or a body's codes are kept only once its

@@ -818,6 +818,8 @@ class TestImportsStayNarrow:
     root loads no submodule."""
 
     def test_feed_and_scanners_load_only_their_imports(self):
+        # Only a forest trained on more than one thread needs the thread pool,
+        # and `concurrent.futures` brings in `logging`: the CLI loads neither.
         root = Path(__file__).resolve().parents[1]
         script = textwrap.dedent("""
             import json, sys
@@ -825,6 +827,8 @@ class TestImportsStayNarrow:
             loaded = {"numpy": "numpy" in sys.modules}
             import scanalytics.feed
             loaded.update((name, name in sys.modules) for name in ("scanalytics.synth", "scanalytics.classify"))
+            import scanalytics.cli
+            loaded.update((name, name in sys.modules) for name in ("concurrent.futures", "logging"))
             print(json.dumps(loaded))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
@@ -832,22 +836,8 @@ class TestImportsStayNarrow:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == {
-            "numpy": False, "scanalytics.synth": False, "scanalytics.classify": False}
-
-    def test_cli_loads_no_thread_pool(self):
-        # Only a forest trained on more than one thread needs the pool, and
-        # `concurrent.futures` brings in `logging`.
-        root = Path(__file__).resolve().parents[1]
-        script = textwrap.dedent("""
-            import json, sys
-            import scanalytics.cli
-            print(json.dumps({name: name in sys.modules for name in ("concurrent.futures", "logging")}))
-        """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"concurrent.futures": False, "logging": False}
+            "numpy": False, "scanalytics.synth": False, "scanalytics.classify": False,
+            "concurrent.futures": False, "logging": False}
 
 
 class TestConflictingCacheRows:
