@@ -8,10 +8,13 @@ count distinct scanner clusters rather than scanners, which removes the bias
 of correlated groups voting in lockstep.
 
 A `FeatureTable` holds the features of many reports as one matrix, built in
-columns from their `ReportTable`: cluster votes from the verdict code rows,
-lexical and hosting features once per distinct URL, WHOIS once per distinct
-host. A `FeatureVector` is one read-only row of a table, and
-`extract_features` builds the table of one report.
+columns from their `ReportTable`: cluster votes from the verdict code rows;
+lexical features from the code points of all distinct URLs at once, each
+count one `bincount`; hosting records looked up once per distinct URL and
+WHOIS records once per distinct host, each group then filled a column at a
+time. A `FeatureVector` is one read-only row of a table, `extract_features`
+builds the table of one report, and `lexical_features` is the one-URL case
+of the lexical columns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import csv
 import math
 import re
 import zlib
-from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Protocol, Sequence
@@ -115,12 +117,12 @@ class HostingCache:
     """Offline hosting enrichment keyed by normalized URL."""
 
     def __init__(self, records: dict[str, HostingRecord]):
-        self._records = dict(records)
+        self._records = _normalized(records, normalize_url, "url")
 
     @classmethod
     def from_csv(cls, path) -> "HostingCache":
         fields = {"url": normalize_url, "ip_count": int, "asn_count": int, "asn": str, "country": str}
-        return cls({url: HostingRecord(**row) for url, row in _read_cache_csv(path, fields).items()})
+        return cls(_read_cache_csv(path, fields, HostingRecord))
 
     def lookup(self, url: str) -> HostingRecord | None:
         return self._records.get(normalize_url(url))
@@ -134,49 +136,93 @@ class WhoisCache:
     domains one label at a time."""
 
     def __init__(self, records: dict[str, WhoisRecord]):
-        self._records = {k.lower(): v for k, v in records.items()}
+        self._records = _normalized(records, str.lower, "domain")
 
     @classmethod
     def from_csv(cls, path) -> "WhoisCache":
         fields = {"domain": str.lower, "created": _parse_date, "expires": _parse_date, "registrar": str}
-        return cls({domain: WhoisRecord(**row) for domain, row in _read_cache_csv(path, fields).items()})
+        return cls(_read_cache_csv(path, fields, WhoisRecord))
 
     def lookup(self, host: str) -> WhoisRecord | None:
-        labels = host.lower().split(".")
-        for start in range(len(labels) - 1):
-            record = self._records.get(".".join(labels[start:]))
-            if record is not None:
-                return record
-        return self._records.get(host.lower())
+        """The record of `host` or of its nearest parent domain; a single
+        label is looked up only as the whole host."""
+        name = host.lower()
+        record = self._records.get(name)
+        while record is None and name.count(".") > 1:
+            name = name.partition(".")[2]
+            record = self._records.get(name)
+        return record
 
     def __len__(self) -> int:
         return len(self._records)
 
 
-def _read_cache_csv(path, fields: dict) -> dict[str, dict]:
-    """Rows of a cache CSV, each field converted by `fields[name]`, keyed by
-    the first field. A missing column or field, or a value its converter
-    rejects, raises FeedFormatError naming the file and row; so do two rows
-    with one key and different values. A file that is not UTF-8 raises it
-    naming the file. Equal rows count once."""
-    key = next(iter(fields))
-    rows: dict[str, dict] = {}
-    row_of: dict[str, int] = {}
+def _normalized(records: dict, normalize, name: str) -> dict:
+    """`records` under their normalized keys; keys that normalize to one key
+    with different records raise ValueError."""
+    keyed: dict = {}
+    for key, record in records.items():
+        key = normalize(key)
+        seen = keyed.setdefault(key, record)
+        if seen is not record and seen != record:
+            raise ValueError(f"conflicting records for {name} {key!r}")
+    return keyed
+
+
+def _read_cache_csv(path, fields: dict, record: type) -> dict:
+    """The records of a cache CSV: each row's fields, converted by
+    `fields[name]`, make one `record` of all but the first, keyed by the first.
+
+    A header without a column in `fields` fails its first data row, or the
+    header itself in a file with none. A row missing a field, or a value its
+    converter rejects, fails that row; so do two rows with one key and
+    different records. Each raises FeedFormatError naming the file and the
+    first failing row; a file that is not UTF-8 raises it naming the file.
+    Equal rows count once. Blank lines are skipped and not numbered.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.DictReader(_utf8_lines(fh, path)), start=2):
-            missing = [name for name in fields if row.get(name) is None]
-            if missing:
-                raise FeedFormatError(f"{path}: row {row_no}: missing {', '.join(missing)}")
+        reader = csv.reader(_utf8_lines(fh, path))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    column = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    missing = [name for name in fields if name not in column]
+    if missing:
+        raise FeedFormatError(f"{path}: row {2 if rows else 1}: missing {', '.join(missing)}")
+    spec = [(column[name], convert) for name, convert in fields.items()]
+    width = max(at for at, _ in spec) + 1
+    end = next((row for row, values in enumerate(rows) if len(values) < width), len(rows))
+    failure = None
+    if end < len(rows):
+        failure = "missing " + ", ".join(name for name in fields if column[name] >= len(rows[end]))
+    try:
+        keys, records = _cache_records(rows[:end], spec, record)
+    except ValueError:  # keep the rows before the first with a value its converter rejects
+        for end, values in enumerate(rows):
             try:
-                converted = {name: convert(row[name]) for name, convert in fields.items()}
+                [convert(values[at]) for at, convert in spec]
             except ValueError as exc:
-                raise FeedFormatError(f"{path}: row {row_no}: {exc}") from None
-            at = converted.pop(key)
-            if at in rows and rows[at] != converted:
-                raise FeedFormatError(f"{path}: rows {row_of[at]} and {row_no}: conflicting records for {key} {at!r}")
-            rows.setdefault(at, converted)
-            row_of.setdefault(at, row_no)
-    return rows
+                failure = str(exc)
+                break
+        keys, records = _cache_records(rows[:end], spec, record)
+    keyed = dict(zip(reversed(keys), reversed(records)))  # each key's first record
+    if len(keyed) < len(keys):
+        first: dict[str, int] = {}
+        for row, key in enumerate(keys):
+            if records[first.setdefault(key, row)] != records[row]:
+                raise FeedFormatError(
+                    f"{path}: rows {first[key] + 2} and {row + 2}: conflicting records for {next(iter(fields))} {key!r}"
+                )
+    if failure is not None:
+        raise FeedFormatError(f"{path}: row {end + 2}: {failure}")
+    return keyed
+
+
+def _cache_records(rows: list[list[str]], spec: list, record: type) -> tuple[list, list]:
+    """The first field of every row and the record of the others, each of
+    the (column, converter) pairs of `spec` converted a column at a time."""
+    columns = list(zip(*rows)) or [()] * max(at + 1 for at, _ in spec)
+    keys, *values = [list(map(convert, columns[at])) for at, convert in spec]
+    return keys, list(map(record, *values))
 
 
 def _parse_date(value: str) -> datetime:
@@ -191,7 +237,6 @@ def _bucket(value: str, buckets: int) -> int:
 
 
 _IPV4_RE = re.compile(r"^(?:\d{1,3}\.){3}\d{1,3}$")
-_BRAND_RE = re.compile("|".join(map(re.escape, BRAND_TOKENS)))  # matches where any token occurs
 
 
 def _split_url(url: str) -> tuple[str, str, str]:
@@ -207,66 +252,145 @@ def _split_url(url: str) -> tuple[str, str, str]:
     return host, path, query
 
 
-def _entropy(text: str) -> float:
-    if not text:
-        return 0.0
-    counts = Counter(text)
-    total = len(text)
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+def _characters(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The length of each of `strings`, and the code point and the index of
+    the string of each character of their concatenation."""
+    lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+    chars = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32)
+    return lengths, chars, np.arange(len(strings), dtype=np.int32).repeat(lengths)
 
 
-def _digit_count(text: str) -> int:
-    """Characters of `text` for which `str.isdigit` holds."""
-    if text.isascii():
-        ascii = text.encode("ascii")
-        return len(ascii) - len(ascii.translate(None, b"0123456789"))
-    return sum(map(str.isdigit, text))  # other scripts' digits, superscripts
+def _token_counts(texts: Sequence[str], tokens: Sequence[str]) -> np.ndarray:
+    """`sum(text.count(token) for token in tokens)` for each of `texts`."""
+    joined = "\n".join(texts)  # no token holds "\n", so no match spans two texts
+    starts = []
+    for token in tokens:  # each match's start, found as `str.count` finds them
+        at = joined.find(token)
+        while at >= 0:
+            starts.append(at)
+            at = joined.find(token, at + len(token))
+    ends = (np.fromiter(map(len, texts), np.intp, len(texts)) + 1).cumsum()
+    return np.bincount(ends.searchsorted(starts, side="right"), minlength=len(texts))
+
+
+def _character_groups(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The size and the string of each (string, character) group of
+    `strings`: each string's groups in the order their characters first
+    occur in it, as `Counter(string).values()` orders them."""
+    _, chars, owner = _characters(strings)
+    # (code point, position) in one integer: sorted, the copies of one
+    # character in one string are adjacent, first occurrence first
+    key = chars.astype(np.int64)
+    key <<= 32
+    key |= np.arange(len(chars))
+    key.sort()
+    position = key & 0xFFFFFFFF
+    key >>= 32
+    row = owner[position]
+    bounds = np.ones(len(key) + 1, bool)
+    bounds[1:-1] = (key[1:] != key[:-1]) | (row[1:] != row[:-1])
+    bounds = bounds.nonzero()[0]
+    # each group as (first position, size), in position order
+    group = position[bounds[:-1]]
+    group <<= 32
+    group |= bounds[1:] - bounds[:-1]
+    group.sort()
+    return group & 0xFFFFFFFF, owner[group >> 32]
+
+
+def _host_entropy(hosts: Sequence[str]) -> list[float]:
+    """The entropy of each host's characters,
+    `-sum((c / total) * math.log2(c / total) for c in Counter(host).values())`:
+    each distinct (count, total) term is computed once, and each host's
+    terms are added by `sum` in `Counter`'s order."""
+    count, row = _character_groups(hosts)
+    lengths = np.fromiter(map(len, hosts), np.intp, len(hosts))
+    width = int(lengths.max(initial=0)) + 1
+    pair = count * width + lengths[row]
+    pairs = distinct(pair)
+    term = [(c / total) * math.log2(c / total) for c, total in (divmod(p, width) for p in pairs.tolist())]
+    terms = list(map(term.__getitem__, pairs.searchsorted(pair).tolist()))  # one float object per distinct term
+    ends = np.bincount(row, minlength=len(hosts)).cumsum().tolist()
+    return [-sum(terms[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _lexical_columns(urls: Sequence[str], parts: Sequence[tuple[str, str, str]]) -> np.ndarray:
+    """The lexical group of each of `urls`, which `_split_url` split into
+    `parts`; see LEXICAL_FEATURES for the columns."""
+    n = len(urls)
+    hosts, paths, queries = zip(*parts) if n else ((), (), ())
+    out = np.empty((n, len(LEXICAL_FEATURES)))
+    out[:, 12] = _host_entropy(hosts)  # first: its arrays and the URLs' are not held at once
+    lengths, chars, owner = _characters(urls)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    wide = (chars > 127).nonzero()[0]
+    digit[wide] = np.strings.isdigit(chars[wide].view("U1"))  # as str.isdigit: other scripts' digits, superscripts
+    _, path_chars, path_owner = _characters(paths)
+    slash = path_chars == ord("/")
+    segment = ~slash  # a segment begins at a character other than "/" that starts its path or follows a "/"
+    segment[1:] &= slash[:-1] | (path_owner[1:] != path_owner[:-1])
+    lowered = [url.lower() for url in urls]
+    out[:, 0] = lengths
+    out[:, 1] = np.fromiter(map(len, hosts), np.intp, n)
+    for column, at in ((2, chars == ord(".")), (3, chars == ord("-")), (4, digit), (5, chars == ord("@")), (6, chars == ord("%"))):
+        out[:, column] = np.bincount(owner[at], minlength=n)
+    out[:, 7] = np.bincount(path_owner[segment], minlength=n)
+    out[:, 8] = np.fromiter(map(len, queries), np.intp, n)
+    out[:, 9] = [_IPV4_RE.match(host) is not None for host in hosts]
+    out[:, 10] = _token_counts(lowered, SUSPICIOUS_TOKENS)
+    out[:, 11] = _token_counts(lowered, BRAND_TOKENS) > 0
+    return out
 
 
 def lexical_features(url: str) -> tuple[float, ...]:
     """Fixed-order lexical vector; see LEXICAL_FEATURES for slot names."""
-    host, path, query = _split_url(url)
-    lower = url.lower()
-    segments = path.split("/")
-    return (
-        float(len(url)),
-        float(len(host)),
-        float(url.count(".")),
-        float(url.count("-")),
-        float(_digit_count(url)),
-        float(url.count("@")),
-        float(url.count("%")),
-        float(len(segments) - segments.count("")),
-        float(len(query)),
-        1.0 if _IPV4_RE.match(host) else 0.0,
-        float(sum(map(lower.count, SUSPICIOUS_TOKENS))),
-        1.0 if _BRAND_RE.search(lower) else 0.0,
-        _entropy(host),
-    )
+    return tuple(_lexical_columns([url], [_split_url(url)])[0].tolist())
 
 
-def _hosting_features(record: HostingRecord | None) -> tuple[float, ...]:
-    if record is None:
-        return (1.0,) + (0.0,) * (len(HOSTING_FEATURES) - 1)
-    one_hot = [0.0] * _COUNTRY_BUCKETS
-    one_hot[_bucket(record.country, _COUNTRY_BUCKETS)] = 1.0
-    return (
-        0.0,
-        float(record.ip_count),
-        float(record.asn_count),
-        float(_bucket(record.asn, _ASN_BUCKETS)),
-        *one_hot,
-    )
+def _hosting_columns(records: Sequence[HostingRecord | None]) -> np.ndarray:
+    """The hosting group of each record; a missing record is flagged."""
+    found = [i for i, record in enumerate(records) if record is not None]
+    present = [records[i] for i in found]
+    out = np.zeros((len(records), len(HOSTING_FEATURES)))
+    out[:, 0] = 1.0
+    out[found, 0] = 0.0
+    out[found, 1] = [record.ip_count for record in present]
+    out[found, 2] = [record.asn_count for record in present]
+    out[found, 3] = [_bucket(record.asn, _ASN_BUCKETS) for record in present]
+    out[found, [4 + _bucket(record.country, _COUNTRY_BUCKETS) for record in present]] = 1.0
+    return out
 
 
-def _whois_features(record: WhoisRecord | None, scan_us: int) -> tuple[float, ...]:
-    """The WHOIS group at the UTC instant `scan_us`; day counts are
-    `timedelta.total_seconds() / 86400.0` of the same instants."""
-    if record is None:
-        return (1.0,) + (0.0,) * (len(WHOIS_FEATURES) - 1)
-    age_days = (scan_us - _utc_us(record.created)) / 10**6 / 86400.0
-    to_expiry = (_utc_us(record.expires) - scan_us) / 10**6 / 86400.0
-    return (0.0, age_days, to_expiry, float(_bucket(record.registrar, _REGISTRAR_BUCKETS)))
+def _whois_columns(records: Sequence[WhoisRecord | None], record_of_row: np.ndarray, scan_us: np.ndarray) -> np.ndarray:
+    """The WHOIS group of each row, from its record `records[record_of_row[row]]`
+    at the UTC instant `scan_us[row]`; a missing record is flagged. Day counts
+    are `timedelta.total_seconds() / 86400.0` of the same instants."""
+    found = [i for i, record in enumerate(records) if record is not None]
+    at = np.full(len(records), -1)
+    at[found] = np.arange(len(found))
+    at = at[record_of_row]  # each row's record among those found
+    rows = (at >= 0).nonzero()[0]
+    present = [records[i] for i in found]
+    fields = np.array(
+        [(_utc_us(r.created), _utc_us(r.expires), _bucket(r.registrar, _REGISTRAR_BUCKETS)) for r in present], np.int64
+    ).reshape(-1, 3)[at[rows]]
+    out = np.zeros((len(record_of_row), len(WHOIS_FEATURES)))
+    out[:, 0] = 1.0
+    out[rows, 0] = 0.0
+    out[rows, 1] = _days(scan_us[rows] - fields[:, 0])
+    out[rows, 2] = _days(fields[:, 1] - scan_us[rows])
+    out[rows, 3] = fields[:, 2]
+    return out
+
+
+def _days(us: np.ndarray) -> np.ndarray:
+    """`us / 10**6 / 86400.0` of each element as Python computes it on ints.
+    Past 2**53 an int64 no longer converts to a float exactly, so those
+    elements are divided as Python ints."""
+    days = us / 10**6 / 86400.0
+    far = (np.abs(us) > 2**53).nonzero()[0]
+    days[far] = [u / 10**6 / 86400.0 for u in us[far].tolist()]
+    return days
 
 
 def _vt_columns(table: ReportTable, model: ScannerClusterModel) -> tuple[np.ndarray, np.ndarray]:
@@ -365,13 +489,9 @@ class FeatureTable:
 
         whois_of = {host: whois.lookup(host) if whois is not None else None for host, _, _ in parts}
         records = [whois_of[host] for host, _, _ in parts]
-        lexical = np.array([lexical_features(url) for url in targets]).reshape(-1, len(LEXICAL_FEATURES))
-        hosted = np.array(
-            [_hosting_features(hosting.lookup(url) if hosting is not None else None) for url in targets]
-        ).reshape(-1, len(HOSTING_FEATURES))
-        dated = np.array(
-            [_whois_features(records[u], scan_us) for u, scan_us in zip(url_of_row.tolist(), table.scan_us.tolist())]
-        ).reshape(-1, len(WHOIS_FEATURES))
+        lexical = _lexical_columns(targets, parts)
+        hosted = _hosting_columns([hosting.lookup(url) if hosting is not None else None for url in targets])
+        dated = _whois_columns(records, url_of_row, table.scan_us)
         return cls(
             urls=[targets[u] for u in url_of_row.tolist()],
             matrix=np.concatenate([vt, lexical[url_of_row], hosted[url_of_row], dated], axis=1),  # ALL_GROUPS order

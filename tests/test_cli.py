@@ -861,6 +861,25 @@ class TestConflictingCacheRows:
 
 
 class TestClassifyMatchesOracle:
+    def test_feature_table_of_the_written_corpus(self, corpus_dir):
+        """The 500-URL corpus `synth` writes, read back from its feed and
+        cache CSVs: the column build equals the per-report features
+        (tests/feature_oracle.py) byte for byte."""
+        import feature_oracle as oracle
+        from scanalytics.classify import HostingCache, WhoisCache, build_cluster_model
+        from scanalytics.classify.features import FeatureTable, feature_matrix
+        from scanalytics.feed import ReportTable, parse_feed_file
+
+        reports, _ = parse_feed_file(corpus_dir / "feed.jsonl")
+        hosting = HostingCache.from_csv(corpus_dir / "hosting_cache.csv")
+        whois = WhoisCache.from_csv(corpus_dir / "whois_cache.csv")
+        model = build_cluster_model([r for r in reports if r.positives >= 2], k=8, seed=SEED)
+        table = FeatureTable.build(ReportTable.of(reports), model, hosting, whois)
+        expected = [oracle.features(r, model, hosting, whois) for r in reports]
+        assert len(reports) == 500 and len(hosting) and len(whois)
+        assert list(table.urls) == [url for url, _ in expected]
+        assert feature_matrix(table).tobytes() == oracle.matrix(expected).tobytes()
+
     def test_predict_and_trend_write_the_oracle_artifacts(self, corpus_dir, model_path, tmp_path):
         """`predict` and `trend` write what the per-report features
         (tests/feature_oracle.py) give when fed through the same model."""

@@ -193,6 +193,12 @@ class TestEnrichment:
         cache = HostingCache.from_csv(path)
         assert cache.lookup("HTTP://A.test/x") == HostingRecord(3, 2, "AS123", "us")
         assert cache.lookup("http://missing.test/") is None
+        # Keys given to the constructor are normalized as the CSV's are.
+        record = HostingRecord(3, 2, "AS123", "us")
+        cache = HostingCache({"HTTP://A.test/x": record, "http://a.test/x": record})
+        assert len(cache) == 1 and cache.lookup("HTTP://A.test/x") == record
+        with pytest.raises(ValueError, match="conflicting records for url 'http://a.test/x'"):
+            HostingCache({"HTTP://A.test/x": record, "http://a.test/x": HostingRecord(4, 2, "AS123", "us")})
 
     def test_whois_cache_parent_domain_fallback(self, tmp_path):
         path = tmp_path / "whois.csv"
@@ -213,6 +219,13 @@ class TestEnrichment:
             (WhoisCache, "domain,created,registrar\nexample.test,2020-01-01,RegOne\n", "row 2: missing expires"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01,soon,RegOne\n", "row 2: Invalid isoformat"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01\n", "row 2: missing expires, registrar"),
+            # The first failing row decides, whatever the failure.
+            (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2,AS1,us\nhttp://b.test/,x,2,AS1,us\nhttp://a.test/,4,2,AS1,us\n", "row 3: invalid literal"),
+            (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2,AS1,us\nHTTP://A.test/,4,2,AS1,us\nhttp://b.test/,x\n", "rows 2 and 3: conflicting records for url 'http://a.test/'"),
+            (HostingCache, "", "row 1: missing url, ip_count, asn_count, asn, country"),
+            (HostingCache, "foo,bar\n", "row 1: missing url, ip_count, asn_count, asn, country"),
+            (WhoisCache, "", "row 1: missing domain, created, expires, registrar"),
+            (WhoisCache, "foo,bar\n", "row 1: missing domain, created, expires, registrar"),
         ],
     )
     def test_bad_cache_csv_is_format_error(self, tmp_path, cls, text, message):
@@ -283,7 +296,10 @@ _LABELS = (None, P, W, M, DetailedLabel.SuspiciousSite, DetailedLabel.OtherMalic
 _hosts = st.one_of(
     st.sampled_from(["192.168.10.5", "10.0.0.1", "1.2.3.\u0663", "999.1.1.1", "127.0.0.1.test"]),
     st.lists(
-        st.sampled_from(["paypal", "Login", "SECURE", "dom01", "a-b", "x\u00b2", "\u0663\u0663", "www", "ebay", "a"]),
+        st.sampled_from([
+            "paypal", "Login", "SECURE", "dom01", "a-b", "x\u00b2", "\u0663\u0663", "www", "ebay", "a",
+            "b\u00fccher", "\u043f\u0440\u0438\u043c\u0435\u0440", "\u4f8b\u3048", "LOG\u0130N", "\u03a3\u03b9\u03a3",
+        ]),
         min_size=1, max_size=3,
     ).map(".".join),
 )
@@ -310,9 +326,9 @@ _SCAN_BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 def _corpora(draw):
     """Reports that share URLs, with caches that hold some of their URLs
     and hosts: (reports, hosting cache, whois cache)."""
-    pool = draw(st.lists(_urls(), min_size=1, max_size=4))
+    pool = draw(st.lists(_urls(), min_size=1, max_size=24))
     reports = []
-    for i in range(draw(st.integers(1, 6))):
+    for i in range(draw(st.integers(1, 30))):
         # A report has at most one verdict per scanner, the detecting one added below included.
         names = draw(st.lists(st.sampled_from(_SCANNERS), unique=True, max_size=len(_SCANNERS) - 1))
         verdicts = [verdict(name, draw(st.sampled_from(_LABELS))) for name in names]
