@@ -122,7 +122,9 @@ class HostingCache:
     @classmethod
     def from_csv(cls, path) -> "HostingCache":
         fields = {"url": normalize_url, "ip_count": int, "asn_count": int, "asn": str, "country": str}
-        return cls(_read_cache_csv(path, fields, HostingRecord))
+        cache = cls({})
+        cache._records = _read_cache_csv(path, fields, HostingRecord)  # keys normalized as __init__ does, once
+        return cache
 
     def lookup(self, url: str) -> HostingRecord | None:
         return self._records.get(normalize_url(url))
@@ -136,12 +138,14 @@ class WhoisCache:
     domains one label at a time."""
 
     def __init__(self, records: dict[str, WhoisRecord]):
-        self._records = _normalized(records, str.lower, "domain")
+        self._records = {k.lower(): v for k, v in records.items()}
 
     @classmethod
     def from_csv(cls, path) -> "WhoisCache":
         fields = {"domain": str.lower, "created": _parse_date, "expires": _parse_date, "registrar": str}
-        return cls(_read_cache_csv(path, fields, WhoisRecord))
+        cache = cls({})
+        cache._records = _read_cache_csv(path, fields, WhoisRecord)  # keys lowered as __init__ does, once
+        return cache
 
     def lookup(self, host: str) -> WhoisRecord | None:
         """The record of `host` or of its nearest parent domain; a single
@@ -171,58 +175,39 @@ def _normalized(records: dict, normalize, name: str) -> dict:
 
 def _read_cache_csv(path, fields: dict, record: type) -> dict:
     """The records of a cache CSV: each row's fields, converted by
-    `fields[name]`, make one `record` of all but the first, keyed by the first.
-
-    A header without a column in `fields` fails its first data row, or the
-    header itself in a file with none. A row missing a field, or a value its
-    converter rejects, fails that row; so do two rows with one key and
-    different records. Each raises FeedFormatError naming the file and the
-    first failing row; a file that is not UTF-8 raises it naming the file.
-    Equal rows count once. Blank lines are skipped and not numbered.
-    """
+    `fields[name]`, make one `record` of all but the first, keyed by the
+    first. A header without a column in `fields` fails the first data row,
+    or the header itself in a file with none; a row missing a field, or a
+    value its converter rejects, fails that row; so do two rows with one key
+    and different records. Each raises FeedFormatError naming the file and
+    the first failing row; a file that is not UTF-8 raises it naming the
+    file. Equal rows count once. Blank lines are skipped and not numbered."""
+    name = next(iter(fields))
+    records: dict = {}
+    row_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, [])
-        rows = [row for row in reader if row]
-    column = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    missing = [name for name in fields if name not in column]
-    if missing:
-        raise FeedFormatError(f"{path}: row {2 if rows else 1}: missing {', '.join(missing)}")
-    spec = [(column[name], convert) for name, convert in fields.items()]
-    width = max(at for at, _ in spec) + 1
-    end = next((row for row, values in enumerate(rows) if len(values) < width), len(rows))
-    failure = None
-    if end < len(rows):
-        failure = "missing " + ", ".join(name for name in fields if column[name] >= len(rows[end]))
-    try:
-        keys, records = _cache_records(rows[:end], spec, record)
-    except ValueError:  # keep the rows before the first with a value its converter rejects
-        for end, values in enumerate(rows):
+        column = {field: at for at, field in enumerate(header)}  # a repeated name reads its last column
+        absent = [field for field in fields if field not in column]
+        spec = [(column.get(field, math.inf), convert) for field, convert in fields.items()]
+        width = max(at for at, _ in spec) + 1  # infinite when a column is absent: every row then fails
+        for row_no, values in enumerate(filter(None, reader), start=2):
+            if len(values) < width:
+                missing = [field for field in fields if column.get(field, math.inf) >= len(values)]
+                raise FeedFormatError(f"{path}: row {row_no}: missing {', '.join(missing)}")
             try:
-                [convert(values[at]) for at, convert in spec]
+                key, *parts = [convert(values[at]) for at, convert in spec]
             except ValueError as exc:
-                failure = str(exc)
-                break
-        keys, records = _cache_records(rows[:end], spec, record)
-    keyed = dict(zip(reversed(keys), reversed(records)))  # each key's first record
-    if len(keyed) < len(keys):
-        first: dict[str, int] = {}
-        for row, key in enumerate(keys):
-            if records[first.setdefault(key, row)] != records[row]:
-                raise FeedFormatError(
-                    f"{path}: rows {first[key] + 2} and {row + 2}: conflicting records for {next(iter(fields))} {key!r}"
-                )
-    if failure is not None:
-        raise FeedFormatError(f"{path}: row {end + 2}: {failure}")
-    return keyed
-
-
-def _cache_records(rows: list[list[str]], spec: list, record: type) -> tuple[list, list]:
-    """The first field of every row and the record of the others, each of
-    the (column, converter) pairs of `spec` converted a column at a time."""
-    columns = list(zip(*rows)) or [()] * max(at + 1 for at, _ in spec)
-    keys, *values = [list(map(convert, columns[at])) for at, convert in spec]
-    return keys, list(map(record, *values))
+                raise FeedFormatError(f"{path}: row {row_no}: {exc}") from None
+            entry = record(*parts)
+            seen = records.setdefault(key, entry)
+            if seen is not entry and seen != entry:
+                raise FeedFormatError(f"{path}: rows {row_of[key]} and {row_no}: conflicting records for {name} {key!r}")
+            row_of.setdefault(key, row_no)
+    if absent:  # and no data row to fail
+        raise FeedFormatError(f"{path}: row 1: missing {', '.join(absent)}")
+    return records
 
 
 def _parse_date(value: str) -> datetime:
@@ -324,7 +309,7 @@ def _lexical_columns(urls: Sequence[str], parts: Sequence[tuple[str, str, str]])
     lengths, chars, owner = _characters(urls)
     digit = (chars >= ord("0")) & (chars <= ord("9"))
     wide = (chars > 127).nonzero()[0]
-    digit[wide] = np.strings.isdigit(chars[wide].view("U1"))  # as str.isdigit: other scripts' digits, superscripts
+    digit[wide] = np.char.isdigit(chars[wide].view("U1"))  # as str.isdigit: other scripts' digits, superscripts
     _, path_chars, path_owner = _characters(paths)
     slash = path_chars == ord("/")
     segment = ~slash  # a segment begins at a character other than "/" that starts its path or follows a "/"

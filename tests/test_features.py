@@ -216,6 +216,7 @@ class TestEnrichment:
             (HostingCache, "url,ip_count,asn_count,asn\nhttp://a.test/,3,2,AS1\n", "row 2: missing country"),
             (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,three,2,AS1,us\n", "row 2: invalid literal"),
             (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2\n", "row 2: missing asn, country"),
+            (HostingCache, "url,ip_count,asn_count,asn\nhttp://a.test/,3\n", "row 2: missing asn_count, asn, country"),
             (WhoisCache, "domain,created,registrar\nexample.test,2020-01-01,RegOne\n", "row 2: missing expires"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01,soon,RegOne\n", "row 2: Invalid isoformat"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01\n", "row 2: missing expires, registrar"),
