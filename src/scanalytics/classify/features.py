@@ -198,7 +198,7 @@ def _read_cache_csv(path, fields: dict, record: type) -> dict:
                 raise FeedFormatError(f"{path}: row {row_no}: missing {', '.join(missing)}")
             try:
                 key, *parts = [convert(values[at]) for at, convert in spec]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: a date moved out of range by its offset
                 raise FeedFormatError(f"{path}: row {row_no}: {exc}") from None
             entry = record(*parts)
             seen = records.setdefault(key, entry)
@@ -309,7 +309,7 @@ def _lexical_columns(urls: Sequence[str], parts: Sequence[tuple[str, str, str]])
     lengths, chars, owner = _characters(urls)
     digit = (chars >= ord("0")) & (chars <= ord("9"))
     wide = (chars > 127).nonzero()[0]
-    digit[wide] = np.char.isdigit(chars[wide].view("U1"))  # as str.isdigit: other scripts' digits, superscripts
+    digit[wide] = [chr(c).isdigit() for c in chars[wide].tolist()]  # other scripts' digits, superscripts
     _, path_chars, path_owner = _characters(paths)
     slash = path_chars == ord("/")
     segment = ~slash  # a segment begins at a character other than "/" that starts its path or follows a "/"

@@ -220,6 +220,7 @@ class TestEnrichment:
             (WhoisCache, "domain,created,registrar\nexample.test,2020-01-01,RegOne\n", "row 2: missing expires"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01,soon,RegOne\n", "row 2: Invalid isoformat"),
             (WhoisCache, "domain,created,expires,registrar\nexample.test,2020-01-01\n", "row 2: missing expires, registrar"),
+            (WhoisCache, "domain,created,expires,registrar\nexample.test,0001-01-01T00:00:00+01:00,2030-01-01,RegOne\n", "row 2: date value out of range"),
             # The first failing row decides, whatever the failure.
             (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2,AS1,us\nhttp://b.test/,x,2,AS1,us\nhttp://a.test/,4,2,AS1,us\n", "row 3: invalid literal"),
             (HostingCache, "url,ip_count,asn_count,asn,country\nhttp://a.test/,3,2,AS1,us\nHTTP://A.test/,4,2,AS1,us\nhttp://b.test/,x\n", "rows 2 and 3: conflicting records for url 'http://a.test/'"),
