@@ -117,7 +117,14 @@ class HostingCache:
     """Offline hosting enrichment keyed by normalized URL."""
 
     def __init__(self, records: dict[str, HostingRecord]):
-        self._records = _normalized(records, normalize_url, "url")
+        """`records` under their normalized URLs; URLs that normalize to one
+        with different records raise ValueError."""
+        self._records: dict[str, HostingRecord] = {}
+        for url, record in records.items():
+            url = normalize_url(url)
+            seen = self._records.setdefault(url, record)
+            if seen is not record and seen != record:
+                raise ValueError(f"conflicting records for url {url!r}")
 
     @classmethod
     def from_csv(cls, path) -> "HostingCache":
@@ -159,18 +166,6 @@ class WhoisCache:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-def _normalized(records: dict, normalize, name: str) -> dict:
-    """`records` under their normalized keys; keys that normalize to one key
-    with different records raise ValueError."""
-    keyed: dict = {}
-    for key, record in records.items():
-        key = normalize(key)
-        seen = keyed.setdefault(key, record)
-        if seen is not record and seen != record:
-            raise ValueError(f"conflicting records for {name} {key!r}")
-    return keyed
 
 
 def _read_cache_csv(path, fields: dict, record: type) -> dict:
