@@ -24,12 +24,14 @@ import math
 import re
 import zlib
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..feed import DetailedLabel, FeedFormatError, ReportTable, ScanReport, _utc_us, _utf8_lines, distinct, normalize_url
+from ..feed import (
+    DetailedLabel, FeedFormatError, ReportTable, ScanReport, _parse_utc, _utc_us, _utf8_lines, distinct, normalize_url
+)
 from .factors import ScannerClusterModel
 
 __all__ = [
@@ -149,7 +151,7 @@ class WhoisCache:
 
     @classmethod
     def from_csv(cls, path) -> "WhoisCache":
-        fields = {"domain": str.lower, "created": _parse_date, "expires": _parse_date, "registrar": str}
+        fields = {"domain": str.lower, "created": _parse_utc, "expires": _parse_utc, "registrar": str}
         cache = cls({})
         cache._records = _read_cache_csv(path, fields, WhoisRecord)  # keys lowered as __init__ does, once
         return cache
@@ -203,13 +205,6 @@ def _read_cache_csv(path, fields: dict, record: type) -> dict:
     if absent:  # and no data row to fail
         raise FeedFormatError(f"{path}: row 1: missing {', '.join(absent)}")
     return records
-
-
-def _parse_date(value: str) -> datetime:
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def _bucket(value: str, buckets: int) -> int:

@@ -316,14 +316,9 @@ def _cmd_correlate(args) -> int:
         }
         if planted_groups:
             tagged = [s for s in planted_groups if s in result.assignment]
-            planted_ids: dict[str, int] = {}
-            id_of: dict[str, int] = {}
-            for scanner in sorted(tagged):
-                group = planted_groups[scanner]
-                id_of.setdefault(group, len(id_of))
-                planted_ids[scanner] = id_of[group]
-            recovered = {s: result.assignment[s] for s in tagged}
-            cluster_payload["planted_ari"] = adjusted_rand_index(planted_ids, recovered)
+            cluster_payload["planted_ari"] = adjusted_rand_index(
+                {s: planted_groups[s] for s in tagged}, {s: result.assignment[s] for s in tagged}
+            )
         _write_json(cluster_payload, run.artifact("clusters.json"))
 
     run.seal()

@@ -18,13 +18,18 @@ run through the full grid together, one grid row per numpy step, and the
 grid runs once per distinct row pair (`_dtw_batch`). The scalar
 `dtw_distance` over `_aligned_pair` sequences is the reference it must
 equal.
+
+Average-linkage clustering updates one distance matrix in place (the
+Lance-Williams update: a merged cluster's row is the size-weighted average
+of its parts' rows), reading only the upper triangle. Equal heights break
+on the two clusters' sorted member names, then on their ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Hashable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -358,101 +363,67 @@ def hierarchical_cluster(
         raise ValueError("specify exactly one of cut_height or k")
 
     names = matrix.scanners
-    raw = matrix.values
-    n_all = len(names)
-    keep = []
-    excluded = []
-    for i in range(n_all):
-        off_diag = [raw[i, j] for j in range(n_all) if j != i]
-        if any(math.isfinite(v) for v in off_diag):
-            keep.append(i)
-        else:
-            excluded.append(names[i])
+    clusterable = (np.isfinite(matrix.values) & ~np.eye(len(names), dtype=bool)).any(axis=1)
+    keep = np.flatnonzero(clusterable)
+    excluded = tuple(names[i] for i in np.flatnonzero(~clusterable))
     if len(keep) < 2:
         raise ValueError("fewer than 2 clusterable scanners")
 
     leaves = tuple(names[i] for i in keep)
     n = len(leaves)
-    sub = raw[np.ix_(keep, keep)].astype(float)
-    finite_max = float(np.nanmax(np.where(np.eye(n, dtype=bool), np.nan, sub))) if n > 1 else 0.0
+    dist = matrix.values[np.ix_(keep, keep)].astype(float)
+    finite_max = float(np.nanmax(np.where(np.eye(n, dtype=bool), np.nan, dist)))
     if not math.isfinite(finite_max):
         finite_max = 0.0
-    fill_value = finite_max + 1.0
-    sub = np.where(np.isnan(sub), fill_value, sub)
+    dist[np.isnan(dist)] = finite_max + 1.0
 
     if k is not None and not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}]")
 
-    # Active clusters: id -> (member leaf indices, sorted member names key).
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    keys: dict[int, tuple[str, ...]] = {i: (leaves[i],) for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(sub[i, j])
+    # Each slot holds one live cluster: its id and sorted member names. Only
+    # the upper triangle is read, mirrored; `live` marks pairs of live slots.
+    upper = np.triu_indices(n, 1)
+    dist[upper[::-1]] = dist[upper]
+    live = np.zeros((n, n), dtype=bool)
+    live[upper] = True
+    ids, keys = list(range(n)), [(name,) for name in leaves]
+
+    def rank(pair):  # equal heights: sorted member names, then ids
+        s, t = pair
+        return sorted((keys[s], keys[t])), sorted((ids[s], ids[t]))
 
     merges: list[tuple[int, int, float]] = []
-    next_id = n
-    active = set(range(n))
-    while len(active) > 1:
-        best = None
-        for (i, j), d in dist.items():
-            pair_key = tuple(sorted((keys[i], keys[j])))
-            cand = (d, pair_key, i, j)
-            if best is None or cand < best:
-                best = cand
-        d, _, i, j = best
-        a, b = (i, j) if keys[i] <= keys[j] else (j, i)
-        merges.append((a, b, d))
-        new_id = next_id
-        next_id += 1
-        members[new_id] = members[a] + members[b]
-        keys[new_id] = tuple(sorted(keys[a] + keys[b]))
-        size_a, size_b = len(members[a]), len(members[b])
-        active.discard(a)
-        active.discard(b)
-        for other in list(active):
-            da = dist.pop((min(a, other), max(a, other)))
-            db = dist.pop((min(b, other), max(b, other)))
-            dist[(min(new_id, other), max(new_id, other))] = (
-                size_a * da + size_b * db
-            ) / (size_a + size_b)
-        del dist[(i, j)]  # the only key left that names a or b
-        active.add(new_id)
+    for new_id in range(n, 2 * n - 1):
+        tied = live & (dist == dist[live].min())
+        s, t = min(zip(*np.nonzero(tied)), key=rank)
+        a, b = (s, t) if (keys[s], ids[s]) <= (keys[t], ids[t]) else (t, s)
+        merges.append((ids[a], ids[b], float(dist[a, b])))  # its own value: 0.0 and -0.0 tie
+        size_a, size_b = len(keys[a]), len(keys[b])
+        dist[a] = dist[:, a] = (size_a * dist[a] + size_b * dist[b]) / (size_a + size_b)
+        live[b] = live[:, b] = False
+        ids[a], keys[a] = new_id, tuple(sorted(keys[a] + keys[b]))
 
     dendrogram = Dendrogram(leaves=leaves, merges=tuple(merges))
 
-    if k is not None:
-        n_applied = n - k
-    else:
-        n_applied = sum(1 for _, _, h in merges if h < cut_height)
-
-    # Replay the first n_applied merges to get flat clusters.
-    parent: dict[int, int] = {}
-    for idx, (a, b, _) in enumerate(merges[:n_applied]):
-        parent[a] = parent[b] = n + idx
-
-    def root(node: int) -> int:
-        while node in parent:
-            node = parent[node]
-        return node
-
-    groups: dict[int, list[str]] = {}
-    for leaf_idx, name in enumerate(leaves):
-        groups.setdefault(root(leaf_idx), []).append(name)
-    ordered = sorted(groups.values(), key=lambda g: min(g))
+    n_applied = n - k if k is not None else sum(h < cut_height for _, _, h in merges)
+    # Replay the first n_applied merges; flat clusters are numbered by least member name.
+    groups = {i: [i] for i in range(n)}
+    for new_id, (a, b, _) in enumerate(merges[:n_applied], start=n):
+        groups[new_id] = sorted(groups.pop(a) + groups.pop(b))
+    ordered = sorted(([leaves[i] for i in group] for group in groups.values()), key=min)
     assignment = {name: cid for cid, group in enumerate(ordered) for name in group}
-    return ClusterResult(dendrogram=dendrogram, assignment=assignment, excluded=tuple(excluded))
+    return ClusterResult(dendrogram=dendrogram, assignment=assignment, excluded=excluded)
 
 
-def adjusted_rand_index(a: dict[str, int], b: dict[str, int]) -> float:
-    """Chance-corrected agreement between two labelings of the same keys."""
+def adjusted_rand_index(a: dict[str, Hashable], b: dict[str, Hashable]) -> float:
+    """Chance-corrected agreement between two labelings of the same keys.
+    Labels of any hashable type; renaming them does not change the index."""
     if set(a) != set(b):
         raise ValueError("labelings must cover the same keys")
     keys = sorted(a)
-    pairs: dict[tuple[int, int], int] = {}
-    count_a: dict[int, int] = {}
-    count_b: dict[int, int] = {}
+    pairs: dict[tuple[Hashable, Hashable], int] = {}
+    count_a: dict[Hashable, int] = {}
+    count_b: dict[Hashable, int] = {}
     for key in keys:
         pairs[(a[key], b[key])] = pairs.get((a[key], b[key]), 0) + 1
         count_a[a[key]] = count_a.get(a[key], 0) + 1

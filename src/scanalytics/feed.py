@@ -494,14 +494,21 @@ def normalize_url(url: str) -> str:
     return scheme.lower() + sep + normalized_authority + slash + tail
 
 
-def _parse_ts(value: str, field_name: str) -> datetime:
-    try:
-        ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except (ValueError, AttributeError, TypeError):
-        raise FeedFormatError(f"bad {field_name} timestamp: {value!r}") from None
+def _parse_utc(value: str) -> datetime:
+    """An ISO-8601 timestamp in UTC; one without an offset is read as UTC.
+    Raises ValueError for a malformed value and OverflowError for one that
+    its offset moves out of `datetime`'s range."""
+    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def _parse_ts(value: str, field_name: str) -> datetime:
+    try:
+        return _parse_utc(value)
+    except (ValueError, OverflowError, AttributeError, TypeError):
+        raise FeedFormatError(f"bad {field_name} timestamp: {value!r}") from None
 
 
 _FIELDS = ("url", "scan_date", "first_seen", "scan_id", "positives", "scans")

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from scanalytics.classify import (
+    FeatureTable,
     HostingCache,
     WhoisCache,
     ablation,
     build_cluster_model,
     evaluate_predictions,
-    extract_features,
     majority_vote_class,
     train_forest,
     vt_cluster_features,
@@ -41,6 +41,7 @@ from scanalytics.correlate import (
 )
 from scanalytics.feed import (
     DetailedLabel,
+    ReportTable,
     dedup_by_scan_id,
     extract_fresh,
     parse_feed,
@@ -110,11 +111,9 @@ def classifier_setup():
         }
     )
     label_by_url = {t.url: t.label for t in corpus.truth}
-    vectors, labels, items = [], [], []
-    for r in corpus.reports:
-        vectors.append(extract_features(r, cluster_model, hosting=hosting, whois=whois))
-        labels.append(label_by_url[r.url])
-        items.append(r)
+    items = list(corpus.reports)
+    vectors = list(FeatureTable.build(ReportTable.of(items), cluster_model, hosting=hosting, whois=whois))
+    labels = [label_by_url[r.url] for r in items]
     setup_seconds = time.time() - t0
     copier_ids = {cluster_model.assignment[c] for c in corpus.manifest["copier_cluster"]}
     assert len(copier_ids) == 1, "planted copier cluster must collapse to one latent cluster"

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -961,6 +962,49 @@ class TestNotUtf8:
         )
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f'ERROR code=2 kind=input msg="{path}: not valid UTF-8"']
+
+
+_OUT_OF_RANGE = "0001-01-01T00:00:00+01:00"  # 31 Dec of year 0 in UTC
+
+
+class TestTimestampOutOfRange:
+    """A timestamp that its UTC offset moves outside `datetime`'s range is a
+    bad timestamp like any other: in a feed, one skipped line; in ground
+    truth, an input error naming the row."""
+
+    def _feed(self, synth_dir, tmp_path) -> Path:
+        lines = (synth_dir / "feed.jsonl").read_bytes().splitlines(keepends=True)[:2]
+        first = re.sub(rb'"scan_date":"[^"]*"', f'"scan_date":"{_OUT_OF_RANGE}"'.encode(), lines[0], count=1)
+        assert first != lines[0]
+        path = tmp_path / "feed.jsonl"
+        path.write_bytes(first + lines[1])
+        return path
+
+    def test_feed_line_skipped_with_warning(self, synth_dir, tmp_path):
+        out = tmp_path / "ingest"
+        assert run_cli("ingest", "--feed", self._feed(synth_dir, tmp_path), "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["reports_parsed"] == 1
+        warnings = (out / "warnings.txt").read_text(encoding="utf-8").splitlines()
+        assert [w for w in warnings if "timestamp" in w] == [
+            f"line 1: bad scan_date timestamp: '{_OUT_OF_RANGE}'; line skipped"
+        ]
+
+    def test_feed_line_under_strict_is_input_error(self, synth_dir, tmp_path, capsys):
+        feed = self._feed(synth_dir, tmp_path)
+        assert run_cli("ingest", "--feed", feed, "--out", tmp_path / "o", "--strict") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR code=2 kind=input msg=\"line 1: bad scan_date timestamp: '{_OUT_OF_RANGE}'\""
+        ]
+
+    def test_ground_truth_is_input_error(self, synth_dir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        rows = (synth_dir / "truth.csv").read_text(encoding="utf-8").splitlines()
+        truth.write_text("\n".join(rows + [f"http://a.test/,phishing,x,{_OUT_OF_RANGE}"]) + "\n", encoding="utf-8")
+        code = run_cli("metrics", "--feed", synth_dir / "feed.jsonl", "--ground-truth", truth, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR code=2 kind=input msg=\"row {len(rows) + 1}: bad labeled_at timestamp: '{_OUT_OF_RANGE}'\""
+        ]
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # nested far deeper than the decoder recurses

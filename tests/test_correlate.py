@@ -326,6 +326,72 @@ class TestHierarchicalCluster:
         with pytest.raises(ValueError, match="fewer than 2"):
             hierarchical_cluster(matrix, k=1)
 
+    # Whole dendrograms, worked by hand: merge k makes id n+k, smaller key first.
+
+    def test_equal_distances_merge_in_name_order(self):
+        values = np.ones((4, 4))
+        np.fill_diagonal(values, 0.0)
+        result = hierarchical_cluster(self._matrix(["D", "B", "C", "A"], values), k=2)
+        # A+B (id 4), then AB+C (id 5), then ABC+D: every height is 1.
+        assert result.dendrogram.merges == ((3, 1, 1.0), (4, 2, 1.0), (5, 0, 1.0))
+        assert result.assignment == {"A": 0, "B": 0, "C": 0, "D": 1}
+        assert result.excluded == ()
+
+    def test_tie_broken_by_sorted_members_of_earlier_merge(self):
+        values = [
+            [0.0, 0.9, 0.5, 0.1],  # D
+            [0.9, 0.0, 0.5, 0.9],  # B
+            [0.5, 0.5, 0.0, 0.5],  # C
+            [0.1, 0.9, 0.5, 0.0],  # A
+        ]
+        result = hierarchical_cluster(self._matrix(["D", "B", "C", "A"], values), k=2)
+        # D+A makes id 4 with key ("A", "D"), which ties AD-C with B-C at 0.5
+        # and sorts first; in leaf order ("D", "A") it would sort after ("B",).
+        assert result.dendrogram.merges == ((3, 0, 0.1), (4, 2, 0.5), (5, 1, (2 * 0.9 + 0.5) / 3))
+        assert result.assignment == {"A": 0, "C": 0, "D": 0, "B": 1}
+        assert result.excluded == ()
+
+    def test_undefined_pairs_merge_last_above_finite_max(self):
+        nan = np.nan
+        values = [
+            [0.0, 0.2, nan, nan],
+            [0.2, 0.0, nan, nan],
+            [nan, nan, 0.0, 0.6],
+            [nan, nan, 0.6, 0.0],
+        ]
+        result = hierarchical_cluster(self._matrix(["A", "B", "C", "D"], values), cut_height=0.6 + 1.0)
+        # Every cross pair reads 0.6 + 1, the finite maximum plus one.
+        assert result.dendrogram.merges == ((0, 1, 0.2), (2, 3, 0.6), (4, 5, 0.6 + 1.0))
+        assert result.assignment == {"A": 0, "B": 0, "C": 1, "D": 1}
+        assert result.excluded == ()
+
+    def test_infinite_distance_is_a_live_pair(self):
+        inf = math.inf
+        values = [
+            [0.0, 0.5, inf, inf],
+            [0.5, 0.0, inf, inf],
+            [inf, inf, 0.0, 0.7],
+            [inf, inf, 0.7, 0.0],
+        ]
+        result = hierarchical_cluster(self._matrix(["A", "B", "C", "D"], values), k=1)
+        # A retired slot must not read as one more pair at +inf.
+        assert result.dendrogram.merges == ((0, 1, 0.5), (2, 3, 0.7), (4, 5, inf))
+        assert result.assignment == {"A": 0, "B": 0, "C": 0, "D": 0}
+
+    def test_all_nan_row_excluded_whatever_its_column(self):
+        nan = np.nan
+        values = [
+            [0.0, 0.05, 0.3, 0.5],  # A
+            [nan, 0.0, nan, nan],  # Lone: its row decides, not its column
+            [9.0, 0.05, 0.0, 0.1],  # B; below the diagonal nothing is read
+            [9.0, 0.05, nan, 0.0],  # C
+        ]
+        result = hierarchical_cluster(self._matrix(["A", "Lone", "B", "C"], values), k=2)
+        assert result.dendrogram.leaves == ("A", "B", "C")
+        assert result.dendrogram.merges == ((1, 2, 0.1), (0, 3, (0.3 + 0.5) / 2))
+        assert result.assignment == {"A": 0, "B": 1, "C": 1}
+        assert result.excluded == ("Lone",)
+
     def test_planted_three_groups_recovered(self):
         gen = generate(preset_config("three-groups", 7))
         series = build_series(cohort(list(gen.reports)))

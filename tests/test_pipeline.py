@@ -8,14 +8,15 @@ from datetime import datetime
 import pytest
 
 from scanalytics.classify import (
+    FeatureTable,
     HostingCache,
     WhoisCache,
     build_cluster_model,
-    extract_features,
     train_forest,
     weekly_trend,
 )
 from scanalytics.classify.features import HostingRecord, WhoisRecord
+from scanalytics.feed import ReportTable
 from scanalytics.synth import ClassifierCorpusConfig, generate_classifier_corpus
 
 SEED = 424242
@@ -43,13 +44,9 @@ def _providers(corpus):
 
 def _featurize(corpus, model, hosting, whois):
     label_by_url = {t.url: t.label for t in corpus.truth}
-    vectors, labels, items = [], [], []
-    for r in corpus.reports:
-        vector = extract_features(r, model, hosting=hosting, whois=whois)
-        vectors.append(vector)
-        labels.append(label_by_url[r.url])
-        items.append((r, vector))
-    return vectors, labels, items
+    vectors = list(FeatureTable.build(ReportTable.of(corpus.reports), model, hosting=hosting, whois=whois))
+    labels = [label_by_url[r.url] for r in corpus.reports]
+    return vectors, labels, list(zip(corpus.reports, vectors))
 
 
 @pytest.fixture(scope="module")
