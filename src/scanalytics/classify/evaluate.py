@@ -52,15 +52,13 @@ class VoteOutcome(enum.Enum):
     TIE_UNKNOWN = "tie_unknown"
 
 
-_VOTE = {DetailedLabel.PhishingSite: 1, DetailedLabel.MalwareSite: -1}
-
-
 def _vote_margins(table: ReportTable) -> np.ndarray:
     """Each row's phishing votes minus its malware votes, read from its
     verdict codes (only detecting verdicts carry either label)."""
     row, codes = table.flat()
-    vote = np.array([_VOTE.get(v.result, 0) for v in table.verdicts], dtype=np.int64)
-    return np.bincount(row, weights=vote[codes], minlength=len(table.start))
+    label = table.verdict_label[codes]
+    vote = (label == DetailedLabel.PhishingSite).astype(np.int64) - (label == DetailedLabel.MalwareSite)
+    return np.bincount(row, weights=vote, minlength=len(table.start))
 
 
 def majority_vote(report: ScanReport) -> VoteOutcome:

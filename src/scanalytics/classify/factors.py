@@ -111,25 +111,24 @@ def fit_scanner_factors(
 
     table = ReportTable.of(reports)
     row, codes = table.flat()
-    verdicts = table.verdicts
     # Feature columns only for scanners actually appearing in the sample;
     # registry scanners missing from it keep all-zero loading rows.
-    present = tuple(sorted({verdicts[code].scanner_name for code in distinct(codes).tolist()}))
+    used = distinct(table.verdict_scanner[codes])
+    present = tuple(table.scanners[i] for i in used.tolist())
     scanners = tuple(sorted(set(SCANNER_NAMES).union(present)))
-    present_index = {name: i for i, name in enumerate(present)}
     n_slots = 1 + len(_LABEL_SLOTS)
-    label_slot = {label: 1 + i for i, label in enumerate(_LABEL_SLOTS)}
+    column = np.zeros(len(table.scanners), np.intp)
+    column[used] = np.arange(len(used)) * n_slots
 
     # Each detecting verdict sets its scanner's detected column and its
-    # label's column; both are looked up once per distinct verdict.
-    detected = np.array([v.detected for v in verdicts], bool)
-    base = np.array([present_index.get(v.scanner_name, 0) * n_slots for v in verdicts], np.intp)
-    slot = np.array([label_slot.get(v.result, 0) for v in verdicts], np.intp)
-    keep = detected[codes]
+    # label's column; a label's slot is its value, as `_LABEL_SLOTS` is
+    # every label after Benign in order.
+    keep = table.verdict_detected[codes]
     row, codes = row[keep], codes[keep]
+    base = column[table.verdict_scanner[codes]]
     X = np.zeros((len(reports), len(present) * n_slots))
-    X[row, base[codes]] = 1.0
-    X[row, base[codes] + slot[codes]] = 1.0
+    X[row, base] = 1.0
+    X[row, base + table.verdict_label[codes]] = 1.0
 
     std = X.std(axis=0)
     varying = std > 0
@@ -153,12 +152,10 @@ def fit_scanner_factors(
     full[varying] = column_loadings
 
     matrix = np.zeros((len(scanners), n_factors))
-    for i, name in enumerate(scanners):
-        if name in present_index:
-            start = present_index[name] * n_slots
-            matrix[i] = np.abs(full[start : start + n_slots]).sum(axis=0)
+    loadings = np.abs(full).reshape(len(present), n_slots, n_factors).sum(axis=1)
+    matrix[[scanners.index(name) for name in present]] = loadings
 
-    absent = tuple(name for name in scanners if name not in present_index)
+    absent = tuple(sorted(set(scanners).difference(present)))
     return FactorLoadings(
         scanners=scanners, matrix=matrix, absent=absent, n_reports=len(reports), seed=seed
     )

@@ -373,24 +373,20 @@ def _vt_columns(table: ReportTable, model: ScannerClusterModel) -> tuple[np.ndar
     and each row's number of detecting clusters. A row with none has no
     defined group; the caller raises for it.
 
-    Each distinct verdict gets one cluster id and label; a row's clusters
-    are its distinct (row, cluster) pairs.
+    Each scanner gets one cluster id; a row's clusters are the distinct
+    (row, cluster) pairs of its detecting verdicts.
     """
     n = len(table.start)
-    verdicts = table.verdicts
-    detected = np.fromiter((v.detected for v in verdicts), bool, len(verdicts))
-    label = np.fromiter((v.result for v in verdicts), np.int8, len(verdicts))
     _, cluster = np.unique(
-        np.fromiter((model.cluster_of(v.scanner_name) for v in verdicts), np.int64, len(verdicts)),
-        return_inverse=True,
+        np.fromiter(map(model.cluster_of, table.scanners), np.int64, len(table.scanners)), return_inverse=True
     )
-    width = len(verdicts) or 1  # above every dense cluster id
+    width = len(table.scanners) or 1  # above every dense cluster id
 
     row, codes = table.flat()
-    detecting = detected[codes]
+    detecting = table.verdict_detected[codes]
     row, codes = row[detecting], codes[detecting]
-    result = label[codes]
-    pair = row * width + cluster[codes]
+    result = table.verdict_label[codes]
+    pair = row * width + cluster[table.verdict_scanner[codes]]
     n_clusters = np.bincount(distinct(pair) // width, minlength=n)
 
     out = np.empty((n, len(VT_CLUSTER_FEATURES)))

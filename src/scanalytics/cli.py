@@ -186,7 +186,7 @@ def _json_object(path: Path, error: type[Exception]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (RecursionError, ValueError) as exc:  # not JSON (or too deeply nested), or not UTF-8
+    except (RecursionError, ValueError, IsADirectoryError) as exc:  # not JSON (or too deep), not UTF-8, a directory
         raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise error(f"{path} must hold a JSON object")
@@ -501,13 +501,15 @@ def _cmd_classify_trend(args) -> int:
     return EXIT_OK
 
 
-def _archetype_from_dict(raw: dict) -> ScannerArchetype:
-    unknown = set(raw) - {field.name for field in dataclasses.fields(ScannerArchetype)}
+def _check_fields(raw: dict, what: str, *known: str) -> None:
+    """Refuse an object of a scenario file that has a key not in `known`."""
+    unknown = set(raw).difference(known)
     if unknown:
-        raise _ConfigError(f"unknown archetype fields: {sorted(unknown)}")
-    if "labels" in raw:
-        raw = dict(raw, labels=tuple(raw["labels"]))
-    return ScannerArchetype(**raw)
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _field_names(config: type) -> list[str]:
+    return [field.name for field in dataclasses.fields(config)]
 
 
 def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig | ClassifierCorpusConfig:
@@ -519,27 +521,23 @@ def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if "preset" in raw:
+            _check_fields(raw, "preset file", "preset", "seed")
             return preset_config(raw["preset"], seed)
         if raw.get("kind") == "classifier":
-            fields = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
-            return ClassifierCorpusConfig(seed=seed, **fields)
-        return ScenarioConfig(
-            name=raw["name"],
-            n_urls=raw["n_urls"],
-            horizon_days=raw["horizon_days"],
-            archetypes=tuple(_archetype_from_dict(a) for a in raw["archetypes"]),
-            seed=seed,
-            noise=raw.get("noise", 0.0),
-            stale_fraction=raw.get("stale_fraction", 0.0),
-        )
+            _check_fields(raw, "classifier corpus", "kind", *_field_names(ClassifierCorpusConfig))
+            return ClassifierCorpusConfig(**{k: v for k, v in raw.items() if k != "kind"} | {"seed": seed})
+        _check_fields(raw, "scenario", *_field_names(ScenarioConfig))
+        archetypes = []
+        for arch in raw["archetypes"]:
+            _check_fields(arch, "archetype", *_field_names(ScannerArchetype))
+            archetypes.append(ScannerArchetype(**arch | {"labels": tuple(arch.get("labels", ()))}))
+        return ScenarioConfig(**raw | {"archetypes": tuple(archetypes), "seed": seed})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(f"bad scenario file {path}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
-    if bool(args.preset) == bool(args.scenario):
-        raise _ConfigError("specify exactly one of --preset or --scenario")
-    if args.preset:
+    if args.preset is not None:
         try:
             config = preset_config(args.preset, 0 if args.seed is None else args.seed)
         except ValueError as exc:
@@ -628,8 +626,9 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--window", type=_bounded(int, 1), default=30)
     p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
-    p.add_argument("--k", type=_bounded(int, 1), default=None, help="cut dendrogram into k clusters")
-    p.add_argument("--cut-height", type=_bounded(float, 0), default=None)
+    cut = p.add_mutually_exclusive_group()
+    cut.add_argument("--k", type=_bounded(int, 1), default=None, help="cut dendrogram into k clusters")
+    cut.add_argument("--cut-height", type=_bounded(float, 0), default=None)
     p.add_argument("--planted", default=None, help="planted manifest for recovery scoring")
     p.add_argument("--heatmaps", action="store_true", help="also emit SVG heatmaps")
     p.set_defaults(func=_cmd_correlate)
@@ -683,8 +682,9 @@ def _build_parser() -> _Parser:
         "--seed", type=int, default=None,
         help="scenario seed; default: a --scenario file's seed, else 0",
     )
-    p.add_argument("--preset", default=None)
-    p.add_argument("--scenario", default=None, help="scenario config JSON")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", default=None)
+    source.add_argument("--scenario", default=None, help="scenario config JSON")
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -372,10 +372,8 @@ def hierarchical_cluster(
     leaves = tuple(names[i] for i in keep)
     n = len(leaves)
     dist = matrix.values[np.ix_(keep, keep)].astype(float)
-    finite_max = float(np.nanmax(np.where(np.eye(n, dtype=bool), np.nan, dist)))
-    if not math.isfinite(finite_max):
-        finite_max = 0.0
-    dist[np.isnan(dist)] = finite_max + 1.0
+    finite = dist[np.isfinite(dist) & ~np.eye(n, dtype=bool)]
+    dist[np.isnan(dist)] = (finite.max() if finite.size else 0.0) + 1.0
 
     if k is not None and not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}]")

@@ -40,7 +40,7 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache, partial
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -262,11 +262,17 @@ class ReportTable:
     Row i's verdicts, in report order, are `verdicts[c]` for c in
     `codes[start[i]:stop[i]]`: each shared verdict object is stored once, and
     every verdict is a narrow code into them, in compressed rows over one
-    flat code array.
+    flat code array. The analyses read the verdicts as columns indexed by
+    code: `verdict_scanner` (an index into `scanners`, the sorted distinct
+    names), `verdict_detected` and `verdict_label` (a `DetailedLabel`).
     """
 
     urls: Sequence[str]
     verdicts: Sequence[ScannerVerdict]
+    scanners: Sequence[str]
+    verdict_scanner: np.ndarray
+    verdict_detected: np.ndarray
+    verdict_label: np.ndarray
     codes: np.ndarray
     start: np.ndarray
     stop: np.ndarray
@@ -306,9 +312,8 @@ class ReportTable:
 
     def take(self, rows: np.ndarray) -> "ReportTable":
         """The table of `rows`, in that order, sharing URLs, verdicts and codes."""
-        return ReportTable(
-            urls=self.urls, verdicts=self.verdicts, codes=self.codes,
-            start=self.start[rows], stop=self.stop[rows], url=self.url[rows],
+        return replace(
+            self, start=self.start[rows], stop=self.stop[rows], url=self.url[rows],
             scan_us=self.scan_us[rows], first_seen_us=self.first_seen_us[rows],
             scan_day=self.scan_day[rows], first_seen_day=self.first_seen_day[rows],
             scan_id=[self.scan_id[row] for row in rows.tolist()], positives=self.positives[rows],
@@ -381,6 +386,8 @@ class _TableBuilder:
     def __init__(self) -> None:
         self.url_index: dict[str, int] = {}
         self.verdicts: list[ScannerVerdict] = []
+        self.scanner: list[str] = []  # each code's scanner name
+        self.detected = array("B")  # and its detected flag
         self.codes = array("B")  # widened when a code outgrows it
         self.offsets = array("q", [0])
         self.url = array("i")
@@ -393,6 +400,8 @@ class _TableBuilder:
         """The code of a new shared verdict object."""
         code = len(self.verdicts)
         self.verdicts.append(verdict)
+        self.scanner.append(verdict.scanner_name)
+        self.detected.append(verdict.detected)
         if code >> 8 * self.codes.itemsize:
             self.codes = array("H" if self.codes.typecode == "B" else "I", self.codes)
         return code
@@ -412,9 +421,14 @@ class _TableBuilder:
             return np.frombuffer(values, dtype=values.typecode)  # no copy
 
         offsets, scan_us, first_seen_us = column(self.offsets), column(self.scan_us), column(self.first_seen_us)
+        scanners = sorted(set(self.scanner))  # not through numpy, which drops a name's trailing NULs
+        index = {name: i for i, name in enumerate(scanners)}
         return ReportTable(
-            urls=tuple(self.url_index), verdicts=tuple(self.verdicts), codes=column(self.codes),
-            start=offsets[:-1], stop=offsets[1:], url=column(self.url),
+            urls=tuple(self.url_index), verdicts=tuple(self.verdicts), scanners=tuple(scanners),
+            verdict_scanner=np.array([index[name] for name in self.scanner], np.intp),
+            verdict_detected=column(self.detected).view(bool),
+            verdict_label=np.array([v.result for v in self.verdicts], np.uint8),
+            codes=column(self.codes), start=offsets[:-1], stop=offsets[1:], url=column(self.url),
             scan_us=scan_us, first_seen_us=first_seen_us,
             scan_day=_utc_day(scan_us).astype(np.int32), first_seen_day=_utc_day(first_seen_us).astype(np.int32),
             scan_id=self.scan_id, positives=column(self.positives),
@@ -524,11 +538,11 @@ class _FeedParser:
     """One `parse_feed` call: its table, its warnings, and what it has coded.
 
     `verdict_cache` codes each distinct (scanner name, detected, raw result
-    string); `detected`, `scanner` and `catch_all` are each code's verdict
-    fields and whether it was kept as a catch-all. A line in the writer's
-    form (`_split`) is read as its header fields and its scans body, the
-    text from `,"scans":{` on. `bodies` maps a body whose checks and warnings
-    have run to its codes and detected count, holding at most
+    string), and `catch_all` whether each code was kept as a catch-all; the
+    table builder holds each code's scanner and detected flag. A line in the
+    writer's form (`_split`) is read as its header fields and its scans
+    body, the text from `,"scans":{` on. `bodies` maps a body whose checks
+    and warnings have run to its codes and detected count, holding at most
     `_BODY_CACHE_CHARS` of body text. A body not in it is read as one text
     per scans member: `members` holds each distinct text decoded, and
     `fragments` each text's code once its checks and warnings have run. A
@@ -541,8 +555,6 @@ class _FeedParser:
         self.warnings: list[ParseWarning] = []
         self.names_seen: set[str] = set()
         self.verdict_cache: dict[tuple[str, bool, str], int] = {}
-        self.detected: list[bool] = []
-        self.scanner: list[str] = []
         self.catch_all: list[bool] = []
         self.members: dict[str, tuple[str, object]] = {}
         self.fragments: dict[str, int] = {}
@@ -597,7 +609,7 @@ class _FeedParser:
                     members[piece] = next(iter(member.items()))
             names = [members[piece][0] for piece in pieces]
         else:
-            names = map(self.scanner.__getitem__, codes)
+            names = map(self.table.scanner.__getitem__, codes)
         if len(set(names)) < len(pieces):
             return None
         return header, body, pieces, codes
@@ -625,8 +637,6 @@ class _FeedParser:
                 elif not detected:
                     result = DetailedLabel.Benign
                 code = verdict_cache[key] = self.table.code(ScannerVerdict(scanner_name, detected, result))
-                self.detected.append(detected)
-                self.scanner.append(scanner_name)
                 catch_all.append(kept_as_catch_all)
             if catch_all[code]:
                 warnings.append(
@@ -649,7 +659,7 @@ class _FeedParser:
         if codes is None:
             codes = self._codes(map(self.members.__getitem__, pieces), line_no)
             self.fragments.update((piece, code) for piece, code in zip(pieces, codes) if not self.catch_all[code])
-        known = codes, sum(map(self.detected.__getitem__, codes))
+        known = codes, sum(map(self.table.detected.__getitem__, codes))
         if len(body) <= _BODY_CACHE_CHARS and not any(map(self.catch_all.__getitem__, codes)):
             bodies = self.bodies
             self.body_chars += len(body)
@@ -695,7 +705,7 @@ class _FeedParser:
             if not isinstance(scans, dict):
                 raise FeedFormatError("scans must be an object")
             codes = self._codes(scans.items(), line_no)
-            n_detected = sum(map(self.detected.__getitem__, codes))
+            n_detected = sum(map(self.table.detected.__getitem__, codes))
         else:
             codes, n_detected = self._body_codes(body, pieces, codes, line_no)
 

@@ -151,18 +151,17 @@ class _SeriesTable:
         scanner_used[self.key_scanner[kept]] = True
         new_scanner = np.cumsum(scanner_used, dtype=np.int32) - 1
         new_url = np.cumsum(keep_url, dtype=np.int32) - 1
-        # The kept series' rows stay in row order, so a series now starts
-        # after the rows of the kept series that preceded it.
-        start, length = self.key_start[kept], self.key_stop[kept] - self.key_start[kept]
-        by_row = np.argsort(start)
-        new_start = np.empty_like(start)
-        new_start[by_row] = np.cumsum(length[by_row]) - length[by_row]
+        # The kept rows stay in row order, so a kept series' bounds move down
+        # by the rows dropped before them; int32 keeps the per-row count small.
+        dropped = np.zeros(len(kept_rows) + 1, np.int32)
+        np.cumsum(~kept_rows, out=dropped[1:])
+        start, stop = self.key_start[kept], self.key_stop[kept]
         return _SeriesTable(
             tuple(name for name, used in zip(self.scanners, scanner_used.tolist()) if used),
             tuple(url for url, keep in zip(self.urls, keep_url.tolist()) if keep),
             keys=(
                 new_scanner[self.key_scanner[kept]], new_url[self.key_url[kept]],
-                new_start, new_start + length,
+                start - dropped[start], stop - dropped[stop],
             ),
             rows=(
                 new_scanner[self.scanner[kept_rows]], new_url[self.url[kept_rows]],
@@ -315,20 +314,16 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     # report lists the scanner, else 0; `place` holds the verdict's position
     # in its report. It is filled position by position, each step a vector
     # over the reports at least that long, so no per-verdict index is made.
-    all_scanners = sorted({v.scanner_name for v in reports.verdicts})
-    scanner_index = {name: i for i, name in enumerate(all_scanners)}
-    scanner_of = np.array([scanner_index[v.scanner_name] for v in reports.verdicts], np.intp)
-    label_of = np.array([v.result + 1 for v in reports.verdicts], np.uint8)
     width = int(size.max()) if size.size else 0
-    label = np.zeros((len(rank), len(all_scanners)), np.uint8)
+    label = np.zeros((len(rank), len(reports.scanners)), np.uint8)
     place = np.zeros(label.shape, np.min_scalar_type(width))
     longest = np.argsort(-size, kind="stable")
     longer = len(size) - np.cumsum(np.bincount(size, minlength=width))  # rows longer than p
     for p in range(width):
         row = longest[:longer[p]]
         code = reports.codes[start[row] + p]
-        column = scanner_of[code]
-        label[row, column] = label_of[code]
+        column = reports.verdict_scanner[code]
+        label[row, column] = reports.verdict_label[code] + 1
         place[row, column] = p
 
     # A point is a (URL, day) that holds a verdict of the scanner: one row's
@@ -370,7 +365,7 @@ def build_series(cohort: FeedCohort) -> SeriesView:
     order = np.argsort(np.concatenate(first_verdict)) if first_verdict else np.empty(0, np.intp)
     key_start = keys[:-1][order]
     table = _SeriesTable(
-        tuple(all_scanners[s] for s in kept.tolist()), tuple(names[i] for i in by_name.tolist()),
+        tuple(reports.scanners[s] for s in kept.tolist()), tuple(names[i] for i in by_name.tolist()),
         keys=(point_scanner[key_start], point_url[key_start], key_start, keys[1:][order]),
         rows=(point_scanner, point_url, point_day, (dl != 0).astype(np.int8), dl),
     )

@@ -157,12 +157,22 @@ class ScenarioConfig:
         _require_integer("horizon_days", self.horizon_days, low=1)
         _require_fraction("noise", self.noise)
         _require_fraction("stale_fraction", self.stale_fraction)
+        if not isinstance(self.start, date):
+            raise ValueError(f"start must be a date, got {self.start!r}")
         names = [a.name for a in self.archetypes]
         if len(names) != len(set(names)):
             raise ValueError("archetype names must be unique")
-        for arch in self.archetypes:
-            if arch.kind == "copier" and arch.copies not in names:
-                raise ValueError(f"copier {arch.name!r} references unknown scanner {arch.copies!r}")
+        copies = {a.name: a.copies for a in self.archetypes if a.kind == "copier"}
+        for name, target in copies.items():
+            if target not in names:
+                raise ValueError(f"copier {name!r} references unknown scanner {target!r}")
+        # A copier whose targets still lead to a copier after len(copies) steps is on or behind a cycle.
+        ends = dict(copies)
+        for _ in copies:
+            ends = {name: copies.get(end, end) for name, end in ends.items()}
+        cycle = [name for name, end in ends.items() if end in copies]
+        if cycle:
+            raise ValueError(f"copier dependency cycle: {', '.join(cycle)}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +307,7 @@ def generate(config: ScenarioConfig) -> GeneratedFeed:
     planted: dict[str, dict[str, dict[int, DetailedLabel]]] = {}
     pending = list(config.archetypes)
     resolved: set[str] = set()
-    while pending:
-        progressed = False
+    while pending:  # `ScenarioConfig` refuses copier cycles
         for arch in list(pending):
             if arch.kind == "copier" and arch.copies not in resolved:
                 continue
@@ -318,10 +327,6 @@ def generate(config: ScenarioConfig) -> GeneratedFeed:
             planted[arch.name] = per_url
             resolved.add(arch.name)
             pending.remove(arch)
-            progressed = True
-        if not progressed:
-            cycle = ", ".join(a.name for a in pending)
-            raise ValueError(f"copier dependency cycle: {cycle}")
 
     start_dt = datetime.combine(config.start, time(12, 0), tzinfo=timezone.utc)
     stale_urls = {

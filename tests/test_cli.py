@@ -426,6 +426,22 @@ class TestConfigValidation:
         assert len(lines) == 1 and lines[0].startswith("ERROR code=4 kind=config") and "--cut-height" in lines[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (["correlate", "--feed", "feed.jsonl", "--k", "3", "--cut-height", "1"], ("--k", "--cut-height")),
+            (["synth", "--preset", "decay", "--scenario", "scenario.json"], ("--preset", "--scenario")),
+        ],
+        ids=["k-and-cut-height", "preset-and-scenario"],
+    )
+    def test_exclusive_flags_together_are_config_error(self, tmp_path, capsys, command, flags):
+        # Refused before any input is read: the feed named here does not exist.
+        assert run_cli(*command, "--out", tmp_path / "o") == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=4 kind=config")
+        assert all(flag in lines[0] for flag in flags)
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynthJsonFormat:
     def test_inputs_stay_csv_and_metrics_reads_them(self, tmp_path):
@@ -613,6 +629,36 @@ class TestBadScenarioFile:
         scenario.write_text(text)
         assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
         _one_error_line(capsys, 4, "config", scenario)
+
+    _FEED = {"name": "x", "n_urls": {"phishing": 3, "malware": 3}, "horizon_days": 3,
+             "archetypes": [{"name": "A", "kind": "leader"}]}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            dict(_FEED, nosie=0.1),
+            dict(_FEED, stale_fracton=0.1),
+            dict(_FEED, start="2022-01-01"),
+            dict(_FEED, kind="feed"),
+            {"preset": "decay", "bogus": 1},
+            dict(_FEED, archetypes=[{"name": "A", "kind": "copier", "copies": "B", "lag_days": 1},
+                                    {"name": "B", "kind": "copier", "copies": "A", "lag_days": 2}]),
+            dict(_FEED, archetypes=[{"name": "A", "kind": "copier", "copies": "A", "lag_days": 1}]),
+        ],
+        ids=["misspelled-noise", "misspelled-stale-fraction", "start-string", "kind-feed", "preset-unknown-field",
+             "two-copier-cycle", "self-copier"],
+    )
+    def test_unread_key_or_copier_cycle_is_config_error(self, tmp_path, capsys, raw):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert run_cli("synth", "--scenario", scenario, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", scenario)
+        assert not (tmp_path / "o").exists()
+
+    def test_directory_is_config_error(self, tmp_path, capsys):
+        assert run_cli("synth", "--scenario", tmp_path, "--out", tmp_path / "o") == 4
+        _one_error_line(capsys, 4, "config", tmp_path)
+        assert not (tmp_path / "o").exists()
 
 
 def _feed_scenario(**archetype):

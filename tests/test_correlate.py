@@ -378,6 +378,21 @@ class TestHierarchicalCluster:
         assert result.dendrogram.merges == ((0, 1, 0.5), (2, 3, 0.7), (4, 5, inf))
         assert result.assignment == {"A": 0, "B": 0, "C": 0, "D": 0}
 
+    def test_undefined_pair_stays_above_finite_max_beside_infinity(self):
+        nan, inf = np.nan, math.inf
+        values = [
+            [0.0, 5.0, nan, inf],  # A
+            [5.0, 0.0, 3.0, 4.0],  # B
+            [nan, 3.0, 0.0, 6.0],  # C
+            [inf, 4.0, 6.0, 0.0],  # D
+        ]
+        result = hierarchical_cluster(self._matrix(["A", "B", "C", "D"], values), k=2)
+        # A-C reads 6 + 1, the finite maximum plus one, so B+C merges first;
+        # BC-A is then (5 + 7) / 2 and BC-D (4 + 6) / 2.
+        assert result.dendrogram.merges == ((1, 2, 3.0), (4, 3, 5.0), (0, 5, inf))
+        assert result.assignment == {"A": 0, "B": 1, "C": 1, "D": 1}
+        assert result.excluded == ()
+
     def test_all_nan_row_excluded_whatever_its_column(self):
         nan = np.nan
         values = [

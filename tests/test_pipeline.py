@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from scanalytics.classify import (
@@ -15,9 +17,14 @@ from scanalytics.classify import (
     train_forest,
     weekly_trend,
 )
+from scanalytics.classify.evaluate import majority_vote_classes
+from scanalytics.classify.factors import fit_scanner_factors
 from scanalytics.classify.features import HostingRecord, WhoisRecord
 from scanalytics.feed import ReportTable
+from scanalytics.series import build_series
 from scanalytics.synth import ClassifierCorpusConfig, generate_classifier_corpus
+
+from conftest import cohort
 
 SEED = 424242
 
@@ -86,3 +93,39 @@ def test_weekly_trend_recovers_planted_mix(trained):
     for week, phishing_frac, malware_frac in trend:
         assert phishing_frac + malware_frac == pytest.approx(1.0)
         assert abs(phishing_frac - 0.21) < 0.03, f"{week}: {phishing_frac:.3f}"
+
+
+class _OnlyLength:
+    """A table's `verdicts` that gives its length and nothing else."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, code):
+        raise AssertionError("a verdict object was read")
+
+    def __iter__(self):
+        raise AssertionError("the verdict objects were iterated")
+
+
+def _bare(table: ReportTable) -> ReportTable:
+    return dataclasses.replace(table, verdicts=_OnlyLength(len(table.verdicts)))
+
+
+def test_column_readers_never_read_verdict_objects(monkeypatch):
+    corpus = generate_classifier_corpus(ClassifierCorpusConfig(n_phishing=150, n_malware=150, seed=SEED))
+    reports = [r for r in corpus.reports if r.positives >= 2]
+    model = build_cluster_model(reports, k=4, seed=SEED)
+    table = ReportTable.of(reports)
+    series, loadings = dict(build_series(cohort(reports))), fit_scanner_factors(reports, seed=SEED)
+    features, votes = FeatureTable.build(table, model).matrix, majority_vote_classes(table)
+
+    of = ReportTable.of
+    monkeypatch.setattr(ReportTable, "of", staticmethod(lambda reports: _bare(of(reports))))
+    assert dict(build_series(cohort(reports))) == series
+    assert np.array_equal(fit_scanner_factors(reports, seed=SEED).matrix, loadings.matrix)
+    assert np.array_equal(FeatureTable.build(_bare(table), model).matrix, features, equal_nan=True)
+    assert np.array_equal(majority_vote_classes(_bare(table)), votes)
