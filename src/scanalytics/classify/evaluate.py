@@ -20,7 +20,7 @@ from ..artifacts import write_table
 from ..feed import DetailedLabel, GroundTruthLabel, ReportTable, ScanReport, distinct
 from .factors import ScannerClusterModel
 from .features import ALL_GROUPS, FeatureVector, feature_manifest, feature_matrix
-from .forest import DEFAULT_HYPERPARAMETERS, ForestModel, train_forest_model
+from .forest import CLASS_NAMES, DEFAULT_HYPERPARAMETERS, ForestModel, train_forest_model
 
 __all__ = [
     "VoteOutcome",
@@ -40,8 +40,6 @@ __all__ = [
     "write_eval_csv",
     "write_trend_csv",
 ]
-
-CLASS_NAMES = ("malware", "phishing")
 
 _LABEL_TO_CLASS = {GroundTruthLabel.Malware: 0, GroundTruthLabel.Phishing: 1}
 
@@ -231,7 +229,7 @@ def _fit_and_evaluate(
     train_idx, test_idx = split_idx
     X = feature_matrix(vectors, groups)
     model = train_forest_model(
-        X[train_idx], y[train_idx], feature_names=feature_manifest(groups), classes=CLASS_NAMES, **fit_args
+        X[train_idx], y[train_idx], feature_names=feature_manifest(groups), **fit_args
     )
     scores = model.predict_proba(X[test_idx])
     y_pred = (scores > 0.5).astype(np.int8)

@@ -148,8 +148,10 @@ def fit_scanner_factors(
         if column_loadings[pivot, f] < 0:
             column_loadings[:, f] = -column_loadings[:, f]
 
+    # A sample with fewer varying columns than factors has no variance left
+    # for the rest, so those factors load zero everywhere.
     full = np.zeros((X.shape[1], n_factors))
-    full[varying] = column_loadings
+    full[varying, : column_loadings.shape[1]] = column_loadings
 
     matrix = np.zeros((len(scanners), n_factors))
     loadings = np.abs(full).reshape(len(present), n_slots, n_factors).sum(axis=1)

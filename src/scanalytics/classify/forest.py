@@ -38,9 +38,12 @@ __all__ = [
     "save_forest",
     "load_forest",
     "DEFAULT_HYPERPARAMETERS",
+    "CLASS_NAMES",
 ]
 
 DEFAULT_HYPERPARAMETERS = {"n_estimators": 200, "max_depth": 250, "max_features": 55}
+
+CLASS_NAMES = ("malware", "phishing")  # class 0, class 1
 
 MODEL_FORMAT = "scanalytics-forest"
 MODEL_FORMAT_VERSION = 1
@@ -274,7 +277,6 @@ def train_forest_model(
     n_estimators: int = DEFAULT_HYPERPARAMETERS["n_estimators"],
     max_depth: int = DEFAULT_HYPERPARAMETERS["max_depth"],
     max_features: int = DEFAULT_HYPERPARAMETERS["max_features"],
-    classes: tuple[str, str] = ("malware", "phishing"),
     cluster_model: ScannerClusterModel | None = None,
     threads: int = 1,
 ) -> ForestModel:
@@ -313,7 +315,7 @@ def train_forest_model(
         max_features=max_features,
         seed=seed,
         feature_names=tuple(feature_names),
-        classes=classes,
+        classes=CLASS_NAMES,
         cluster_model=cluster_model,
     )
 

@@ -109,6 +109,22 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
+# Every input-file flag, by argparse dest: its help, whether it is required,
+# and the error a path that is no regular file raises, which is the error its
+# reader raises for a file it cannot use (a scenario is configuration).
+# Subparsers declare their input flags from here; `_Run` checks and hashes
+# each one a run was given.
+_INPUTS: dict[str, tuple[str | None, bool, type[Exception]]] = {
+    "feed": ("line-delimited scan-report feed", True, FeedFormatError),
+    "ground_truth": (None, True, FeedFormatError),
+    "planted": ("planted manifest for recovery scoring", False, FeedFormatError),
+    "model": (None, True, ModelFormatError),
+    "hosting_cache": (None, False, FeedFormatError),
+    "whois_cache": (None, False, FeedFormatError),
+    "scenario": ("scenario config JSON", False, _ConfigError),
+}
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -118,35 +134,47 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects artifacts and writes the run manifest.
+    """A subcommand's run: it checks that `--out` is a directory or absent,
+    then checks and hashes each input file the run was given, keyed by its
+    flag's dest. Handlers read every input, compute, then write: `--out` is
+    made by the first `artifact`, so a run that fails before it leaves none.
 
     Only files named through `artifact` are hashed and listed, so files an
     earlier run left in `--out` stay out of the manifest.
     """
 
-    def __init__(self, command: str, out_dir: Path, seed: int | None, params: dict, fmt: str = "csv"):
-        self.command = command
-        self.out_dir = out_dir
+    def __init__(self, args, params: dict, seed: int | None = None, fmt: str | None = None):
+        self.command = args.command if args.command != "classify" else f"classify-{args.verb}"
+        self.out_dir = Path(args.out)
         self.seed = seed
         self.params = params
-        self.fmt = fmt
+        self.fmt = args.format if fmt is None else fmt
         self.inputs: dict[str, str] = {}
         self.artifacts: dict[str, str] = {}
         self.written: set[str] = set()
-        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in (self.out_dir, *self.out_dir.parents):
+            if path.is_dir():
+                break
+            if path.exists():
+                raise _ConfigError(f"--out {self.out_dir}: {path} is not a directory")
+        for dest, path in vars(args).items():
+            if dest in _INPUTS and path is not None:
+                self.add_input(dest, path)
 
-    def add_input(self, path) -> Path:
+    def add_input(self, dest: str, path) -> None:
         path = Path(path)
-        if not path.is_file():
+        if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
-        self.inputs[path.name] = _sha256(path)
-        return path
+        if not path.is_file():
+            raise _INPUTS[dest][2](f"{path} is not a file")
+        self.inputs[dest] = _sha256(path)
 
     def artifact(self, name: str) -> Path:
         """The path to write artifact `name` to; a `.csv` table becomes
         `.json` when the run's format is json (`write_table` reads the suffix)."""
         if self.fmt == "json" and name.endswith(".csv"):
             name = name[: -len(".csv")] + ".json"
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written.add(name)
         return self.out_dir / name
 
@@ -168,9 +196,8 @@ class _Run:
         return target
 
 
-def _load_feed(run: _Run, path, strict: bool = False):
-    feed_path = run.add_input(path)
-    reports, warnings = parse_feed_file(feed_path, strict=strict)
+def _load_feed(path, strict: bool = False):
+    reports, warnings = parse_feed_file(path, strict=strict)
     return dedup_by_scan_id(reports), warnings, len(reports)
 
 
@@ -199,8 +226,8 @@ def _json_object(path: Path, error: type[Exception]) -> dict:
 
 
 def _cmd_ingest(args) -> int:
-    run = _Run("ingest", Path(args.out), None, {"strict": args.strict}, args.format)
-    reports, warnings, n_raw = _load_feed(run, args.feed, strict=args.strict)
+    run = _Run(args, {"strict": args.strict})
+    reports, warnings, n_raw = _load_feed(args.feed, strict=args.strict)
     if n_raw == 0:
         raise FeedFormatError(f"feed {args.feed} contains no parseable reports")
     cohort = filter_ever_detected(reports)
@@ -224,10 +251,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    params = {"window": args.window, "max_offset": args.max_offset}
-    run = _Run("metrics", Path(args.out), None, params, args.format)
-    reports, _, _ = _load_feed(run, args.feed)
-    truth = load_ground_truth(run.add_input(args.ground_truth))
+    run = _Run(args, {"window": args.window, "max_offset": args.max_offset})
+    reports, _, _ = _load_feed(args.feed)
+    truth = load_ground_truth(args.ground_truth)
 
     # F-1 must see ground-truth URLs even when no scanner ever detects them
     # (they are false negatives); the other metrics follow the detected cohort.
@@ -238,7 +264,6 @@ def _cmd_metrics(args) -> int:
         raise ValueError("empty feed; nothing to measure")
     positive, benign = _split_gt(truth)
     curves = f1_by_offset(full_series, positive, benign, max_offset=args.max_offset)
-    write_f1_csv(curves, run.artifact("f1_curves.csv"))
 
     # The ever-detected cohort's series are the full series of its URLs: a
     # URL's day 0 and daily labels depend on its own reports only.
@@ -247,12 +272,12 @@ def _cmd_metrics(args) -> int:
     if not series:
         raise ValueError("no detected URLs in feed; nothing to measure")
     scores = certainty_scores(series, window=args.window)
-    write_certainty_csv(scores, run.artifact("certainty.csv"))
-
     hist = label_count_distribution(series, window=args.window)
-    write_label_hist_csv(hist, run.artifact("label_hist.csv"))
-
     stats = url_label_stats(series, window=args.window)
+
+    write_f1_csv(curves, run.artifact("f1_curves.csv"))
+    write_certainty_csv(scores, run.artifact("certainty.csv"))
+    write_label_hist_csv(hist, run.artifact("label_hist.csv"))
     write_url_label_cdf_csv(stats, run.artifact("url_label_cdf.csv"))
     _write_json(
         {label.name: ratio for label, ratio in stats.top_ratios.items()},
@@ -266,38 +291,23 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    params = {
-        "window": args.window,
-        "max_offset": args.max_offset,
-        "k": args.k,
-        "cut_height": args.cut_height,
-    }
-    run = _Run("correlate", Path(args.out), None, params, args.format)
-    reports, _, _ = _load_feed(run, args.feed)
+    run = _Run(args, {"window": args.window, "max_offset": args.max_offset, "k": args.k, "cut_height": args.cut_height})
+    reports, _, _ = _load_feed(args.feed)
+    planted_groups: dict[str, str] = {}
+    if args.planted is not None:
+        planted_groups = _json_object(Path(args.planted), FeedFormatError).get("groups", {})
+        if not isinstance(planted_groups, dict) or not all(isinstance(g, str) for g in planted_groups.values()):
+            raise FeedFormatError(f"{args.planted}: groups must map scanner names to group names")
+
     cohort = filter_ever_detected(reports)
     series = build_series(cohort)
     if not series:
         raise ValueError("no detected URLs in feed; nothing to correlate")
     universe = set(cohort.urls)
-
     jb = jaccard_binary(series, universe, window=args.window)
-    write_matrix_csv(jb, run.artifact("jaccard_binary.csv"))
     jd = jaccard_detailed(series, universe, window=args.window)
-    write_matrix_csv(jd, run.artifact("jaccard_detailed.csv"))
     trend = frobenius_trend(series, universe, range(0, args.max_offset + 1))
-    write_trend_csv(trend, run.artifact("frobenius_trend.csv"))
     dtw = scanner_dtw_matrix(series, window=args.window)
-    write_matrix_csv(dtw, run.artifact("dtw_matrix.csv"))
-    if args.heatmaps:
-        write_heatmap_svg(jb, run.artifact("jaccard_binary.svg"))
-        write_heatmap_svg(dtw, run.artifact("dtw_matrix.svg"))
-
-    planted_groups: dict[str, str] = {}
-    if args.planted:
-        planted_path = run.add_input(args.planted)
-        planted_groups = _json_object(planted_path, FeedFormatError).get("groups", {})
-        if not isinstance(planted_groups, dict) or not all(isinstance(g, str) for g in planted_groups.values()):
-            raise FeedFormatError(f"{planted_path}: groups must map scanner names to group names")
 
     k = args.k
     if k is None and planted_groups:
@@ -319,8 +329,16 @@ def _cmd_correlate(args) -> int:
             cluster_payload["planted_ari"] = adjusted_rand_index(
                 {s: planted_groups[s] for s in tagged}, {s: result.assignment[s] for s in tagged}
             )
-        _write_json(cluster_payload, run.artifact("clusters.json"))
 
+    write_matrix_csv(jb, run.artifact("jaccard_binary.csv"))
+    write_matrix_csv(jd, run.artifact("jaccard_detailed.csv"))
+    write_trend_csv(trend, run.artifact("frobenius_trend.csv"))
+    write_matrix_csv(dtw, run.artifact("dtw_matrix.csv"))
+    if args.heatmaps:
+        write_heatmap_svg(jb, run.artifact("jaccard_binary.svg"))
+        write_heatmap_svg(dtw, run.artifact("dtw_matrix.svg"))
+    if cluster_payload is not None:
+        _write_json(cluster_payload, run.artifact("clusters.json"))
     run.seal()
     if cluster_payload and "planted_ari" in cluster_payload:
         print(f"correlate done; planted ARI = {cluster_payload['planted_ari']:.6f}")
@@ -330,8 +348,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_leadlag(args) -> int:
-    run = _Run("leadlag", Path(args.out), None, {"window": args.window}, args.format)
-    reports, _, _ = _load_feed(run, args.feed)
+    run = _Run(args, {"window": args.window})
+    reports, _, _ = _load_feed(args.feed)
     cohort = filter_ever_detected(reports)
     series = build_series(cohort)
     if not series:
@@ -339,23 +357,22 @@ def _cmd_leadlag(args) -> int:
     scanners = tuple(sorted({scanner for scanner, _ in series}))
     index = first_detection_index(series, window=args.window)
     matrix = early_detection_matrix(index, scanners=scanners)
-    write_matrix_csv(matrix, run.artifact("early_ratio.csv"))
     ranking = leader_ranking(matrix)
+    write_matrix_csv(matrix, run.artifact("early_ratio.csv"))
     write_ranking_csv(ranking, run.artifact("leader_ranking.csv"))
     run.seal()
     print(f"leadlag written to {run.out_dir}")
     return EXIT_OK
 
 
-def _prepare_classifier_inputs(run: _Run, args):
+def _prepare_classifier_inputs(args):
     """Shared train/ablate setup: the features and label of each labeled
     URL's latest report, in URL order, those reports' table, and the cluster
     model."""
-    # Validate every input path up front, before any computation.
-    hosting_path = run.add_input(args.hosting_cache) if args.hosting_cache else None
-    whois_path = run.add_input(args.whois_cache) if args.whois_cache else None
-    reports, _, _ = _load_feed(run, args.feed)
-    truth = load_ground_truth(run.add_input(args.ground_truth))
+    reports, _, _ = _load_feed(args.feed)
+    truth = load_ground_truth(args.ground_truth)
+    hosting = HostingCache.from_csv(args.hosting_cache) if args.hosting_cache is not None else None
+    whois = WhoisCache.from_csv(args.whois_cache) if args.whois_cache is not None else None
     label_by_url = {
         r.url: r.label for r in truth if r.label in (GroundTruthLabel.Phishing, GroundTruthLabel.Malware)
     }
@@ -376,13 +393,7 @@ def _prepare_classifier_inputs(run: _Run, args):
         fit_pool = rng.sample(fit_pool, FACTOR_SAMPLE_SIZE)
     cluster_model = build_cluster_model(fit_pool, k=args.clusters, seed=args.seed)
 
-    hosting = HostingCache.from_csv(hosting_path) if hosting_path else None
-    whois = WhoisCache.from_csv(whois_path) if whois_path else None
-    missing = [
-        name
-        for name, provider in (("hosting", hosting), ("whois", whois))
-        if provider is None
-    ]
+    missing = [name for name, cache in (("hosting", hosting), ("whois", whois)) if cache is None]
     if missing:
         print(f"warning: no {'/'.join(missing)} cache provided; those groups are marked missing")
 
@@ -404,8 +415,8 @@ def _cmd_classify_train(args) -> int:
     if unknown_groups:
         raise _ConfigError(f"unknown feature groups: {sorted(unknown_groups)}")
     params = {"groups": list(args.groups), "split": args.split, "clusters": args.clusters}
-    run = _Run("classify-train", Path(args.out), args.seed, params, args.format)
-    features, labels, table, cluster_model = _prepare_classifier_inputs(run, args)
+    run = _Run(args, params, args.seed)
+    features, labels, table, cluster_model = _prepare_classifier_inputs(args)
     model, report = train_forest(
         features,
         labels,
@@ -416,19 +427,18 @@ def _cmd_classify_train(args) -> int:
         threads=args.threads,
         n_estimators=args.trees,
     )
-    save_forest(model, run.artifact("model.json"))
-
     y = encode_labels(labels)
     _, test_idx = split_train_test(y, args.split, args.seed)
     baseline_pred = majority_vote_classes(table)[test_idx]
     baseline = evaluate_predictions(y[test_idx], baseline_pred)
-    write_eval_csv({"majority_vote": baseline, "forest": report}, run.artifact("eval.csv"))
-
     roc_rows = [
         {"class": class_name, "threshold": thr, "fpr": fpr, "tpr": tpr}
         for class_name, points in report.roc.items()
         for thr, fpr, tpr in points
     ]
+
+    save_forest(model, run.artifact("model.json"))
+    write_eval_csv({"majority_vote": baseline, "forest": report}, run.artifact("eval.csv"))
     _write_json(roc_rows, run.artifact("roc.json"))
     run.seal()
     print(
@@ -438,18 +448,18 @@ def _cmd_classify_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_and_features(run: _Run, args):
+def _load_model_and_features(args):
     """Shared predict/trend setup: the model and its feature groups, then
     the feed's detecting reports and their features."""
-    model = load_forest(run.add_input(args.model))
+    model = load_forest(args.model)
     if model.cluster_model is None:
         raise ModelFormatError(f"model file {args.model} lacks a scanner cluster model")
     groups = groups_from_manifest(model.feature_names)
     if set(groups) - set(ALL_GROUPS) or feature_manifest(groups) != model.feature_names:
         raise ModelFormatError(f"model file {args.model} has feature names that are not a feature manifest")
-    reports, _, _ = _load_feed(run, args.feed)
-    hosting = HostingCache.from_csv(run.add_input(args.hosting_cache)) if args.hosting_cache else None
-    whois = WhoisCache.from_csv(run.add_input(args.whois_cache)) if args.whois_cache else None
+    reports, _, _ = _load_feed(args.feed)
+    hosting = HostingCache.from_csv(args.hosting_cache) if args.hosting_cache is not None else None
+    whois = WhoisCache.from_csv(args.whois_cache) if args.whois_cache is not None else None
     reports = [report for report in reports if report.positives]
     if not reports:
         raise ValueError("no reports with detections to classify")
@@ -458,8 +468,8 @@ def _load_model_and_features(run: _Run, args):
 
 
 def _cmd_classify_predict(args) -> int:
-    run = _Run("classify-predict", Path(args.out), None, {}, args.format)
-    model, groups, reports, features = _load_model_and_features(run, args)
+    run = _Run(args, {})
+    model, groups, reports, features = _load_model_and_features(args)
     scores = model.predict_proba(feature_matrix(features, groups))
     rows = (
         (report.url, report.scan_id, CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0], score)
@@ -472,9 +482,8 @@ def _cmd_classify_predict(args) -> int:
 
 
 def _cmd_classify_ablate(args) -> int:
-    params = {"split": args.split, "clusters": args.clusters}
-    run = _Run("classify-ablate", Path(args.out), args.seed, params, args.format)
-    features, labels, _, cluster_model = _prepare_classifier_inputs(run, args)
+    run = _Run(args, {"split": args.split, "clusters": args.clusters}, args.seed)
+    features, labels, _, cluster_model = _prepare_classifier_inputs(args)
     reports = ablation(
         features,
         labels,
@@ -492,8 +501,8 @@ def _cmd_classify_ablate(args) -> int:
 
 
 def _cmd_classify_trend(args) -> int:
-    run = _Run("classify-trend", Path(args.out), None, {}, args.format)
-    model, _, reports, features = _load_model_and_features(run, args)
+    run = _Run(args, {})
+    model, _, reports, features = _load_model_and_features(args)
     trend = weekly_trend(model, list(zip(reports, features)))
     write_weekly_trend_csv(trend, run.artifact("weekly_trend.csv"))
     run.seal()
@@ -537,20 +546,18 @@ def _scenario_from_file(path: Path, seed_override: int | None) -> ScenarioConfig
 
 
 def _cmd_synth(args) -> int:
+    params = {"preset": args.preset} if args.preset is not None else {"scenario": Path(args.scenario).name}
+    # Synth writes inputs for other subcommands, which read CSV only, so
+    # `--format json` does not convert them.
+    run = _Run(args, params, fmt="csv")
     if args.preset is not None:
         try:
             config = preset_config(args.preset, 0 if args.seed is None else args.seed)
         except ValueError as exc:
             raise _ConfigError(str(exc)) from None
-        params = {"preset": args.preset}
     else:
         config = _scenario_from_file(Path(args.scenario), args.seed)
-        params = {"scenario": Path(args.scenario).name}
-    # Synth writes inputs for other subcommands, which read CSV only, so
-    # `--format json` does not convert them.
-    run = _Run("synth", Path(args.out), config.seed, params)
-    if args.scenario:
-        run.add_input(args.scenario)
+    run.seed = config.seed
 
     classifier = isinstance(config, ClassifierCorpusConfig)
     corpus = (generate_classifier_corpus if classifier else generate)(config)
@@ -597,9 +604,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, feed=True, seed=False):
-        if feed:
-            p.add_argument("--feed", required=True, help="line-delimited scan-report feed")
+    def inputs(p, *dests):
+        for dest in dests:
+            help, required, _ = _INPUTS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), required=required, help=help)
+
+    def common(p, *input_dests, seed=False):
+        inputs(p, *input_dests)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
             "--threads", type=_bounded(int, 1), default=1,
@@ -610,81 +621,57 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ingest", help="parse, dedup, and summarize a feed")
-    common(p)
+    common(p, "feed")
     p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("metrics", help="F-1 trends, certainty, label statistics")
-    common(p)
-    p.add_argument("--ground-truth", required=True)
+    common(p, "feed", "ground_truth")
     p.add_argument("--window", type=_bounded(int, 1), default=30)
     p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
     p.add_argument("--export-series", action="store_true")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("correlate", help="Jaccard/DTW matrices and clustering")
-    common(p)
+    common(p, "feed", "planted")
     p.add_argument("--window", type=_bounded(int, 1), default=30)
     p.add_argument("--max-offset", type=_bounded(int, 0), default=30)
     cut = p.add_mutually_exclusive_group()
     cut.add_argument("--k", type=_bounded(int, 1), default=None, help="cut dendrogram into k clusters")
     cut.add_argument("--cut-height", type=_bounded(float, 0), default=None)
-    p.add_argument("--planted", default=None, help="planted manifest for recovery scoring")
     p.add_argument("--heatmaps", action="store_true", help="also emit SVG heatmaps")
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("leadlag", help="early-detection matrix and leader ranking")
-    common(p)
+    common(p, "feed")
     p.add_argument("--window", type=_bounded(int, 1), default=None)
     p.set_defaults(func=_cmd_leadlag)
 
     p = sub.add_parser("classify", help="attack-type classifier")
     verbs = p.add_subparsers(dest="verb", required=True)
 
-    pt = verbs.add_parser("train")
-    common(pt, seed=True)
-    pt.add_argument("--ground-truth", required=True)
-    pt.add_argument("--hosting-cache", default=None)
-    pt.add_argument("--whois-cache", default=None)
-    pt.add_argument("--split", type=_bounded(float, 0, 1, strict=True), default=0.8)
-    pt.add_argument("--clusters", type=_bounded(int, 2), default=15)
-    pt.add_argument("--trees", type=_bounded(int, 1), default=200)
-    pt.add_argument("--groups", nargs="+", default=list(ALL_GROUPS))
-    pt.set_defaults(func=_cmd_classify_train)
-
-    pp = verbs.add_parser("predict")
-    common(pp)
-    pp.add_argument("--model", required=True)
-    pp.add_argument("--hosting-cache", default=None)
-    pp.add_argument("--whois-cache", default=None)
-    pp.set_defaults(func=_cmd_classify_predict)
-
-    pa = verbs.add_parser("ablate")
-    common(pa, seed=True)
-    pa.add_argument("--ground-truth", required=True)
-    pa.add_argument("--hosting-cache", default=None)
-    pa.add_argument("--whois-cache", default=None)
-    pa.add_argument("--split", type=_bounded(float, 0, 1, strict=True), default=0.8)
-    pa.add_argument("--clusters", type=_bounded(int, 2), default=15)
-    pa.add_argument("--trees", type=_bounded(int, 1), default=200)
-    pa.set_defaults(func=_cmd_classify_ablate)
-
-    pr = verbs.add_parser("trend")
-    common(pr)
-    pr.add_argument("--model", required=True)
-    pr.add_argument("--hosting-cache", default=None)
-    pr.add_argument("--whois-cache", default=None)
-    pr.set_defaults(func=_cmd_classify_trend)
+    for verb, func in (("train", _cmd_classify_train), ("ablate", _cmd_classify_ablate)):
+        pv = verbs.add_parser(verb)
+        common(pv, "feed", "ground_truth", "hosting_cache", "whois_cache", seed=True)
+        pv.add_argument("--split", type=_bounded(float, 0, 1, strict=True), default=0.8)
+        pv.add_argument("--clusters", type=_bounded(int, 2), default=15)
+        pv.add_argument("--trees", type=_bounded(int, 1), default=200)
+        pv.set_defaults(func=func)
+    verbs.choices["train"].add_argument("--groups", nargs="+", default=list(ALL_GROUPS))
+    for verb, func in (("predict", _cmd_classify_predict), ("trend", _cmd_classify_trend)):
+        pv = verbs.add_parser(verb)
+        common(pv, "feed", "model", "hosting_cache", "whois_cache")
+        pv.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="generate a synthetic feed")
-    common(p, feed=False)
+    common(p)
     p.add_argument(
         "--seed", type=int, default=None,
         help="scenario seed; default: a --scenario file's seed, else 0",
     )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", default=None)
-    source.add_argument("--scenario", default=None, help="scenario config JSON")
+    inputs(source, "scenario")
     p.set_defaults(func=_cmd_synth)
 
     return parser

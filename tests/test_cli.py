@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from scanalytics.cli import main
+from scanalytics.cli import _build_parser, main
+from scanalytics.feed import DetailedLabel, GroundTruthLabel, GroundTruthRecord, write_feed, write_ground_truth
+
+from conftest import report, ts, verdict
 
 SEED = 202
 
@@ -1105,3 +1110,279 @@ class TestNestedTooDeeply:
         code = run_cli("classify", "predict", "--feed", corpus_dir / "feed.jsonl", "--model", bad, "--out", tmp_path / "o")
         assert code == 2
         _one_error_line(capsys, 2, "input", bad)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _argv(command: str, inputs: dict, out: Path, *extra) -> list:
+    """`command` with each input file under its flag, `extra`, and `--out`."""
+    flags = [part for dest, path in inputs.items() for part in ("--" + dest.replace("_", "-"), path)]
+    return [*command.split(), *flags, *extra, "--out", out]
+
+
+@pytest.fixture(scope="module")
+def input_runs(synth_dir, corpus_dir, model_path, tmp_path_factory) -> dict[str, tuple[dict, tuple]]:
+    """Each subcommand's input files, one under each of its input flags, and
+    the other flags that keep its run short."""
+    scenario = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "classifier", "n_phishing": 20, "n_malware": 20, "seed": 5}))
+    feed = {"feed": synth_dir / "feed.jsonl"}
+    corpus = {"feed": corpus_dir / "feed.jsonl"}
+    caches = {"hosting_cache": corpus_dir / "hosting_cache.csv", "whois_cache": corpus_dir / "whois_cache.csv"}
+    fit = ("--clusters", 8, "--trees", 2, "--seed", SEED)
+    return {
+        "ingest": (feed, ()),
+        "metrics": (dict(feed, ground_truth=synth_dir / "truth.csv"), ()),
+        "correlate": (dict(feed, planted=synth_dir / "planted.json"), ()),
+        "leadlag": (feed, ()),
+        "classify train": (dict(corpus, ground_truth=corpus_dir / "truth.csv", **caches), fit),
+        "classify ablate": (dict(corpus, ground_truth=corpus_dir / "truth.csv", **caches), fit),
+        "classify predict": (dict(corpus, model=model_path, **caches), ()),
+        "classify trend": (dict(corpus, model=model_path, **caches), ()),
+        "synth": ({"scenario": scenario}, ()),
+    }
+
+
+def _leaf_parsers(parser, command=()):
+    """(command, parser) of each subcommand, `classify` verbs included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, command + (name,))
+            return
+    yield " ".join(command), parser
+
+
+# Each subcommand's input-file flags, by dest.
+INPUT_FLAGS = {
+    "ingest": ("feed",),
+    "metrics": ("feed", "ground_truth"),
+    "correlate": ("feed", "planted"),
+    "leadlag": ("feed",),
+    "classify train": ("feed", "ground_truth", "hosting_cache", "whois_cache"),
+    "classify ablate": ("feed", "ground_truth", "hosting_cache", "whois_cache"),
+    "classify predict": ("feed", "model", "hosting_cache", "whois_cache"),
+    "classify trend": ("feed", "model", "hosting_cache", "whois_cache"),
+    "synth": ("scenario",),
+}
+
+
+class TestInputStage:
+    """Each subcommand checks and hashes every input file it is given, keyed
+    by flag, and reads them all before it makes `--out`."""
+
+    def test_every_file_flag_is_listed(self, input_runs):
+        """Each single string-valued flag but `--out` and `--preset` names an
+        input file, and the tests here give every one of them."""
+        leaves = dict(_leaf_parsers(_build_parser()))
+        assert sorted(leaves) == sorted(INPUT_FLAGS) == sorted(input_runs)
+        for command, parser in leaves.items():
+            free = {
+                a.dest for a in parser._actions
+                if type(a) is argparse._StoreAction and a.type is None and a.nargs is None and not a.choices
+            }
+            assert free - {"out", "preset"} == set(INPUT_FLAGS[command]) == set(input_runs[command][0]), command
+
+    @pytest.mark.parametrize("command", INPUT_FLAGS)
+    def test_manifest_inputs_are_the_flags_given(self, input_runs, tmp_path, command):
+        inputs, extra = input_runs[command]
+        assert run_cli(*_argv(command, inputs, tmp_path / "o", *extra)) == 0
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert manifest["inputs"] == {dest: _sha256(path) for dest, path in inputs.items()}
+
+    @pytest.mark.parametrize(
+        "command, dest",
+        [(command, dest) for command, dests in INPUT_FLAGS.items() for dest in dests],
+    )
+    def test_missing_input_is_input_error_without_out(self, input_runs, tmp_path, capsys, command, dest):
+        inputs, extra = input_runs[command]
+        missing = tmp_path / "missing.csv"
+        assert run_cli(*_argv(command, dict(inputs, **{dest: missing}), tmp_path / "o", *extra)) == 2
+        _one_error_line(capsys, 2, "input", missing)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", INPUT_FLAGS)
+    def test_out_not_a_directory_is_config_error(self, input_runs, tmp_path, capsys, command, under):
+        inputs, extra = input_runs[command]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "sub" if under else taken
+        assert run_cli(*_argv(command, inputs, out, *extra)) == 4
+        _one_error_line(capsys, 4, "config", out)
+        assert taken.read_text() == "keep\n"
+
+    def test_same_named_caches_are_both_hashed(self, corpus_dir, tmp_path):
+        caches = {}
+        for dest, source, folder in (("hosting_cache", "hosting_cache.csv", "a"), ("whois_cache", "whois_cache.csv", "b")):
+            caches[dest] = tmp_path / folder / "cache.csv"
+            caches[dest].parent.mkdir()
+            caches[dest].write_bytes((corpus_dir / source).read_bytes())
+        inputs = dict(feed=corpus_dir / "feed.jsonl", ground_truth=corpus_dir / "truth.csv", **caches)
+        assert run_cli(*_argv("classify train", inputs, tmp_path / "o", "--clusters", 8, "--trees", 2)) == 0
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert manifest["inputs"]["hosting_cache"] == _sha256(corpus_dir / "hosting_cache.csv")
+        assert manifest["inputs"]["whois_cache"] == _sha256(corpus_dir / "whois_cache.csv")
+
+    def test_bad_planted_file_leaves_no_out(self, synth_dir, tmp_path, capsys):
+        planted = tmp_path / "bad.json"
+        planted.write_text("[1, 2]")
+        code = run_cli("correlate", "--feed", synth_dir / "feed.jsonl", "--planted", planted, "--out", tmp_path / "o")
+        assert code == 2
+        _one_error_line(capsys, 2, "input", planted)
+        assert not (tmp_path / "o").exists()
+
+    def test_metrics_with_nothing_detected_writes_nothing(self, tmp_path, capsys):
+        urls = ("http://phish.test/", "http://benign.test/")
+        feed, truth = tmp_path / "feed.jsonl", tmp_path / "truth.csv"
+        write_feed([report(url, 0, f"s{i}", [verdict("Sophos")]) for i, url in enumerate(urls)], feed)
+        write_ground_truth(
+            [GroundTruthRecord(url, label, "test", ts(0)) for url, label in zip(urls, (GroundTruthLabel.Phishing, GroundTruthLabel.Benign))],
+            truth,
+        )
+        assert run_cli("metrics", "--feed", feed, "--ground-truth", truth, "--out", tmp_path / "o") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            'ERROR code=3 kind=compute msg="no detected URLs in feed; nothing to measure"'
+        ]
+        assert not (tmp_path / "o").exists()
+
+    def test_train_on_two_agreeing_scanners(self, tmp_path):
+        """The factor fit of a sample with fewer varying columns than factors."""
+        labels = [(DetailedLabel.PhishingSite, GroundTruthLabel.Phishing), (DetailedLabel.MalwareSite, GroundTruthLabel.Malware)] * 60
+        urls = [f"http://u{i}.test/" for i in range(len(labels))]
+        feed, truth = tmp_path / "feed.jsonl", tmp_path / "truth.csv"
+        write_feed([report(url, 0, f"r{i}", [verdict("A1", label), verdict("A2", label)])
+                    for i, (url, (label, _)) in enumerate(zip(urls, labels))], feed)
+        write_ground_truth([GroundTruthRecord(url, truth_label, "test", ts(0)) for url, (_, truth_label) in zip(urls, labels)], truth)
+        inputs = {"feed": feed, "ground_truth": truth}
+        assert run_cli(*_argv("classify train", inputs, tmp_path / "o", "--clusters", 2, "--trees", 4)) == 0
+
+
+_RETYPED_JSON = (None, "x", "", -1, 1.5, True, [], {})
+_RETYPED_CELLS = ("", "x", "-1", "1.5", "1e400", "9" * 30, "2021-13-45T00:00:00Z")
+
+
+def _json_paths(value, path=()):
+    """The key path of `value` and of every value inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _json_paths(inner, path + (key,))
+
+
+def _mutate_json(text: str, rng) -> bytes:
+    """`text` truncated, with one value retyped, dropped or nested deeply, or
+    with bytes that are not UTF-8."""
+    how = rng.choice(("truncate", "retype", "drop", "nest", "bytes"))
+    if how == "truncate":
+        return text[: rng.randrange(len(text))].encode()
+    if how == "bytes":
+        at = rng.randrange(len(text))
+        return text[:at].encode() + b"\xff\xfe" + text[at:].encode()
+    value = json.loads(text)
+    path = rng.choice(list(_json_paths(value))[1:])
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(_RETYPED_JSON) if how == "retype" else "<deep>"
+    return json.dumps(value).replace('"<deep>"', _DEEP).encode()
+
+
+def _mutate_csv(text: str, rng) -> bytes:
+    """`text` truncated, with one cell retyped or dropped, or with bytes that
+    are not UTF-8."""
+    how = rng.choice(("truncate", "retype", "drop", "bytes"))
+    if how == "truncate":
+        return text[: rng.randrange(len(text))].encode()
+    if how == "bytes":
+        at = rng.randrange(len(text))
+        return text[:at].encode() + b"\xff\xfe" + text[at:].encode()
+    rows = text.splitlines()
+    at = rng.randrange(len(rows))
+    cells = rows[at].split(",")
+    column = rng.randrange(len(cells))
+    if how == "drop":
+        del cells[column]
+    else:
+        cells[column] = rng.choice(_RETYPED_CELLS)
+    rows[at] = ",".join(cells)
+    return "\n".join(rows).encode() + b"\n"
+
+
+_SMALL_FEED_SCENARIO = {
+    "name": "small", "seed": 3, "n_urls": {"phishing": 4, "malware": 4, "benign": 3}, "horizon_days": 4,
+    "archetypes": [
+        {"name": "Lead", "kind": "leader", "group": "lead", "onset_min": 0, "onset_max": 2},
+        {"name": "Copy", "kind": "copier", "group": "lead", "copies": "Lead", "lag_days": 1},
+        {"name": "Spec", "kind": "specialist", "attack": "phishing", "recall": 0.9, "precision": 0.95},
+        {"name": "Flip", "kind": "flipper", "labels": ["PhishingSite", "MalwareSite"], "period_days": 2},
+    ],
+}
+
+_SMALL_CORPUS_SCENARIO = {
+    "kind": "classifier", "seed": 3, "n_phishing": 6, "n_malware": 6, "span_days": 7, "copier_cluster_size": 3,
+    "copier_fire_phishing": 0.5, "generalist_rate": 0.6, "hosting_coverage": 0.7, "whois_coverage": 0.6,
+}
+
+
+class TestInputContractHarness:
+    """Seeded mutations of the cache CSVs, scenario files, planted files and
+    model files, run in process through `cli.main`: every run exits 0, 2, 3
+    or 4 with no exception escaping; a failing run prints exactly one
+    `ERROR code=` line; an input or config error leaves no `--out`."""
+
+    RUNS = 32
+
+    def _check(self, tmp_path, capsys, bad: Path, base: bytes, mutate, argv) -> None:
+        rng = random.Random(f"{bad.name}-{self.RUNS}")
+        failures = []
+        for i in range(self.RUNS):
+            data = mutate(base.decode("utf-8"), rng)
+            bad.write_bytes(data)
+            out = tmp_path / f"o{i}"
+            try:
+                code = run_cli(*argv, "--out", out)
+            except Exception as exc:  # an exception escaping `main` is the failure under test
+                failures.append((i, data[:120], f"{type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err.splitlines()
+            if code not in (0, 2, 3, 4):
+                failures.append((i, data[:120], f"exit {code}"))
+            elif code and (len(err) != 1 or not err[0].startswith(f"ERROR code={code} ")):
+                failures.append((i, data[:120], err))
+            elif code in (2, 4) and out.exists():
+                failures.append((i, data[:120], f"exit {code} left --out"))
+        assert not failures
+
+    @pytest.mark.parametrize("cache", ["hosting_cache", "whois_cache"])
+    def test_cache_csv(self, corpus_dir, model_path, tmp_path, capsys, cache):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_bytes(b"".join((corpus_dir / "feed.jsonl").read_bytes().splitlines(keepends=True)[:60]))
+        bad = tmp_path / f"{cache}.csv"
+        argv = ["classify", "predict", "--feed", feed, "--model", model_path, f"--{cache.replace('_', '-')}", bad]
+        self._check(tmp_path, capsys, bad, (corpus_dir / f"{cache}.csv").read_bytes(), _mutate_csv, argv)
+
+    @pytest.mark.parametrize("kind", ["feed", "classifier"])
+    def test_scenario_file(self, tmp_path, capsys, kind):
+        scenario = _SMALL_FEED_SCENARIO if kind == "feed" else _SMALL_CORPUS_SCENARIO
+        bad = tmp_path / f"{kind}_scenario.json"
+        self._check(tmp_path, capsys, bad, json.dumps(scenario).encode(), _mutate_json, ["synth", "--scenario", bad])
+
+    def test_planted_file(self, synth_dir, tmp_path, capsys):
+        planted = dict(json.loads((synth_dir / "planted.json").read_text()),
+                       groups={"SharpPhish": "a", "SharpMal": "a", "Steady": "b", "Fickle": "b", "Sluggish": "c"})
+        bad = tmp_path / "planted.json"
+        argv = ["correlate", "--feed", synth_dir / "feed.jsonl", "--planted", bad]
+        self._check(tmp_path, capsys, bad, json.dumps(planted).encode(), _mutate_json, argv)
+
+    def test_model_file(self, corpus_dir, model_path, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_bytes(b"".join((corpus_dir / "feed.jsonl").read_bytes().splitlines(keepends=True)[:60]))
+        bad = tmp_path / "model.json"
+        argv = ["classify", "predict", "--feed", feed, "--model", bad]
+        self._check(tmp_path, capsys, bad, model_path.read_bytes(), _mutate_json, argv)

@@ -99,6 +99,15 @@ class TestFitScannerFactors:
         assert np.allclose(loadings_a.matrix, loadings_b.matrix, atol=1e-9)
 
 
+def _agreeing_pair_reports(n=120):
+    """`n` reports from two scanners that always agree, phishing or malware:
+    only their four label columns vary."""
+    return [
+        report(f"http://u{i}.test/", 0, f"r{i}", [verdict("A1", label), verdict("A2", label)])
+        for i, label in enumerate([P, M] * (n // 2))
+    ]
+
+
 def _loadings_from_matrix(names, matrix):
     return FactorLoadings(
         scanners=tuple(names),
@@ -163,6 +172,12 @@ class TestDegenerateInputs:
         ]
         with pytest.raises(ValueError, match="degenerate"):
             fit_scanner_factors(rs, seed=0)
+
+    def test_fewer_varying_columns_than_factors_load_zero(self):
+        loadings = fit_scanner_factors(_agreeing_pair_reports(), seed=0)
+        assert loadings.matrix.shape == (len(loadings.scanners), 5)
+        assert np.all(loadings.matrix[:, 4] == 0)  # the factor beyond the 4 varying columns
+        assert loadings.row("A1").any() and np.allclose(loadings.row("A1"), loadings.row("A2"))
 
     def test_k_below_two_rejected(self):
         loadings = _loadings_from_matrix(["a", "b", "c"], [[1, 0], [0, 1], [2, 2]])
