@@ -91,7 +91,7 @@ class ScannerClusterModel:
 
 
 def fit_scanner_factors(
-    reports: Sequence[ScanReport],
+    reports: Sequence[ScanReport] | ReportTable,
     n_factors: int = N_FACTORS,
     seed: int = 0,
 ) -> FactorLoadings:
@@ -105,11 +105,11 @@ def fit_scanner_factors(
     """
     if len(reports) < 100:
         raise ValueError(f"factor fit needs >= 100 reports, got {len(reports)}")
-    low = [r.scan_id for r in reports if r.positives < 2]
-    if low:
-        raise ValueError(f"{len(low)} sample reports have positives < 2 (e.g. {low[0]!r})")
-
     table = ReportTable.of(reports)
+    low = np.flatnonzero(table.positives < 2)
+    if len(low):
+        raise ValueError(f"{len(low)} sample reports have positives < 2 (e.g. {table.scan_id[low[0]]!r})")
+
     row, codes = table.flat()
     # Feature columns only for scanners actually appearing in the sample;
     # registry scanners missing from it keep all-zero loading rows.
@@ -245,7 +245,7 @@ def cluster_scanners(
 
 
 def build_cluster_model(
-    reports: Sequence[ScanReport],
+    reports: Sequence[ScanReport] | ReportTable,
     k: int = N_CLUSTERS,
     seed: int = 0,
 ) -> ScannerClusterModel:

@@ -26,6 +26,7 @@ from .artifacts import write_json as _write_json
 from .artifacts import write_table
 from .classify import (
     ABLATION_ROWS,
+    FeatureExtractionError,
     FeatureTable,
     HostingCache,
     ModelFormatError,
@@ -64,6 +65,7 @@ from .feed import (
     GroundTruthLabel,
     ReportTable,
     dedup_by_scan_id,
+    distinct,
     extract_fresh,
     filter_ever_detected,
     load_ground_truth,
@@ -197,8 +199,9 @@ class _Run:
 
 
 def _load_feed(path, strict: bool = False):
+    """The feed's deduplicated `ReportTable`, its warnings and its parsed report count."""
     reports, warnings = parse_feed_file(path, strict=strict)
-    return dedup_by_scan_id(reports), warnings, len(reports)
+    return ReportTable.of(dedup_by_scan_id(reports)), warnings, len(reports)
 
 
 def _split_gt(records) -> tuple[set[str], set[str]]:
@@ -227,17 +230,17 @@ def _json_object(path: Path, error: type[Exception]) -> dict:
 
 def _cmd_ingest(args) -> int:
     run = _Run(args, {"strict": args.strict})
-    reports, warnings, n_raw = _load_feed(args.feed, strict=args.strict)
+    table, warnings, n_raw = _load_feed(args.feed, strict=args.strict)
     if n_raw == 0:
         raise FeedFormatError(f"feed {args.feed} contains no parseable reports")
-    cohort = filter_ever_detected(reports)
+    cohort = filter_ever_detected(table)
     summary = {
         "reports_parsed": n_raw,
-        "reports_after_dedup": len(reports),
-        "duplicates_dropped": n_raw - len(reports),
+        "reports_after_dedup": len(table),
+        "duplicates_dropped": n_raw - len(table),
         "parse_warnings": len(warnings),
-        "urls": len({r.url for r in reports}),
-        "fresh_urls": len(extract_fresh(reports)),
+        "urls": len(distinct(table.url)),
+        "fresh_urls": len(extract_fresh(table)),
         "ever_detected_urls": len(cohort.urls),
     }
     _write_json(summary, run.artifact("summary.json"))
@@ -252,17 +255,20 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_metrics(args) -> int:
     run = _Run(args, {"window": args.window, "max_offset": args.max_offset})
-    reports, _, _ = _load_feed(args.feed)
-    truth = load_ground_truth(args.ground_truth)
+    table, _, _ = _load_feed(args.feed)
+    positive, benign = _split_gt(load_ground_truth(args.ground_truth))
+    if not (positive and benign):
+        missing = "benign" if positive else "positive-class"
+        raise FeedFormatError(f"ground truth {args.ground_truth} has no {missing} URLs")
 
     # F-1 must see ground-truth URLs even when no scanner ever detects them
     # (they are false negatives); the other metrics follow the detected cohort.
-    detected = {r.url for r in reports if r.positives >= 1}
-    full_series = build_series(FeedCohort.build("all", {r.url for r in reports}, reports))
-    del reports  # the series are all that is read from here on
+    url_of = table.urls.__getitem__
+    detected = set(map(url_of, distinct(table.url[table.positives >= 1]).tolist()))
+    full_series = build_series(FeedCohort.build("all", map(url_of, distinct(table.url).tolist()), table))
+    del table  # the series are all that is read from here on
     if not full_series:
         raise ValueError("empty feed; nothing to measure")
-    positive, benign = _split_gt(truth)
     curves = f1_by_offset(full_series, positive, benign, max_offset=args.max_offset)
 
     # The ever-detected cohort's series are the full series of its URLs: a
@@ -292,14 +298,14 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_correlate(args) -> int:
     run = _Run(args, {"window": args.window, "max_offset": args.max_offset, "k": args.k, "cut_height": args.cut_height})
-    reports, _, _ = _load_feed(args.feed)
+    table, _, _ = _load_feed(args.feed)
     planted_groups: dict[str, str] = {}
     if args.planted is not None:
         planted_groups = _json_object(Path(args.planted), FeedFormatError).get("groups", {})
         if not isinstance(planted_groups, dict) or not all(isinstance(g, str) for g in planted_groups.values()):
             raise FeedFormatError(f"{args.planted}: groups must map scanner names to group names")
 
-    cohort = filter_ever_detected(reports)
+    cohort = filter_ever_detected(table)
     series = build_series(cohort)
     if not series:
         raise ValueError("no detected URLs in feed; nothing to correlate")
@@ -349,9 +355,8 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_leadlag(args) -> int:
     run = _Run(args, {"window": args.window})
-    reports, _, _ = _load_feed(args.feed)
-    cohort = filter_ever_detected(reports)
-    series = build_series(cohort)
+    table, _, _ = _load_feed(args.feed)
+    series = build_series(filter_ever_detected(table))
     if not series:
         raise ValueError("no detected URLs in feed; nothing to rank")
     scanners = tuple(sorted({scanner for scanner, _ in series}))
@@ -369,7 +374,7 @@ def _prepare_classifier_inputs(args):
     """Shared train/ablate setup: the features and label of each labeled
     URL's latest report, in URL order, those reports' table, and the cluster
     model."""
-    reports, _, _ = _load_feed(args.feed)
+    table, _, _ = _load_feed(args.feed)
     truth = load_ground_truth(args.ground_truth)
     hosting = HostingCache.from_csv(args.hosting_cache) if args.hosting_cache is not None else None
     whois = WhoisCache.from_csv(args.whois_cache) if args.whois_cache is not None else None
@@ -377,36 +382,25 @@ def _prepare_classifier_inputs(args):
         r.url: r.label for r in truth if r.label in (GroundTruthLabel.Phishing, GroundTruthLabel.Malware)
     }
     if not label_by_url:
-        raise ValueError("ground truth has no phishing/malware URLs")
+        raise FeedFormatError(f"ground truth {args.ground_truth} has no phishing/malware URLs")
 
-    # One report per URL: the latest (most scanner-informed) one.
-    table = ReportTable.of(reports)
-    latest: dict[str, tuple[int, str, int]] = {}  # URL -> (scan_us, scan_id, row)
-    for row, (url, scan_us, scan_id) in enumerate(zip(table.url.tolist(), table.scan_us.tolist(), table.scan_id)):
-        url = table.urls[url]
-        if url not in latest or (scan_us, scan_id) > latest[url][:2]:
-            latest[url] = (scan_us, scan_id, row)
+    # One report per labeled URL, in URL order: its latest (most scanner-informed) one.
+    labeled = FeedCohort.build("labeled", label_by_url, table).reports
+    latest = labeled.take(np.flatnonzero(labeled.url != np.append(labeled.url[1:], -1)))
 
-    fit_pool = [r for r in reports if r.positives >= 2]
+    fit_pool = np.flatnonzero(table.positives >= 2)
     if len(fit_pool) > FACTOR_SAMPLE_SIZE:
-        rng = random.Random(args.seed)
-        fit_pool = rng.sample(fit_pool, FACTOR_SAMPLE_SIZE)
-    cluster_model = build_cluster_model(fit_pool, k=args.clusters, seed=args.seed)
+        fit_pool = np.array(random.Random(args.seed).sample(fit_pool.tolist(), FACTOR_SAMPLE_SIZE), np.intp)
+    cluster_model = build_cluster_model(table.take(fit_pool), k=args.clusters, seed=args.seed)
 
     missing = [name for name, cache in (("hosting", hosting), ("whois", whois)) if cache is None]
     if missing:
         print(f"warning: no {'/'.join(missing)} cache provided; those groups are marked missing")
 
-    rows = []
-    labels = []
-    for url in sorted(label_by_url):
-        if url not in latest or not table.positives[latest[url][2]]:
-            continue
-        rows.append(latest[url][2])
-        labels.append(label_by_url[url])
-    if not rows:
+    table = latest.take(np.flatnonzero(latest.positives))
+    if not len(table):
         raise ValueError("no labeled URLs with detecting reports in feed")
-    table = table.take(np.array(rows, dtype=np.intp))
+    labels = [label_by_url[table.urls[url]] for url in table.url.tolist()]
     return FeatureTable.build(table, cluster_model, hosting, whois), labels, table, cluster_model
 
 
@@ -457,27 +451,27 @@ def _load_model_and_features(args):
     groups = groups_from_manifest(model.feature_names)
     if set(groups) - set(ALL_GROUPS) or feature_manifest(groups) != model.feature_names:
         raise ModelFormatError(f"model file {args.model} has feature names that are not a feature manifest")
-    reports, _, _ = _load_feed(args.feed)
+    table, _, _ = _load_feed(args.feed)
     hosting = HostingCache.from_csv(args.hosting_cache) if args.hosting_cache is not None else None
     whois = WhoisCache.from_csv(args.whois_cache) if args.whois_cache is not None else None
-    reports = [report for report in reports if report.positives]
-    if not reports:
+    table = table.take(np.flatnonzero(table.positives))
+    if not len(table):
         raise ValueError("no reports with detections to classify")
-    features = FeatureTable.build(ReportTable.of(reports), model.cluster_model, hosting=hosting, whois=whois)
-    return model, groups, reports, features
+    features = FeatureTable.build(table, model.cluster_model, hosting=hosting, whois=whois)
+    return model, groups, table, features
 
 
 def _cmd_classify_predict(args) -> int:
     run = _Run(args, {})
-    model, groups, reports, features = _load_model_and_features(args)
+    model, groups, table, features = _load_model_and_features(args)
     scores = model.predict_proba(feature_matrix(features, groups))
     rows = (
-        (report.url, report.scan_id, CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0], score)
-        for report, score in zip(reports, scores.tolist())
+        (url, scan_id, CLASS_NAMES[1] if score > 0.5 else CLASS_NAMES[0], score)
+        for url, scan_id, score in zip(features.urls, table.scan_id, scores.tolist())
     )
     write_table(run.artifact("predictions.csv"), ["url", "scan_id", "predicted", "phishing_score"], rows)
     run.seal()
-    print(f"{len(reports)} predictions written to {run.out_dir}")
+    print(f"{len(table)} predictions written to {run.out_dir}")
     return EXIT_OK
 
 
@@ -502,8 +496,8 @@ def _cmd_classify_ablate(args) -> int:
 
 def _cmd_classify_trend(args) -> int:
     run = _Run(args, {})
-    model, _, reports, features = _load_model_and_features(args)
-    trend = weekly_trend(model, list(zip(reports, features)))
+    model, _, table, features = _load_model_and_features(args)
+    trend = weekly_trend(model, list(zip(table, features)))
     write_weekly_trend_csv(trend, run.artifact("weekly_trend.csv"))
     run.seal()
     print(f"{len(trend)} weeks written to {run.out_dir}")
@@ -689,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     except _ConfigError as exc:
         print(f'ERROR code={EXIT_CONFIG} kind=config msg="{exc}"', file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, FeedFormatError, GroundTruthConflictError, ModelFormatError) as exc:
+    except (FileNotFoundError, FeedFormatError, GroundTruthConflictError, ModelFormatError, FeatureExtractionError) as exc:
         print(f'ERROR code={EXIT_INPUT} kind=input msg="{exc}"', file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

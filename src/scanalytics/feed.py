@@ -9,12 +9,13 @@ The feed is UTF-8 line-delimited JSON, one scan report per line:
 
 `parse_feed` records a parse's reports in one `ReportTable`: per-report int
 columns, and each report's verdicts as narrow codes into the parse's shared
-`ScannerVerdict` objects, one flat code array cut into rows. The reports it
-returns are read-only views of those rows; they equal and hash like reports
-built by hand. A report holds at most one verdict per scanner, as a record's
-scans object does: a report built by hand that lists a scanner twice is
-refused. Reports built by hand get their table from the same builder,
-coded once per distinct verdict value. A report's day, wherever it is read,
+`ScannerVerdict` objects, one flat code array cut into rows. A table
+iterates as read-only views of its rows, which equal and hash like reports
+built by hand; `parse_feed` returns them in a list. A report holds at most
+one verdict per scanner, as a record's scans object does: a report built by
+hand that lists a scanner twice is refused. Reports built by hand get their
+table from the same builder, coded once per distinct verdict value. Cohorts
+read a table's columns. A report's day, wherever it is read,
 is the UTC calendar day of its timestamp, whatever offset the timestamp has.
 `write_feed` writes reports back in the record form, JSON-encoding each
 distinct verdict object once. `parse_feed` reads that form back decoding
@@ -217,11 +218,6 @@ class ScanReport:
     def first_seen_day(self) -> date:
         return date.fromordinal(_utc_day(_utc_us(self.first_seen)))
 
-    @property
-    def _scan_us(self) -> int:
-        """`scan_date` in UTC microseconds since the epoch."""
-        return _utc_us(self.scan_date)
-
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -265,6 +261,7 @@ class ReportTable:
     flat code array. The analyses read the verdicts as columns indexed by
     code: `verdict_scanner` (an index into `scanners`, the sorted distinct
     names), `verdict_detected` and `verdict_label` (a `DetailedLabel`).
+    Iterating a table gives a read-only `ScanReport` view of each row.
     """
 
     urls: Sequence[str]
@@ -285,11 +282,13 @@ class ReportTable:
     positives: np.ndarray
 
     @classmethod
-    def of(cls, reports: Sequence[ScanReport]) -> "ReportTable":
-        """The table of `reports`, in their order. Reports that one
-        `parse_feed` call returned are rows of its table and are taken as
-        they are; any other reports are added to a new table as a parse adds
-        them, each distinct verdict value coded once."""
+    def of(cls, reports: "ReportTable | Sequence[ScanReport]") -> "ReportTable":
+        """The table of `reports`, in their order; a table is its own.
+        Reports that are views of one table's rows, as `parse_feed` returns
+        them, are taken as they are; any other reports are added to a new
+        table as a parse adds them, each distinct verdict value coded once."""
+        if isinstance(reports, ReportTable):
+            return reports
         table = getattr(reports[0], "_table", None) if reports else None
         if table is not None and all(type(r) is _TableReport and r._table is table for r in reports):
             return table.take(np.fromiter((r._row for r in reports), np.intp, len(reports)))
@@ -302,6 +301,13 @@ class ReportTable:
                     code[v] = builder.code(v)
             builder.add(r.url, r.scan_date, r.first_seen, r.scan_id, r.positives, [code[v] for v in verdicts])
         return builder.table()
+
+    def __len__(self) -> int:
+        return len(self.url)
+
+    def __iter__(self) -> Iterator[ScanReport]:
+        urls = map(self.urls.__getitem__, self.url.tolist())
+        return map(partial(_TableReport, self), range(len(self)), urls, self.scan_id, self.positives.tolist())
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row's verdict codes, concatenated in row order, and the row
@@ -350,10 +356,6 @@ class _TableReport(ScanReport):
     @property
     def first_seen(self) -> datetime:
         return _EPOCH + _MICROSECOND * self._table.first_seen_us.item(self._row)
-
-    @property
-    def _scan_us(self) -> int:
-        return self._table.scan_us.item(self._row)
 
     @property
     def scan_day(self) -> date:
@@ -434,12 +436,6 @@ class _TableBuilder:
             scan_id=self.scan_id, positives=column(self.positives),
         )
 
-    def reports(self) -> list[ScanReport]:
-        """A read-only `ScanReport` over each row of the finished table."""
-        table = self.table()
-        urls = map(table.urls.__getitem__, self.url)  # the arrays give Python ints one at a time
-        return list(map(partial(_TableReport, table), range(len(self.scan_id)), urls, self.scan_id, self.positives))
-
 
 class GroundTruthLabel(enum.Enum):
     Benign = "benign"
@@ -460,26 +456,32 @@ class GroundTruthRecord:
 class FeedCohort:
     """A named URL set together with all of its reports.
 
-    Reports are sorted by (url, scan_date, scan_id), contain no duplicate
-    scan_id, and every report's URL is in `urls`.
+    Reports are sorted by (url, UTC scan time, scan_id), contain no
+    duplicate scan_id, and every report's URL is in `urls`. Built from a
+    `ReportTable`, they are its rows; from report objects, those objects.
     """
 
     name: str
     urls: frozenset[str]
-    reports: tuple[ScanReport, ...]
+    reports: tuple[ScanReport, ...] | ReportTable
 
     @classmethod
-    def build(cls, name: str, urls: Iterable[str], reports: Iterable[ScanReport]) -> "FeedCohort":
-        """Sort, restrict to `urls`, and validate scan_id uniqueness."""
+    def build(cls, name: str, urls: Iterable[str], reports: Iterable[ScanReport] | ReportTable) -> "FeedCohort":
+        """Restrict to `urls`, sort, and validate scan_id uniqueness, reading
+        the columns of `ReportTable.of(reports)`."""
         url_set = frozenset(urls)
-        kept = [r for r in reports if r.url in url_set]
-        kept.sort(key=lambda r: (r.url, r._scan_us, r.scan_id))
+        reports = reports if isinstance(reports, ReportTable) else list(reports)
+        table = ReportTable.of(reports)
+        url = list(map(table.urls.__getitem__, table.url.tolist()))
+        scan_us, scan_id = table.scan_us.tolist(), table.scan_id
+        rows = sorted((i for i, u in enumerate(url) if u in url_set), key=lambda i: (url[i], scan_us[i], scan_id[i]))
         seen: set[str] = set()
-        for r in kept:
-            if r.scan_id in seen:
-                raise ValueError(f"duplicate scan_id in cohort: {r.scan_id!r}")
-            seen.add(r.scan_id)
-        return cls(name=name, urls=url_set, reports=tuple(kept))
+        for i in rows:
+            if scan_id[i] in seen:
+                raise ValueError(f"duplicate scan_id in cohort: {scan_id[i]!r}")
+            seen.add(scan_id[i])
+        kept = table.take(np.array(rows, np.intp)) if reports is table else tuple(map(reports.__getitem__, rows))
+        return cls(name=name, urls=url_set, reports=kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -735,8 +737,8 @@ def parse_feed(
 
     Reports of one call share one ScannerVerdict per distinct (scanner name,
     detected, raw result string); checks and warnings run for every line.
-    The reports are the rows of one `ReportTable`, which holds each verdict
-    as a narrow code into the shared objects (`ReportTable.of` returns it).
+    The reports iterate one `ReportTable`, which holds each verdict as a
+    narrow code into the shared objects (`ReportTable.of` takes their rows).
     A line in the writer's form (compact, `"scans"` last) is decoded in
     parts: its header fields, then its scans body. A body met again while it is among the last 64 K
     characters of bodies used (`_BODY_CACHE_CHARS`) costs one lookup; any
@@ -769,7 +771,7 @@ def parse_feed(
             warnings.append(ParseWarning(line_no, f"{exc}; line skipped"))
     table = parser.table
     del parser  # its caches go before the views are made
-    return table.reports(), warnings
+    return list(table.table()), warnings
 
 
 def parse_feed_file(path, strict: bool = False) -> tuple[list[ScanReport], list[ParseWarning]]:
@@ -856,24 +858,23 @@ def dedup_by_scan_id(reports: list[ScanReport]) -> list[ScanReport]:
     return out
 
 
-def extract_fresh(reports: list[ScanReport]) -> set[str]:
+def extract_fresh(reports: Sequence[ScanReport] | ReportTable) -> set[str]:
     """URLs first seen on the same UTC day as one of their scans.
 
     Day-granularity equality: a report makes its URL fresh when the UTC
     calendar day of first_seen equals the UTC calendar day of scan_date.
     """
-    fresh: set[str] = set()
-    for report in reports:
-        if report.url not in fresh and report.first_seen_day == report.scan_day:
-            fresh.add(report.url)
-    return fresh
+    table = ReportTable.of(reports)
+    fresh = distinct(table.url[table.first_seen_day == table.scan_day])
+    return set(map(table.urls.__getitem__, fresh.tolist()))
 
 
-def filter_ever_detected(reports: list[ScanReport]) -> FeedCohort:
+def filter_ever_detected(reports: Sequence[ScanReport] | ReportTable) -> FeedCohort:
     """Cohort "ever_detected": the URLs with at least one positive report,
     keeping all their reports."""
-    detected_urls = {r.url for r in reports if r.positives >= 1}
-    return FeedCohort.build("ever_detected", detected_urls, reports)
+    table = ReportTable.of(reports)
+    detected = distinct(table.url[table.positives >= 1])
+    return FeedCohort.build("ever_detected", map(table.urls.__getitem__, detected.tolist()), reports)
 
 
 def stratified_sample(

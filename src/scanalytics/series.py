@@ -12,8 +12,9 @@ never imputed.
 read-only `SeriesView` over them; the analytics read the columns, and a
 `LabelTimeSeries` is built only when a key is indexed.
 
-The build reads the cohort's `ReportTable` (`feed.ReportTable.of`): the rows
-of the parse the reports came from, or, for reports built by hand, a table
+The build reads the cohort's `ReportTable` (`feed.ReportTable.of`): the
+table a cohort built from a table holds, as the CLI's cohorts do; for
+report views, the rows of their table; for reports built by hand, a table
 made by the parse's builder, each distinct verdict object coded once. It
 sorts the reports, not their verdicts, by (URL, day) and scatters their
 verdict codes, position by position, into one uint8 (report x scanner) label

@@ -536,6 +536,46 @@ class TestSeriesStayColumnar:
         assert counts["SeriesPoint"] == counts["LabelTimeSeries"] == 0
 
 
+class TestReportsStayColumnar:
+    """A structural guard for the columnar report path: each subcommand fills
+    one table as it parses and passes rows of it on, never rebuilding a
+    table from report objects."""
+
+    def test_one_table_per_parse(self, synth_dir, corpus_dir, model_path, tmp_path, monkeypatch):
+        import scanalytics.cli as cli
+        from scanalytics import feed
+
+        parsed = {d: len(feed.parse_feed_file(d / "feed.jsonl")[0]) for d in (synth_dir, corpus_dir)}
+        counts = Counter()
+        monkeypatch.setattr(feed._TableBuilder, "add", _counting(feed._TableBuilder.add, counts, "add"))
+        cohorts = []
+        series_build = cli.build_series
+
+        def build_series(cohort):
+            cohorts.append(cohort.reports)
+            return series_build(cohort)
+
+        monkeypatch.setattr(cli, "build_series", build_series)
+        feed_args = ("--feed", synth_dir / "feed.jsonl")
+        corpus_args = ("--feed", corpus_dir / "feed.jsonl")
+        runs = [
+            (synth_dir, ("ingest", *feed_args)),
+            (synth_dir, ("metrics", *feed_args, "--ground-truth", synth_dir / "truth.csv")),
+            (synth_dir, ("correlate", *feed_args, "--k", 3)),
+            (synth_dir, ("leadlag", *feed_args)),
+            (corpus_dir, ("classify", "train", *corpus_args, "--ground-truth", corpus_dir / "truth.csv",
+                          "--clusters", 8, "--trees", 2, "--seed", SEED)),
+            (corpus_dir, ("classify", "predict", *corpus_args, "--model", model_path)),
+            (corpus_dir, ("classify", "trend", *corpus_args, "--model", model_path)),
+        ]
+        for i, (inputs, argv) in enumerate(runs):
+            counts.clear()
+            assert run_cli(*argv, "--out", tmp_path / str(i)) == 0
+            assert counts["add"] == parsed[inputs], argv[:2]
+        assert len(cohorts) == 3
+        assert all(isinstance(reports, feed.ReportTable) for reports in cohorts)
+
+
 @pytest.fixture(scope="module")
 def model_path(corpus_dir, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("model")
@@ -1386,3 +1426,74 @@ class TestInputContractHarness:
         bad = tmp_path / "model.json"
         argv = ["classify", "predict", "--feed", feed, "--model", bad]
         self._check(tmp_path, capsys, bad, model_path.read_bytes(), _mutate_json, argv)
+
+
+class TestGroundTruthClasses:
+    """A ground-truth file without a class the subcommand needs is an input
+    error naming the file; a file with every class whose URLs the feed's
+    series lack is a computation error."""
+
+    @staticmethod
+    def _truth(synth_dir, tmp_path, keep) -> Path:
+        from scanalytics.feed import load_ground_truth
+
+        path = tmp_path / "truth.csv"
+        write_ground_truth([r for r in load_ground_truth(synth_dir / "truth.csv") if keep(r)], path)
+        return path
+
+    @pytest.mark.parametrize("missing", [GroundTruthLabel.Benign, "positive"])
+    def test_metrics_class_missing_from_file(self, synth_dir, tmp_path, capsys, missing):
+        if missing == "positive":
+            truth = self._truth(synth_dir, tmp_path, lambda r: r.label is GroundTruthLabel.Benign)
+        else:
+            truth = self._truth(synth_dir, tmp_path, lambda r: r.label is not GroundTruthLabel.Benign)
+        code = run_cli("metrics", "--feed", synth_dir / "feed.jsonl", "--ground-truth", truth, "--out", tmp_path / "o")
+        assert code == 2
+        _one_error_line(capsys, 2, "input", truth)
+        assert not (tmp_path / "o").exists()
+
+    def test_metrics_class_missing_from_series(self, synth_dir, tmp_path, capsys):
+        truth = self._truth(synth_dir, tmp_path, lambda r: r.label is not GroundTruthLabel.Benign)
+        with open(truth, "a", encoding="utf-8", newline="") as fh:
+            fh.write("http://not-in-feed.test/,benign,test,2021-03-01T00:00:00Z\r\n")
+        code = run_cli("metrics", "--feed", synth_dir / "feed.jsonl", "--ground-truth", truth, "--out", tmp_path / "o")
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            'ERROR code=3 kind=compute msg="ground truth has no benign URLs in the series"'
+        ]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    def test_classify_header_only_file(self, corpus_dir, tmp_path, capsys, verb):
+        truth = tmp_path / "truth.csv"
+        write_ground_truth([], truth)
+        code = run_cli("classify", verb, "--feed", corpus_dir / "feed.jsonl", "--ground-truth", truth,
+                       "--clusters", 8, "--trees", 2, "--seed", SEED, "--out", tmp_path / "o")
+        assert code == 2
+        _one_error_line(capsys, 2, "input", truth)
+        assert not (tmp_path / "o").exists()
+
+
+class TestHostlessUrl:
+    URL = "http:///nopath"
+
+    @pytest.mark.parametrize("verb", ["train", "predict", "trend"])
+    def test_is_input_error(self, corpus_dir, model_path, tmp_path, capsys, verb):
+        from scanalytics.feed import load_ground_truth
+
+        lines = (corpus_dir / "feed.jsonl").read_text(encoding="utf-8").splitlines()
+        record = dict(next(json.loads(line) for line in lines if json.loads(line)["positives"] >= 2),
+                      url=self.URL, scan_id="hostless")
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text("\n".join(lines + [json.dumps(record)]) + "\n", encoding="utf-8")
+        if verb == "train":
+            truth = tmp_path / "truth.csv"
+            records = load_ground_truth(corpus_dir / "truth.csv")
+            write_ground_truth(records + [GroundTruthRecord(self.URL, GroundTruthLabel.Phishing, "test", ts(0))], truth)
+            argv = ("classify", "train", "--feed", feed, "--ground-truth", truth,
+                    "--clusters", 8, "--trees", 2, "--seed", SEED)
+        else:
+            argv = ("classify", verb, "--feed", feed, "--model", model_path)
+        assert run_cli(*argv, "--out", tmp_path / "o") == 2
+        _one_error_line(capsys, 2, "input", self.URL)
+        assert not (tmp_path / "o").exists()

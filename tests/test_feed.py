@@ -301,6 +301,48 @@ class TestFilterEverDetected:
             assert [r.scan_id for r in filter_ever_detected(reports).reports] == expected
 
 
+class TestCohortBuild:
+    # Input order repeats "x" first; cohort order (URL, UTC scan time, scan
+    # id) puts http://a.test/ first and so meets the repeat of "y" first.
+    REPEATS = [("http://b.test/", 0, "x"), ("http://b.test/", 1, "x"),
+               ("http://a.test/", 2, "y"), ("http://a.test/", 3, "y")]
+
+    @staticmethod
+    def _forms(rows):
+        """The same reports built by hand, as a generator of them, as parse
+        views and as a table."""
+        by_hand = [report(url, day, scan_id, [verdict("S", DetailedLabel.PhishingSite)]) for url, day, scan_id in rows]
+        views, _ = parse_feed(iter(map(report_to_json, by_hand)))
+        return {"by_hand": by_hand, "generator": iter(list(by_hand)), "views": views, "table": ReportTable.of(views)}
+
+    @pytest.mark.parametrize("form", ["by_hand", "generator", "views", "table"])
+    def test_duplicate_names_first_repeat_in_cohort_order(self, form):
+        reports = self._forms(self.REPEATS)[form]
+        with pytest.raises(ValueError, match=r"^duplicate scan_id in cohort: 'y'$"):
+            feed.FeedCohort.build("c", {"http://a.test/", "http://b.test/"}, reports)
+
+    def test_duplicate_outside_urls_is_not_checked(self):
+        for reports in self._forms(self.REPEATS).values():
+            cohort = feed.FeedCohort.build("c", {"http://c.test/"}, reports)
+            assert len(cohort.reports) == 0
+
+    def test_list_gives_its_objects_and_table_its_rows(self):
+        rows = [("http://b.test/", 1, "b1"), ("http://a.test/", 2, "a2"), ("http://b.test/", 0, "b0"),
+                ("http://c.test/", 0, "c0"), ("http://a.test/", 1, "a1")]
+        order = [4, 1, 2, 0]  # a1, a2, b0, b1
+        urls = {"http://a.test/", "http://b.test/"}
+        forms = self._forms(rows)
+        by_hand, views, table = forms["by_hand"], forms["views"], forms["table"]
+        for given, objects in ((by_hand, by_hand), (forms["generator"], by_hand), (views, views)):
+            cohort = feed.FeedCohort.build("c", urls, given)
+            assert type(cohort.reports) is tuple and len(cohort.reports) == len(order)
+            assert all(r is objects[i] for r, i in zip(cohort.reports, order))
+        cohort = feed.FeedCohort.build("c", urls, table)
+        assert isinstance(cohort.reports, ReportTable) and cohort.reports.verdicts is table.verdicts
+        assert [r.scan_id for r in cohort.reports] == [rows[i][2] for i in order]
+        assert list(cohort.reports) == [views[i] for i in order]
+
+
 class TestStratifiedSample:
     def _make_cell_url(self, reports_out, url, n_reports, max_pos):
         for k in range(n_reports):
