@@ -122,20 +122,26 @@ def fit_scanner_factors(
 
     # Each detecting verdict sets its scanner's detected column and its
     # label's column; a label's slot is its value, as `_LABEL_SLOTS` is
-    # every label after Benign in order.
+    # every label after Benign in order. Only columns some verdict sets can
+    # vary, so `X` holds those alone: column j is feature column cols[j].
     keep = table.verdict_detected[codes]
     row, codes = row[keep], codes[keep]
     base = column[table.verdict_scanner[codes]]
-    X = np.zeros((len(reports), len(present) * n_slots))
-    X[row, base] = 1.0
-    X[row, base + table.verdict_label[codes]] = 1.0
+    label = base + table.verdict_label[codes]
+    cols = distinct(np.concatenate([base, label]))
+    X = np.zeros((len(reports), len(cols)))
+    X[row, np.searchsorted(cols, base)] = 1.0
+    X[row, np.searchsorted(cols, label)] = 1.0
 
     std = X.std(axis=0)
     varying = std > 0
     if not varying.any():
         raise ValueError("degenerate sample: every scanner feature is constant")
 
-    Z = (X[:, varying] - X[:, varying].mean(axis=0)) / std[varying]
+    Z = X[:, varying]
+    del X
+    Z -= Z.mean(axis=0)
+    Z /= std[varying]
     corr = (Z.T @ Z) / len(reports)
     eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(eigvals)[::-1][:n_factors]
@@ -150,8 +156,8 @@ def fit_scanner_factors(
 
     # A sample with fewer varying columns than factors has no variance left
     # for the rest, so those factors load zero everywhere.
-    full = np.zeros((X.shape[1], n_factors))
-    full[varying, : column_loadings.shape[1]] = column_loadings
+    full = np.zeros((len(present) * n_slots, n_factors))
+    full[cols[varying], : column_loadings.shape[1]] = column_loadings
 
     matrix = np.zeros((len(scanners), n_factors))
     loadings = np.abs(full).reshape(len(present), n_slots, n_factors).sum(axis=1)

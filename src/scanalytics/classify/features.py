@@ -136,7 +136,11 @@ class HostingCache:
         return cache
 
     def lookup(self, url: str) -> HostingRecord | None:
-        return self._records.get(normalize_url(url))
+        """The record of `url` once normalized. A key is its own normal
+        form, so a URL found as given, as a parsed table's URLs are, is
+        not normalized again."""
+        record = self._records.get(url)
+        return record if record is not None else self._records.get(normalize_url(url))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -3,17 +3,22 @@
 Trees use axis-aligned splits chosen by Gini impurity over candidate
 thresholds at midpoints of adjacent distinct feature values. The search is
 exact and sorts nothing per node: each column's distinct values are ranked
-once per forest (`_BinnedMatrix`), and a node reads its row and positive
-counts per value from two `np.bincount` calls over those ranks. Prefix sums
+once per forest (`_BinnedMatrix`), and a node reads its rows per value and
+class from one `np.bincount` over those ranks. Prefix sums
 over the values present in the node score every boundary with the float
 expression a sort of the node's rows would use, so each tree is the one that
 sort would grow, bit for bit. This is the histogram search of LightGBM (Ke et
-al. 2017) with one bin per distinct value instead of approximate bins.
+al. 2017) with one bin per distinct value instead of approximate bins, and
+with its subtraction: after a split only the smaller child is counted, and
+the larger child's counts are the parent's minus the smaller child's.
 
 Tree t draws its bootstrap sample and split-feature subsets from a generator
 seeded with (seed + t), so training is reproducible at any parallelism level.
 Prediction is the majority over tree votes; the score is the vote fraction
-for class 1.
+for class 1. Prediction walks the trees in blocks: a block's trees share one
+set of node arrays, and all of its (tree, row) pairs descend together. A
+block holds as many trees as fit in `_WALK_PAIRS` pairs, so the walk's
+memory does not grow with the forest.
 
 Models persist to a versioned JSON file carrying hyperparameters, the
 feature-name manifest, the scanner cluster model, and every tree; loading
@@ -23,8 +28,8 @@ with a mismatched feature manifest is a fatal error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,23 +67,43 @@ class DecisionTree:
     value: np.ndarray  # int8 majority class per node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int32)
-        pending = np.flatnonzero(self.feature[node] >= 0)
+        return next(_walk((self,), X))[0]
+
+
+# A walk advances the (tree, row) pairs of as many trees at once as fit in
+# this many pairs, one tree at least, so its memory does not grow with the
+# number of trees.
+_WALK_PAIRS = 1 << 14
+
+
+def _walk(trees: Sequence[DecisionTree], X: np.ndarray) -> Iterator[np.ndarray]:
+    """Each tree's leaf value for every row of `X` (rows, features), as
+    (trees, rows) int8 blocks in tree order. A block's trees are stacked
+    into one set of node arrays, their node ids offset per tree, and every
+    (tree, row) pair of the block descends one level per step."""
+    n_rows, n_columns = X.shape
+    cells = np.ascontiguousarray(X, dtype=float).ravel()
+    row_start = np.arange(n_rows, dtype=np.intp) * n_columns
+    per_block = max(1, _WALK_PAIRS // max(n_rows, 1))
+    for first in range(0, len(trees), per_block):
+        block = trees[first:first + per_block]
+        sizes = [len(tree.feature) for tree in block]
+        offset = np.cumsum([0, *sizes[:-1]]).astype(np.int32)
+        shift = np.repeat(offset, sizes)
+        feature = np.concatenate([tree.feature for tree in block])
+        threshold = np.concatenate([tree.threshold for tree in block])
+        left = np.concatenate([tree.left for tree in block]) + shift
+        right = np.concatenate([tree.right for tree in block]) + shift
+        node = np.repeat(offset, n_rows)  # pair p is tree p // n_rows, row p % n_rows
+        cell = np.tile(row_start, len(block))
+        pending = np.flatnonzero(feature[node] >= 0)
         while pending.size:
-            f = self.feature[node[pending]]
-            go_left = X[pending, f] <= self.threshold[node[pending]]
-            node[pending] = np.where(
-                go_left, self.left[node[pending]], self.right[node[pending]]
-            )
-            pending = pending[self.feature[node[pending]] >= 0]
-        return self.value[node]
-
-
-def _gini(counts: np.ndarray, total: int) -> float:
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+            at = node[pending]
+            go_left = cells[cell[pending] + feature[at]] <= threshold[at]
+            at = np.where(go_left, left[at], right[at])
+            node[pending] = at
+            pending = pending[feature[at] >= 0]
+        yield np.concatenate([tree.value for tree in block])[node].reshape(len(block), n_rows)
 
 
 @dataclass(frozen=True)
@@ -89,13 +114,15 @@ class _BinnedMatrix:
     the global bin ids offset[f], offset[f] + 1, ...; `codes[i, f]` is the
     bin of `X[i, f]`, `values[b]` its value and `bin_feature[b]` its column.
     `np.unique` puts -0.0 and 0.0 in one bin, and every NaN in one bin
-    after the column's numbers.
+    after the column's numbers. A sample of the rows (a bootstrap repeats
+    some) is the row ids `sample` into the same cells, not a copy of them.
     """
 
     X: np.ndarray  # float64 (rows, features)
     codes: np.ndarray  # intp (rows, features)
     values: np.ndarray  # float64 per bin
     bin_feature: np.ndarray  # intp per bin
+    sample: np.ndarray | None = None  # the rows, in order; None for every row
 
     @classmethod
     def encode(cls, X: np.ndarray) -> "_BinnedMatrix":
@@ -111,7 +138,8 @@ class _BinnedMatrix:
         return cls(X, codes, np.concatenate([np.empty(0), *columns]), bin_feature)
 
     def take(self, rows: np.ndarray) -> "_BinnedMatrix":
-        return _BinnedMatrix(self.X[rows], self.codes[rows], self.values, self.bin_feature)
+        """The matrix of this one's rows `rows`, in that order."""
+        return replace(self, sample=rows if self.sample is None else self.sample[rows])
 
 
 def _build_tree(
@@ -127,8 +155,12 @@ def _build_tree(
 
     Counts come from per-value bins, not from sorting the node: the bins
     present in the node, in bin order, are its sorted distinct values, and
-    prefix sums over them give the left side of every boundary."""
-    X, codes, values, bin_feature = data.X, data.codes, data.values, data.bin_feature
+    prefix sums over them give the left side of every boundary. A node's
+    per-bin counts cover every column. After a split only the child with
+    fewer rows is counted; the other child's counts are the parent's minus
+    its sibling's."""
+    X, values, bin_feature = data.X, data.values, data.bin_feature
+    sample = np.arange(len(X)) if data.sample is None else data.sample
     n_features = X.shape[1]
     n_bins = len(values)
     feature: list[int] = []
@@ -137,49 +169,61 @@ def _build_tree(
     right: list[int] = []
     value: list[int] = []
 
-    def new_node(majority: int) -> int:
+    def new_node(n: int, ones: int) -> int:
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(majority)
+        value.append(1 if ones > n - ones else 0)
         return len(feature) - 1
 
-    def majority_class(labels: np.ndarray) -> int:
-        ones = int(labels.sum())
-        zeros = len(labels) - ones
-        return 1 if ones > zeros else 0
+    def splits(n: int, ones: int, depth: int) -> bool:
+        return n >= 2 and 0 < ones < n and depth < max_depth
 
-    root = new_node(majority_class(y))
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(len(y)), 0, root)]
+    # Each cell's slot in a node's histogram: its bin in a class-0 row, and
+    # n_bins plus its bin in a class-1 row.
+    slots = data.codes[sample]
+    slots += n_bins * (y == 1)[:, None]
+    # A bin's group is its column, except that each NaN bin is a group alone.
+    group = np.where(np.isnan(values), -1 - np.arange(n_bins), bin_feature)
+
+    def histogram(node_slots: np.ndarray) -> np.ndarray:
+        """Rows per bin of class 0, then of class 1, over every column."""
+        return np.bincount(node_slots.ravel(), minlength=2 * n_bins)
+
+    n, ones = len(y), int(y.sum())
+    root = new_node(n, ones)
+    # A node is stacked only if it may split: (rows, positives, depth, id, histogram).
+    stack: list[tuple[np.ndarray, int, int, int, np.ndarray]] = []
+    if splits(n, ones, 0):
+        stack.append((np.arange(n), ones, 0, root, histogram(slots)))  # every row, without a copy
     while stack:
-        idx, depth, node_id = stack.pop()
-        labels = y[idx]
+        idx, ones, depth, node_id, by_class = stack.pop()
+        positives = by_class[n_bins:]
+        counts = by_class[:n_bins] + positives
         n = len(idx)
-        ones = int(labels.sum())
-        if n < 2 or ones == 0 or ones == n or depth >= max_depth:
-            continue
-        node_gini = _gini(np.array([n - ones, ones]), n)
+        # The Gini of the node's two class counts, in the float operations
+        # of `1 - sum(p * p)` over the array [n - ones, ones] / n.
+        p0, p1 = (n - ones) / n, ones / n
+        node_gini = 1.0 - (p0 * p0 + p1 * p1)
 
         # The subset is drawn only when it is a strict subset, so the draws
         # follow the depth-first order of the nodes that reach this line.
+        # Masking the other columns' bins leaves the bins a count over the
+        # drawn columns alone would find.
+        live = counts
         if max_features < n_features:
-            candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            node_codes = codes[np.ix_(idx, candidates)]
-        else:
-            node_codes = codes[idx]
-        counts = np.bincount(node_codes.ravel(), minlength=n_bins)
-        positives = np.bincount(node_codes[labels == 1].ravel(), minlength=n_bins)
-        present = np.flatnonzero(counts)
-        cum_n = np.cumsum(counts[present])
-        cum_pos = np.cumsum(positives[present])
-        # A boundary joins two adjacent present bins of one column whose
-        # values strictly increase: NaN, compared to anything, is never
+            keep = np.zeros(n_features, bool)
+            keep[rng.choice(n_features, size=max_features, replace=False)] = True
+            live = counts * keep[bin_feature]
+        present = live.nonzero()[0]
+        cum_n = counts[present].cumsum()
+        cum_pos = positives[present].cumsum()
+        # A boundary joins two adjacent present bins of one group, so two
+        # adjacent numbers of one column: NaN, compared to anything, is never
         # greater, so as with sorted rows no split separates it.
-        lo, hi = present[:-1], present[1:]
-        boundary = np.flatnonzero(
-            (bin_feature[lo] == bin_feature[hi]) & (values[hi] > values[lo])
-        )
+        column_of = group[present]
+        boundary = (column_of[:-1] == column_of[1:]).nonzero()[0]
         if not boundary.size:
             continue
         # Every candidate column holds all n rows of the node, so the j-th
@@ -200,19 +244,23 @@ def _build_tree(
         gini_right = 1.0 - right_p**2 - (1.0 - right_p) ** 2
         weighted = (left_n * gini_left + right_n * gini_right) / n
 
-        lo, hi = lo[boundary], hi[boundary]
         # Lowest Gini, then fewest rows on the left, then the lowest column:
         # the order of a row-major argmin over a (left rows, column) grid.
-        best = int(np.lexsort((bin_feature[lo], left_n, weighted))[0])
-        if weighted[best] >= node_gini - 1e-12:
+        lowest = weighted.min()
+        if lowest >= node_gini - 1e-12:
             continue
+        tied = (weighted == lowest).nonzero()[0]
+        if len(tied) > 1:
+            tied = tied[np.lexsort((column_of[boundary[tied]], left_n[tied]))]
+        best = tied[0]
         # The threshold is the midpoint of the two adjacent present values,
         # in Python floats: between -inf and inf it is NaN without a warning.
-        feat = int(bin_feature[lo[best]])
-        x_lo = float(values[lo[best]])
-        x_hi = float(values[hi[best]])
+        lo, hi = present[boundary[best]], present[boundary[best] + 1]
+        feat = int(bin_feature[lo])
+        x_lo = float(values[lo])
+        x_hi = float(values[hi])
         thr = (x_lo + x_hi) / 2.0
-        column = X[idx, feat]
+        column = X[sample[idx], feat]
         if not thr < x_hi:  # midpoint rounded up, or NaN between -inf and inf
             # The node's last row equal to x_lo, as a stable sort places
             # it: its sign of zero may differ from the bin's value.
@@ -222,15 +270,29 @@ def _build_tree(
         go_left = column <= thr
         left_idx = idx[go_left]
         right_idx = idx[~go_left]
+        left_ones = int(y[left_idx].sum())
+        right_ones = ones - left_ones
 
         feature[node_id] = feat
         threshold[node_id] = float(thr)
-        left_id = new_node(majority_class(y[left_idx]))
-        right_id = new_node(majority_class(y[right_idx]))
+        left_id = new_node(len(left_idx), left_ones)
+        right_id = new_node(len(right_idx), right_ones)
         left[node_id] = left_id
         right[node_id] = right_id
-        stack.append((left_idx, depth + 1, left_id))
-        stack.append((right_idx, depth + 1, right_id))
+        grow_left = splits(len(left_idx), left_ones, depth + 1)
+        grow_right = splits(len(right_idx), right_ones, depth + 1)
+        if not (grow_left or grow_right):
+            continue
+        # Count the smaller child; the larger one's counts are the rest.
+        small_left = len(left_idx) <= len(right_idx)
+        small = histogram(slots[left_idx if small_left else right_idx])
+        grow_large = grow_right if small_left else grow_left
+        large = by_class - small if grow_large else None
+        left_counts, right_counts = (small, large) if small_left else (large, small)
+        if grow_left:
+            stack.append((left_idx, left_ones, depth + 1, left_id, left_counts))
+        if grow_right:
+            stack.append((right_idx, right_ones, depth + 1, right_id, right_counts))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -260,8 +322,9 @@ class ForestModel:
                 f"feature count mismatch: model has {len(self.feature_names)}, input has {X.shape[1]}"
             )
         votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += tree.predict(X)
+        for block in _walk(self.trees, X):
+            for tree_votes in block:  # in tree order, as one tree at a time adds them
+                votes += tree_votes
         return votes / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -344,8 +407,9 @@ def save_forest(model: ForestModel, path) -> None:
             for tree in model.trees
         ],
     }
+    text = json.dumps(payload, sort_keys=True)  # `json.dump` would stream through the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_forest(path, expect_features: Sequence[str] | None = None) -> ForestModel:

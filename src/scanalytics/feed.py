@@ -469,9 +469,16 @@ class FeedCohort:
     def build(cls, name: str, urls: Iterable[str], reports: Iterable[ScanReport] | ReportTable) -> "FeedCohort":
         """Restrict to `urls`, sort, and validate scan_id uniqueness, reading
         the columns of `ReportTable.of(reports)`."""
-        url_set = frozenset(urls)
         reports = reports if isinstance(reports, ReportTable) else list(reports)
-        table = ReportTable.of(reports)
+        return cls._select(name, urls, reports, ReportTable.of(reports))
+
+    @classmethod
+    def _select(
+        cls, name: str, urls: Iterable[str], reports: Sequence[ScanReport] | ReportTable, table: ReportTable
+    ) -> "FeedCohort":
+        """`build` over `table`, which is `ReportTable.of(reports)` built once
+        by the caller."""
+        url_set = frozenset(urls)
         url = list(map(table.urls.__getitem__, table.url.tolist()))
         scan_us, scan_id = table.scan_us.tolist(), table.scan_id
         rows = sorted((i for i, u in enumerate(url) if u in url_set), key=lambda i: (url[i], scan_us[i], scan_id[i]))
@@ -874,7 +881,7 @@ def filter_ever_detected(reports: Sequence[ScanReport] | ReportTable) -> FeedCoh
     keeping all their reports."""
     table = ReportTable.of(reports)
     detected = distinct(table.url[table.positives >= 1])
-    return FeedCohort.build("ever_detected", map(table.urls.__getitem__, detected.tolist()), reports)
+    return FeedCohort._select("ever_detected", map(table.urls.__getitem__, detected.tolist()), reports, table)
 
 
 def stratified_sample(

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanalytics.classify.factors import (
     FactorLoadings,
@@ -183,3 +185,97 @@ class TestDegenerateInputs:
         loadings = _loadings_from_matrix(["a", "b", "c"], [[1, 0], [0, 1], [2, 2]])
         with pytest.raises(ValueError, match="k must be"):
             cluster_scanners(loadings, k=1, seed=0)
+
+
+def _wide_fit_matrix(reports, n_factors):
+    """The loading matrix of the fit that standardizes a column for every
+    (scanner, slot) of the sample's scanners, as `fit_scanner_factors` did
+    before it kept only the columns some verdict sets."""
+    from scanalytics.classify.factors import _LABEL_SLOTS
+    from scanalytics.feed import ReportTable, distinct
+    from scanalytics.scanners import SCANNER_NAMES
+
+    table = ReportTable.of(reports)
+    row, codes = table.flat()
+    used = distinct(table.verdict_scanner[codes])
+    present = tuple(table.scanners[i] for i in used.tolist())
+    scanners = tuple(sorted(set(SCANNER_NAMES).union(present)))
+    n_slots = 1 + len(_LABEL_SLOTS)
+    column = np.zeros(len(table.scanners), np.intp)
+    column[used] = np.arange(len(used)) * n_slots
+    keep = table.verdict_detected[codes]
+    row, codes = row[keep], codes[keep]
+    base = column[table.verdict_scanner[codes]]
+    X = np.zeros((len(reports), len(present) * n_slots))
+    X[row, base] = 1.0
+    X[row, base + table.verdict_label[codes]] = 1.0
+    std = X.std(axis=0)
+    varying = std > 0
+    if not varying.any():
+        raise ValueError("degenerate sample: every scanner feature is constant")
+    Z = (X[:, varying] - X[:, varying].mean(axis=0)) / std[varying]
+    eigvals, eigvecs = np.linalg.eigh((Z.T @ Z) / len(reports))
+    order = np.argsort(eigvals)[::-1][:n_factors]
+    column_loadings = eigvecs[:, order] * np.sqrt(np.clip(eigvals[order], 0.0, None))
+    for f in range(column_loadings.shape[1]):
+        if column_loadings[np.argmax(np.abs(column_loadings[:, f])), f] < 0:
+            column_loadings[:, f] = -column_loadings[:, f]
+    full = np.zeros((X.shape[1], n_factors))
+    full[varying, : column_loadings.shape[1]] = column_loadings
+    matrix = np.zeros((len(scanners), n_factors))
+    matrix[[scanners.index(name) for name in present]] = (
+        np.abs(full).reshape(len(present), n_slots, n_factors).sum(axis=1)
+    )
+    return matrix
+
+
+class TestVaryingColumnsOnly:
+    """The fit builds its matrix over the columns some detecting verdict
+    sets, not over every (scanner, slot) of the sample's scanners."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_loadings_as_every_column(self, data):
+        names = data.draw(st.lists(st.sampled_from(["A1", "A2", "B1", "B2", "C1", "Fortinet"]), min_size=2, max_size=6, unique=True))
+        labels = data.draw(st.lists(st.sampled_from([P, M, S, DetailedLabel.OtherMalicious]), min_size=1, max_size=4))
+        fire = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        reports = []
+        for i in range(data.draw(st.integers(min_value=100, max_value=140))):
+            detecting = set(rng.sample(names, 2)) | {name for name in names if rng.random() < fire}
+            verdicts = [verdict(name, rng.choice(labels) if name in detecting else None) for name in names]
+            reports.append(report(f"http://u{i % 7}.test/", 0, f"r{i}", verdicts))
+        n_factors = data.draw(st.integers(min_value=1, max_value=6))
+        try:
+            expected = _wide_fit_matrix(reports, n_factors)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fit_scanner_factors(reports, n_factors=n_factors, seed=0)
+            return
+        assert fit_scanner_factors(reports, n_factors=n_factors, seed=0).matrix.tobytes() == expected.tobytes()
+
+    def test_memory_follows_the_set_columns(self):
+        import tracemalloc
+
+        from scanalytics.feed import ReportTable
+        from scanalytics.scanners import SCANNER_NAMES
+
+        # Every registry scanner appears, but only four ever detect: the
+        # every-column matrix would be 2,000 x 95 x 9 float64s (13.7 MB).
+        quiet = [name for name in SCANNER_NAMES if name not in ("A1", "A2", "B1", "B2")]
+        rng = random.Random(11)
+        reports = []
+        for i in range(2000):
+            fire = rng.sample(["A1", "A2", "B1", "B2"], rng.randint(2, 4))
+            verdicts = [verdict(name, rng.choice([P, M])) for name in fire]
+            verdicts += [verdict(quiet[(3 * i + k) % len(quiet)]) for k in range(3)]
+            reports.append(report(f"http://u{i}.test/", 0, f"r{i}", verdicts))
+        table = ReportTable.of(reports)
+        tracemalloc.start()
+        try:
+            loadings = fit_scanner_factors(table, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loadings.absent) == 0 and loadings.row("A1").any()
+        assert peak < 2_000_000, peak

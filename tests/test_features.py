@@ -418,3 +418,23 @@ class TestColumnBuildMatchesOracle:
             with pytest.raises(error, match=re.escape(message)) as raised:
                 FeatureTable.build(ReportTable.of(reports), _ORACLE_MODEL)
             assert type(raised.value) is error
+
+
+class TestHostingLookup:
+    """`HostingCache.lookup` tries a URL as given before normalizing it. That
+    finds the record of its normal form because a normal form normalizes to
+    itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_urls(), st.text()))
+    def test_normal_form_is_its_own(self, url):
+        assert normalize_url(normalize_url(url)) == normalize_url(url)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_urls(), _urls())
+    def test_lookup_by_either_spelling(self, url, other):
+        record = HostingRecord(1, 1, "AS1", "us")
+        cache = HostingCache({url: record})
+        assert cache.lookup(url) is record
+        assert cache.lookup(normalize_url(url)) is record
+        assert cache.lookup(other) is (record if normalize_url(other) == normalize_url(url) else None)

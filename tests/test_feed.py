@@ -342,6 +342,18 @@ class TestCohortBuild:
         assert [r.scan_id for r in cohort.reports] == [rows[i][2] for i in order]
         assert list(cohort.reports) == [views[i] for i in order]
 
+    def test_ever_detected_codes_hand_built_reports_once(self, monkeypatch):
+        rows = [("http://b.test/", 1, "b1"), ("http://a.test/", 2, "a2"), ("http://c.test/", 0, "c0")]
+        by_hand = self._forms(rows)["by_hand"]
+        by_hand.append(report("http://d.test/", 0, "d0", [verdict("S")]))  # never detected
+        added = []
+        add = feed._TableBuilder.add
+        monkeypatch.setattr(feed._TableBuilder, "add", lambda self, *args: (added.append(args[3]), add(self, *args)))
+        cohort = feed.filter_ever_detected(by_hand)
+        assert added == [scan_id for _, _, scan_id in rows] + ["d0"]
+        assert cohort.urls == {"http://a.test/", "http://b.test/", "http://c.test/"}
+        assert all(r is by_hand[i] for r, i in zip(cohort.reports, [1, 0, 2], strict=True))
+
 
 class TestStratifiedSample:
     def _make_cell_url(self, reports_out, url, n_reports, max_pos):

@@ -375,3 +375,116 @@ class TestInfiniteNeighboursWarnNothing:
         assert tree.predict(X).tolist() == [0, 0, 1, 1]
         assert not any(np.isnan(t.threshold).any() for t in model.trees)
         assert votes.shape[0] == 4
+
+
+class TestHistogramSubtraction:
+    """Each child's bin counts come from its parent's minus its sibling's;
+    at a few hundred rows and full depth the trees still equal sorting every
+    node, whichever child is the smaller and when a child is pure."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_tree_as_sorting_every_node(self, data):
+        n = data.draw(st.integers(min_value=300, max_value=600))
+        n_features = data.draw(st.integers(min_value=2, max_value=6))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, data.draw(st.integers(min_value=2, max_value=40)), size=(n, n_features)).astype(float)
+        X[rng.random((n, n_features)) < 0.05] = np.nan
+        noise = data.draw(st.sampled_from([0.0, 0.1, 0.4]))
+        y = ((X[:, 0] > np.nanmedian(X[:, 0])) ^ (rng.random(n) < noise)).astype(np.int8)
+        max_features = data.draw(st.integers(min_value=1, max_value=n_features))
+        _assert_same_tree(X, y, 250, max_features, seed)
+
+    def test_equal_children_and_pure_children(self):
+        # Column 0 halves the rows exactly, so the root's children are equal
+        # in size; column 1 then splits each half into a pure side and a
+        # side that column 2 separates only after several more splits.
+        rng = np.random.default_rng(3)
+        n = 400
+        X = np.column_stack([np.repeat([0.0, 1.0], n // 2), rng.integers(0, 4, n), rng.normal(size=n).round(1)])
+        y = (X[:, 0].astype(bool) ^ ((X[:, 1] > 1) & (X[:, 2] > 0))).astype(np.int8)
+        tree = _build_tree(_BinnedMatrix.encode(X), y, 250, 3, np.random.default_rng(0))
+        assert tree.feature[0] == 0
+        assert np.array_equal(tree.predict(X), y)
+        for max_features in (3, 2, 1):
+            _assert_same_tree(X, y, 250, max_features, seed=max_features)
+
+    def test_sample_of_a_sample(self):
+        # `take` keeps row ids into the encoded cells; a second take picks
+        # among the first one's rows.
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 8, size=(300, 4)).astype(float)
+        y = ((X[:, 0] + rng.integers(0, 5, 300)) > 6).astype(np.int8)
+        first, second = rng.integers(0, 300, 300), rng.integers(0, 300, 300)
+        data = _BinnedMatrix.encode(X).take(first).take(second)
+        _assert_same_tree(X[first][second], y[first][second], 250, 3, seed=5, data=data)
+
+
+def _tree_walk(tree, X):
+    """Each row's leaf value, walking the one tree over every row."""
+    node = np.zeros(len(X), dtype=np.int32)
+    pending = np.flatnonzero(tree.feature[node] >= 0)
+    while pending.size:
+        f = tree.feature[node[pending]]
+        go_left = X[pending, f] <= tree.threshold[node[pending]]
+        node[pending] = np.where(go_left, tree.left[node[pending]], tree.right[node[pending]])
+        pending = pending[tree.feature[node[pending]] >= 0]
+    return tree.value[node]
+
+
+def _per_tree_votes(model, X):
+    """The vote fraction of walking one tree at a time."""
+    votes = np.zeros(len(X))
+    for tree in model.trees:
+        votes += _tree_walk(tree, X)
+    return votes / len(model.trees)
+
+
+class TestBlockedWalk:
+    """`predict_proba` walks a block of trees at once; its votes are the
+    per-tree walk's, however the (tree, row) pairs fall into blocks."""
+
+    def test_pairs_spanning_several_blocks(self):
+        from scanalytics.classify import forest
+
+        rng = np.random.default_rng(31)
+        X = rng.integers(0, 6, size=(1600, 5)).astype(float)
+        X[::11, 1] = np.nan
+        y = ((X[:, 0] + X[:, 2] + rng.integers(0, 4, 1600)) > 6).astype(np.int8)
+        model = train_forest_model(X, y, [f"f{i}" for i in range(5)], seed=4, n_estimators=40, max_features=3)
+        queries = np.concatenate([X, rng.normal(3, 3, size=(50, 5)), [[np.nan] * 5, [np.inf, -np.inf, 0.0, -0.0, 9.0]]])
+        assert len(queries) * len(model.trees) > 2 * forest._WALK_PAIRS  # several blocks, the last one short
+        expected = _per_tree_votes(model, queries)
+        assert model.predict_proba(queries).tobytes() == expected.tobytes()
+        assert model.predict_proba(queries[:1]).tobytes() == expected[:1].tobytes()
+        for tree in model.trees[:3]:
+            assert tree.predict(queries).tobytes() == _tree_walk(tree, queries).tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 7, 30, 100])
+    def test_uneven_blocks(self, monkeypatch, pairs):
+        from scanalytics.classify import forest
+
+        rng = np.random.default_rng(32)
+        X = rng.integers(0, 4, size=(30, 5)).astype(float)
+        y = ((X[:, 0] + rng.integers(0, 4, 30)) > 3).astype(np.int8)  # noisy, so the trees differ
+        model = train_forest_model(X, y, [f"f{i}" for i in range(5)], seed=6, n_estimators=10)
+        expected = _per_tree_votes(model, X)
+        monkeypatch.setattr(forest, "_WALK_PAIRS", pairs)
+        assert model.predict_proba(X).tobytes() == expected.tobytes()
+        assert model.predict_proba(X[:1]).tobytes() == expected[:1].tobytes()
+        assert model.predict_proba(X[:0]).shape == (0,)
+
+
+class TestSavedModelBytes:
+    def test_pinned_digest(self, tmp_path):
+        import hashlib
+
+        rng = np.random.default_rng(41)
+        X = rng.integers(0, 5, size=(120, 4)).astype(float) / 4
+        X[::9, 3] = np.nan
+        y = ((X[:, 0] + X[:, 1] + rng.random(120)) > 1.2).astype(np.int8)
+        model = train_forest_model(X, y, ["a", "b", "c", "d"], seed=5, n_estimators=4, max_features=2)
+        path = tmp_path / "model.json"
+        save_forest(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == "039c23c9bb80cce32d2844328281178ec6e8ee1ac64cb0863d47927b9d9907f6"
