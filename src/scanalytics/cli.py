@@ -15,16 +15,25 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
-import numpy as np
+# One OpenBLAS thread, set before numpy loads. OpenBLAS starts its thread pool
+# as numpy loads, most of a short run's start-up, and the factor fit's `Z.T @ Z`
+# and `eigh` round differently on more threads, so model.json would depend on
+# the host's core count. The caller's value is overwritten for that reason.
+# The package root loads no numpy, so library code that does not import this
+# module keeps the caller's setting.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__
-from .artifacts import write_json as _write_json
-from .artifacts import write_table
-from .classify import (
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .artifacts import write_json as _write_json  # noqa: E402
+from .artifacts import write_table  # noqa: E402
+from .classify import (  # noqa: E402
     ABLATION_ROWS,
     FeatureExtractionError,
     FeatureTable,
@@ -43,11 +52,11 @@ from .classify import (
     write_eval_csv,
 )
 # Not called here: bench/traced.py wraps these names in this module.
-from .classify import extract_features, majority_vote_class  # noqa: F401
-from .classify.evaluate import CLASS_NAMES, encode_labels, groups_from_manifest, split_train_test
-from .classify.evaluate import write_trend_csv as write_weekly_trend_csv
-from .classify.features import ALL_GROUPS, feature_manifest
-from .correlate import (
+from .classify import extract_features, majority_vote_class  # noqa: E402, F401
+from .classify.evaluate import CLASS_NAMES, encode_labels, groups_from_manifest, split_train_test  # noqa: E402
+from .classify.evaluate import write_trend_csv as write_weekly_trend_csv  # noqa: E402
+from .classify.features import ALL_GROUPS, feature_manifest  # noqa: E402
+from .correlate import (  # noqa: E402
     adjusted_rand_index,
     frobenius_trend,
     hierarchical_cluster,
@@ -58,7 +67,7 @@ from .correlate import (
     write_matrix_csv,
     write_trend_csv,
 )
-from .feed import (
+from .feed import (  # noqa: E402
     FeedCohort,
     FeedFormatError,
     GroundTruthConflictError,
@@ -73,8 +82,8 @@ from .feed import (
     write_feed,
     write_ground_truth,
 )
-from .leadlag import early_detection_matrix, first_detection_index, leader_ranking, write_ranking_csv
-from .metrics import (
+from .leadlag import early_detection_matrix, first_detection_index, leader_ranking, write_ranking_csv  # noqa: E402
+from .metrics import (  # noqa: E402
     certainty_scores,
     f1_by_offset,
     label_count_distribution,
@@ -84,8 +93,8 @@ from .metrics import (
     write_label_hist_csv,
     write_url_label_cdf_csv,
 )
-from .series import build_series, write_series_csv
-from .synth import (
+from .series import build_series, write_series_csv  # noqa: E402
+from .synth import (  # noqa: E402
     ClassifierCorpusConfig,
     ScannerArchetype,
     ScenarioConfig,
@@ -375,12 +384,14 @@ def _prepare_classifier_inputs(args):
     URL's latest report, in URL order, those reports' table, and the cluster
     model."""
     table, _, _ = _load_feed(args.feed)
-    truth = load_ground_truth(args.ground_truth)
+    # The records are dropped once read: only each URL's label is kept.
+    label_by_url = {
+        r.url: r.label
+        for r in load_ground_truth(args.ground_truth)
+        if r.label in (GroundTruthLabel.Phishing, GroundTruthLabel.Malware)
+    }
     hosting = HostingCache.from_csv(args.hosting_cache) if args.hosting_cache is not None else None
     whois = WhoisCache.from_csv(args.whois_cache) if args.whois_cache is not None else None
-    label_by_url = {
-        r.url: r.label for r in truth if r.label in (GroundTruthLabel.Phishing, GroundTruthLabel.Malware)
-    }
     if not label_by_url:
         raise FeedFormatError(f"ground truth {args.ground_truth} has no phishing/malware URLs")
 

@@ -44,6 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -948,28 +949,39 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
     across sources raises GroundTruthConflictError listing every conflict.
     A row with a missing or empty field or a bad timestamp raises
     FeedFormatError naming the row, and a file that is not UTF-8 one naming
-    the file.
+    the file. Rows are numbered as data rows from 2, skipping blank lines.
     """
     records: dict[tuple[str, str], GroundTruthRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(_utf8_lines(fh, path))
-        if reader.fieldnames is None or not set(_GT_COLUMNS).issubset(reader.fieldnames):
+        reader = csv.reader(_utf8_lines(fh, path))
+        header = next(reader, None)
+        if header is None or not set(_GT_COLUMNS).issubset(header):
             raise FeedFormatError(f"ground truth CSV must have columns {sorted(_GT_COLUMNS)}")
-        for row_no, row in enumerate(reader, start=2):
-            empty = [name for name in _GT_COLUMNS if not (row[name] or "").strip()]
-            if empty:
+        # A repeated name reads its last column, a short row's missing fields
+        # are empty and extra fields are ignored, as csv.DictReader reads them.
+        column = {name: at for at, name in enumerate(header)}
+        spec = [column[name] for name in _GT_COLUMNS]
+        width = max(spec) + 1
+        fields_of = itemgetter(*spec)
+        for row_no, values in enumerate(filter(None, reader), start=2):
+            if len(values) < width:
+                values += [""] * (width - len(values))
+            fields = fields_of(values)
+            url, label, source, stamp = stripped = [value.strip() for value in fields]
+            if not all(stripped):
+                empty = [name for name, value in zip(_GT_COLUMNS, stripped) if not value]
                 raise FeedFormatError(f"row {row_no}: missing or empty {', '.join(empty)}")
-            label_raw = row["label"].strip().lower()
+            label_raw = label.lower()
             if label_raw not in _GT_LABELS:
-                raise FeedFormatError(f"row {row_no}: unknown ground-truth label {row['label']!r}")
+                raise FeedFormatError(f"row {row_no}: unknown ground-truth label {fields[1]!r}")
             try:
-                labeled_at = _parse_ts(row["labeled_at"].strip(), "labeled_at")
+                labeled_at = _parse_ts(stamp, "labeled_at")
             except FeedFormatError as exc:
                 raise FeedFormatError(f"row {row_no}: {exc}") from None
             record = GroundTruthRecord(
-                url=normalize_url(row["url"].strip()),
+                url=normalize_url(url),
                 label=_GT_LABELS[label_raw],
-                source=row["source"].strip(),
+                source=source,
                 labeled_at=labeled_at,
             )
             key = (record.url, record.source)

@@ -905,6 +905,22 @@ class TestNoMaskedArrayImport:
         assert json.loads(done.stdout.splitlines()[-1]) == dict.fromkeys(commands, False)
 
 
+def _run_child(script: str, **env: str) -> str:
+    """The last stdout line of `script` run in a fresh interpreter with the
+    repo's sources on its path. `env` values are set; None removes a name."""
+    root = Path(__file__).resolve().parents[1]
+    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=root, env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 class TestImportsStayNarrow:
     """Importing a library module loads only what it imports: the package
     root loads no submodule."""
@@ -912,8 +928,7 @@ class TestImportsStayNarrow:
     def test_feed_and_scanners_load_only_their_imports(self):
         # Only a forest trained on more than one thread needs the thread pool,
         # and `concurrent.futures` brings in `logging`: the CLI loads neither.
-        root = Path(__file__).resolve().parents[1]
-        script = textwrap.dedent("""
+        script = """
             import json, sys
             import scanalytics.scanners
             loaded = {"numpy": "numpy" in sys.modules}
@@ -922,14 +937,53 @@ class TestImportsStayNarrow:
             import scanalytics.cli
             loaded.update((name, name in sys.modules) for name in ("concurrent.futures", "logging"))
             print(json.dumps(loaded))
-        """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {
+        """
+        assert json.loads(_run_child(script)) == {
             "numpy": False, "scanalytics.synth": False, "scanalytics.classify": False,
             "concurrent.futures": False, "logging": False}
+
+
+class TestOneBlasThread:
+    """The CLI module sets OpenBLAS to one thread before numpy loads,
+    overwriting the caller's value: no thread pool starts, and the factor
+    fit's bytes do not depend on the host's core count."""
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}])
+    def test_importing_the_cli_starts_no_thread(self, caller):
+        script = """
+            import os
+            import scanalytics.cli
+            print(len(os.listdir("/proc/self/task")))
+        """
+        env = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, **caller}
+        assert _run_child(script, **env) == "1"
+
+    def test_factor_loadings_same_bytes_at_any_caller_thread_count(self):
+        # 2,000 reports over 95 scanners: at this size one and two OpenBLAS
+        # threads round the fit's sums differently.
+        script = """
+            import hashlib, random
+            from datetime import datetime, timezone
+            import scanalytics.cli
+            from scanalytics.classify.factors import fit_scanner_factors
+            from scanalytics.feed import DetailedLabel, ScannerVerdict, ScanReport
+
+            rng = random.Random(5)
+            names = [f"Scanner-{i:02d}" for i in range(95)]
+            labels = [DetailedLabel.PhishingSite, DetailedLabel.MalwareSite, DetailedLabel.MaliciousSite]
+            at = datetime(2021, 3, 1, tzinfo=timezone.utc)
+            reports = []
+            for i in range(2000):
+                rate = rng.random() / 2
+                verdicts = tuple(ScannerVerdict(name, True, rng.choice(labels))
+                                 for j, name in enumerate(names) if j < 2 or rng.random() < rate)
+                reports.append(ScanReport(url=f"http://u{i}.test/", scan_date=at, first_seen=at, scan_id=str(i),
+                                          positives=len(verdicts), verdicts=verdicts))
+            fit = fit_scanner_factors(reports, seed=0)
+            print(hashlib.sha256(fit.matrix.tobytes()).hexdigest())
+        """
+        assert _run_child(script, OPENBLAS_NUM_THREADS="1") == _run_child(script, OPENBLAS_NUM_THREADS="2")
 
 
 class TestConflictingCacheRows:

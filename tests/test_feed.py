@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -465,6 +466,128 @@ class TestGroundTruth:
         )
         with pytest.raises(FeedFormatError, match="^row 3: bad labeled_at timestamp: 'yesterday'$"):
             load_ground_truth(path)
+
+
+def _dictreader_ground_truth(path):
+    """`load_ground_truth` as it read before its row loop: one
+    `csv.DictReader` dict per row. The reference for `TestGroundTruthReader`."""
+    records = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(feed._utf8_lines(fh, path))
+        if reader.fieldnames is None or not set(feed._GT_COLUMNS).issubset(reader.fieldnames):
+            raise FeedFormatError(f"ground truth CSV must have columns {sorted(feed._GT_COLUMNS)}")
+        for row_no, row in enumerate(reader, start=2):
+            empty = [name for name in feed._GT_COLUMNS if not (row[name] or "").strip()]
+            if empty:
+                raise FeedFormatError(f"row {row_no}: missing or empty {', '.join(empty)}")
+            label_raw = row["label"].strip().lower()
+            if label_raw not in feed._GT_LABELS:
+                raise FeedFormatError(f"row {row_no}: unknown ground-truth label {row['label']!r}")
+            try:
+                labeled_at = feed._parse_ts(row["labeled_at"].strip(), "labeled_at")
+            except FeedFormatError as exc:
+                raise FeedFormatError(f"row {row_no}: {exc}") from None
+            record = feed.GroundTruthRecord(
+                url=normalize_url(row["url"].strip()),
+                label=feed._GT_LABELS[label_raw],
+                source=row["source"].strip(),
+                labeled_at=labeled_at,
+            )
+            key = (record.url, record.source)
+            if key in records and records[key].label is not record.label:
+                raise GroundTruthConflictError(f"conflicting labels for {record.url!r} from source {record.source!r}")
+            records[key] = record
+    by_url = {}
+    for record in records.values():
+        by_url.setdefault(record.url, set()).add(record.label)
+    conflicts = sorted(url for url, labels in by_url.items() if len(labels) > 1)
+    if conflicts:
+        raise GroundTruthConflictError("conflicting labels across sources for: " + ", ".join(conflicts))
+    return sorted(records.values(), key=lambda r: (r.url, r.source))
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except (FeedFormatError, GroundTruthConflictError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_GT_ROW = "http://a.test/,phishing,manual,2021-03-01T00:00:00Z"
+# Each column's cells, mostly valid ones.
+_GT_CELLS = {
+    "url": ["http://a.test/", "HTTP://A.test/x", "http://b.test/\nsecond", "http://c.test/a,b", "", " "],
+    "label": ["phishing", " Malware ", "benign", "PHISHING", "weird", ""],
+    "source": ["manual", "apwg", 'say "hi"', "", "manual"],
+    "labeled_at": ["2021-03-01T00:00:00Z", "2021-03-02", "2021-03-01T00:00:00Z", "yesterday", ""],
+    "extra": ["x", ""],
+}
+
+
+@st.composite
+def _gt_files(draw):
+    """A header of the four columns in any order, with repeated and extra
+    names inserted and sometimes one dropped, and rows of its cells cut short
+    or run long (a cut at 0 is a blank line)."""
+    header = list(draw(st.permutations(feed._GT_COLUMNS)))
+    for name in draw(st.lists(st.sampled_from([*feed._GT_COLUMNS, "extra"]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 4)) == 0:
+        del header[draw(st.integers(0, len(header) - 1))]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(_GT_CELLS[name])) for name in header]
+        width = draw(st.sampled_from([len(row)] * 4 + list(range(len(row) + 3))))
+        rows.append(row[:width] + ["more"] * (width - len(row)))
+    return header, rows
+
+
+class TestGroundTruthReader:
+    """The row loop reads every file as the `csv.DictReader` it replaced:
+    the same records, or the same error and message."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n" + "url,label,source,labeled_at\n" + _GT_ROW + "\n",
+            "url,label,source\n" + "http://a.test/,phishing,manual\n",
+            # blank lines before, between and after rows are not numbered
+            "url,label,source,labeled_at\n\n" + _GT_ROW + "\n\n\nhttp://b.test/,benign,manual,bad\n\n",
+            # a short row reads its missing fields as empty
+            "url,label,source,labeled_at\n" + _GT_ROW + "\nhttp://b.test/,benign\n",
+            # a long row's extra fields are ignored
+            "url,label,source,labeled_at\n" + _GT_ROW + ",extra,more\nhttp://b.test/,benign,manual,2021-03-01\n",
+            # a repeated name reads its last column, also when a row is too short for it
+            "url,label,source,labeled_at,url\n" + _GT_ROW + ",http://c.test/\n",
+            "url,label,source,labeled_at,url\n" + _GT_ROW + "\n",
+            "label,url,label,extra,source,labeled_at\nmalware,http://a.test/,phishing,x,manual,2021-03-01\n",
+            # a quoted newline stays in its field and its row counts once
+            'url,label,source,labeled_at\n"http://a.test/\nx",phishing,manual,2021-03-01\n'
+            '"http://b.test/",benign,"man\nual",2021-03-01\nhttp://c.test/,,manual,2021-03-01\n',
+            # a row of one empty quoted field is not blank
+            'url,label,source,labeled_at\n' + _GT_ROW + '\n""\n',
+            # conflicts, within and across sources
+            "url,label,source,labeled_at\n" + _GT_ROW + "\nhttp://a.test/,malware,manual,2021-03-01\n",
+            "url,label,source,labeled_at\n" + _GT_ROW + "\nhttp://a.test/,malware,apwg,2021-03-01\n",
+            "url,label,source,labeled_at\r\n" + _GT_ROW + "\r\nhttp://a.test/,PHISHING,manual,2021-03-01\r\n",
+        ],
+    )
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_ground_truth, path) == _outcome(_dictreader_ground_truth, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gt_files())
+    def test_generated_files(self, tmp_path_factory, drawn):
+        header, rows = drawn
+        path = tmp_path_factory.mktemp("gt") / "gt.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert _outcome(load_ground_truth, path) == _outcome(_dictreader_ground_truth, path)
 
 
 class TestNormalizeUrl:
